@@ -159,6 +159,9 @@ def universal_fod_bound(k: int, l1: int, l2: int) -> UniversalBound:
     """Universal deterministic-fraction floor for boxes from k-outcome Alice
     measurements and Bob measurements steering into l1- and l2-member
     ensembles. proof_form replaces l1 l2 by l^2 and is never larger."""
+    for count in (k, l1, l2):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"outcome counts must be integers, got {count!r}")
     if k < 1 or l1 < 1 or l2 < 1:
         raise ValueError("outcome counts must be at least 1")
     fmax = optimize_mu().value

@@ -5,7 +5,11 @@ expected value, `verify-rti` runs randomized reverse-triangle-inequality
 campaigns plus the extremal-family grid, `box` analyzes a box JSON file, and
 `bounds` prints the universal determinism floor. Reports are JSON (default)
 or CSV with fixed columns, byte-identical for identical (command, config,
-seed). Exit code 0 iff every checked row passes, 2 on usage or input errors.
+seed). Exit codes: 0 when every checked row passes, 1 when some checked row
+fails, 2 on usage or input errors, 3 on an internal failure (a RuntimeError,
+a numpy LinAlgError or an infeasible or unbounded LP, such as an exhausted
+simplex budget or a failed certificate), reported on stderr as
+`internal error: ...` with no report.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .bounds import binary_bob_bounds, optimize_mu, universal_fod_bound
 from .boxes import (
@@ -30,9 +36,8 @@ from .boxes import (
     tsirelson_realization,
     validate_ns,
 )
-from .decomp import bell_bound_from_fod, cf_exact, fod_exact
-from .rti import extremal_family, extremal_gaps, rti_campaign, subnormalized_gap
-from .states import SubnormalizedState
+from .decomp import InfeasibleError, UnboundedError, bell_bound_from_fod, cf_exact, fod_exact
+from .rti import extremal_grid, rti_campaign
 
 SEED_ENV_VAR = "NONLOCAL_SEED"
 CSV_COLUMNS = ("name", "paper_value", "computed", "tolerance", "pass", "provenance")
@@ -207,23 +212,7 @@ def cmd_verify_rti(args) -> int:
                 )
             )
 
-    grid = [0.05 * i for i in range(1, 20)]
-    tightness_slack = math.inf
-    identity_residual = 0.0
-    for r in grid:
-        rho1, rho2, sigma = extremal_family(r)
-        member_formula, mixture_formula = extremal_gaps(r)
-        member = subnormalized_gap(rho1, sigma)
-        mixture = subnormalized_gap(
-            SubnormalizedState(0.5 * rho1.mat + 0.5 * rho2.mat), sigma
-        )
-        identity_residual = max(
-            identity_residual,
-            abs(member - member_formula),
-            abs(subnormalized_gap(rho2, sigma) - member_formula),
-            abs(mixture - mixture_formula),
-        )
-        tightness_slack = min(tightness_slack, mixture**2 - 2.0 * member)
+    tightness_slack, identity_residual = extremal_grid([0.05 * i for i in range(1, 20)])
     rows.append(
         report_row(
             "extremal_tightness_min_slack",
@@ -440,6 +429,9 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.func(args)
+    except (RuntimeError, np.linalg.LinAlgError, InfeasibleError, UnboundedError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

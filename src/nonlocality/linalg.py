@@ -2,7 +2,9 @@
 
 All matrices are dense complex numpy arrays. Inputs that are supposed to be
 Hermitian are rejected when max|A - A^dag| exceeds HERMITIAN_TOL, with the
-deviation reported in the error message.
+deviation reported in the error message; a NaN entry fails that check too.
+`hermiticity_defect`, `hermitian_part`, `require_hermitian` and `trace_norm`
+also take stacks of shape (..., d, d), checked and reduced in one pass.
 """
 
 from __future__ import annotations
@@ -25,16 +27,27 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-entry distance from A to its adjoint."""
-    return float(np.abs(a - a.conj().T).max())
+    """Max-entry distance from A to its adjoint, over a whole stack."""
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2, matrix by matrix."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    m = as_complex_matrix(a)
-    defect = hermiticity_defect(m)
-    if defect > tol:
+    """`hermitian_part` of a matrix or (..., d, d) stack, rejected when its
+    `hermiticity_defect` exceeds `tol` or is NaN."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    # One adjoint serves both the check and the symmetrization.
+    adjoint = m.conj().swapaxes(-1, -2)
+    defect = float(np.abs(m - adjoint).max())
+    if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
-    return (m + m.conj().T) / 2
+    return (m + adjoint) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +67,16 @@ def eig_hermitian(a, tol: float = HERMITIAN_TOL) -> HermitianEigen:
 
     Raises ValueError when the input is not Hermitian within `tol`.
     """
-    m = require_hermitian(a, tol)
+    m = require_hermitian(as_complex_matrix(a), tol)
     w, v = np.linalg.eigh(m)
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
-def trace_norm(a) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    m = require_hermitian(a)
-    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+def trace_norm(a):
+    """Sum of absolute eigenvalues of a Hermitian matrix: a float, or an
+    array of shape (...) for a (..., d, d) stack."""
+    norms = np.abs(np.linalg.eigvalsh(require_hermitian(a))).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def psd_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
@@ -73,7 +87,7 @@ def psd_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
     """
     dec = eig_hermitian(a)
     lo = float(dec.eigenvalues.min())
-    if lo < -tol:
+    if not lo >= -tol:
         raise ValueError(f"matrix is not PSD: min eigenvalue = {lo:.3e}")
     w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
     v = dec.eigenvectors
@@ -105,5 +119,5 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 
 def max_commutator_entry(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-entry magnitude of [A, B]."""
+    """Max-entry magnitude of [A, B], over a whole stack."""
     return float(np.abs(a @ b - b @ a).max())

@@ -9,6 +9,10 @@ reference state sigma, the ensemble average obeys
 with l the number of members. The commuting form is sharp for classical
 (diagonal) families, and the sqrt dependence is unavoidable in general: a
 two-state qubit family below brings the mixture gap down to ~sqrt(2 eps).
+
+`sample_rti_instance` and `verify_rti` check one instance at a time and are
+the reference for `rti_campaign`, which draws the same instances and runs
+the same checks on stacks of RTI_CHUNK trials.
 """
 
 from __future__ import annotations
@@ -17,36 +21,75 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_commutator_entry, psd_sqrt, trace_norm
+from .linalg import hermitian_part, max_commutator_entry, psd_sqrt, trace_norm
 from .states import (
     DensityMatrix,
     SubnormalizedState,
+    _check_state_matrix,
+    _complex_normal,
+    _gram_state,
     fidelity,
-    sample_density,
     trace_distance,
 )
 
 CERTIFICATE_TOL = 1e-9
 COMMUTE_TOL = 1e-9
 PASS_SLACK = 1e-8
+# Trials per stacked pass of `rti_campaign`; bounds its memory at any count.
+RTI_CHUNK = 128
 
 
 def rti_general_bound(l: int, eps: float) -> float:
     """Lower bound 2 - 2 sqrt(l * eps) on the mixture-to-reference distance."""
-    if l < 1:
-        raise ValueError("need at least one ensemble member")
-    if not (0.0 <= eps <= 2.0):
-        raise ValueError(f"eps must lie in [0, 2], got {eps!r}")
+    _check_bound_args(l, eps)
     return 2.0 - 2.0 * np.sqrt(l * eps)
 
 
 def rti_commuting_bound(l: int, eps: float) -> float:
     """Lower bound 2 - l * eps valid when all states commute pairwise."""
+    _check_bound_args(l, eps)
+    return 2.0 - l * eps
+
+
+def _check_bound_args(l: int, eps) -> None:
+    """l >= 1 and every eps (a float or an array) in [0, 2]; NaN fails."""
     if l < 1:
         raise ValueError("need at least one ensemble member")
-    if not (0.0 <= eps <= 2.0):
+    if not np.all((0.0 <= eps) & (eps <= 2.0)):
         raise ValueError(f"eps must lie in [0, 2], got {eps!r}")
-    return 2.0 - l * eps
+
+
+def _first_where(values, bad: np.ndarray) -> float:
+    """The first entry of `values` (a float or an array) flagged in `bad`."""
+    return float(np.broadcast_to(values, bad.shape)[bad][0])
+
+
+def _check_certificate(weights, epsilon, tight) -> None:
+    """The checks `RtiInstance` makes, on one instance or elementwise on a
+    stack: weights of shape (..., l) form probability vectors, epsilon lies
+    in [0, 2], and no epsilon is more than CERTIFICATE_TOL below its tight
+    value. NaN fails every check."""
+    w = np.asarray(weights, dtype=float)
+    if not (w.min() >= -1e-12 and np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-10):
+        raise ValueError("weights must form a probability vector")
+    eps = np.asarray(epsilon, dtype=float)
+    bad = ~((0.0 <= eps) & (eps <= 2.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"epsilon must lie in [0, 2], got {_first_where(eps, bad)!r}")
+    bad = ~(eps >= tight - CERTIFICATE_TOL)
+    if bad.any():
+        raise ValueError(
+            f"invalid certificate: epsilon {_first_where(eps, bad)!r} "
+            f"below tight value {_first_where(tight, bad)!r}"
+        )
+
+
+def _mixture(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_i weights[..., i] * mats[..., i, :, :], added member by member."""
+    acc = np.zeros(mats.shape[:-3] + mats.shape[-2:], dtype=complex)
+    for i in range(weights.shape[-1]):
+        acc += weights[..., i, None, None] * mats[..., i, :, :]
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,19 +108,11 @@ class RtiInstance:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         rhos = tuple(self.rhos)
-        if len(rhos) < 1 or len(w) != len(rhos):
+        if len(rhos) < 1 or w.ndim != 1 or len(w) != len(rhos):
             raise ValueError("weights and states disagree in length")
-        if float(w.min()) < -1e-12 or abs(float(w.sum()) - 1.0) > 1e-10:
-            raise ValueError("weights must form a probability vector")
         if any(r.dim != self.sigma.dim for r in rhos):
             raise ValueError("dimension mismatch between ensemble and reference")
-        if not (0.0 <= self.epsilon <= 2.0 + 1e-12):
-            raise ValueError(f"epsilon must lie in [0, 2], got {self.epsilon!r}")
-        tight = self.tight_epsilon_of(rhos, self.sigma)
-        if self.epsilon < tight - CERTIFICATE_TOL:
-            raise ValueError(
-                f"invalid certificate: epsilon {self.epsilon!r} below tight value {tight!r}"
-            )
+        _check_certificate(w, self.epsilon, self.tight_epsilon_of(rhos, self.sigma))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rhos", rhos)
@@ -91,10 +126,7 @@ class RtiInstance:
         return len(self.rhos)
 
     def mixture(self) -> np.ndarray:
-        acc = np.zeros((self.sigma.dim, self.sigma.dim), dtype=complex)
-        for w, r in zip(self.weights, self.rhos):
-            acc += w * r.mat
-        return acc
+        return _mixture(self.weights, np.stack([r.mat for r in self.rhos]))
 
 
 @dataclass(frozen=True)
@@ -129,12 +161,7 @@ def verify_rti(instance: RtiInstance, commuting: bool = False) -> RtiReport:
     `commuting` set, all pairwise commutators must vanish within COMMUTE_TOL.
     """
     if commuting:
-        mats = [r.mat for r in instance.rhos] + [instance.sigma.mat]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                dev = max_commutator_entry(mats[i], mats[j])
-                if dev > COMMUTE_TOL:
-                    raise ValueError(f"states do not commute: max commutator entry {dev:.3e}")
+        _check_commuting([r.mat for r in instance.rhos] + [instance.sigma.mat])
     tight = RtiInstance.tight_epsilon_of(instance.rhos, instance.sigma)
     eps = instance.epsilon if abs(tight - instance.epsilon) <= CERTIFICATE_TOL else tight
     eps = min(max(eps, 0.0), 2.0)
@@ -153,6 +180,16 @@ def verify_rti(instance: RtiInstance, commuting: bool = False) -> RtiReport:
     )
 
 
+def _check_commuting(mats) -> None:
+    """Every pair of `mats`, matrices or equal-shape stacks of them, commutes
+    within COMMUTE_TOL."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            dev = max_commutator_entry(mats[i], mats[j])
+            if not dev <= COMMUTE_TOL:
+                raise ValueError(f"states do not commute: max commutator entry {dev:.3e}")
+
+
 def subnormalized_gap(a: SubnormalizedState, b: SubnormalizedState) -> float:
     """Tr a + Tr b - |a - b|, the subnormalized analogue of 2 - distance."""
     return a.trace() + b.trace() - trace_norm(a.mat - b.mat)
@@ -166,21 +203,58 @@ def extremal_family(r: float):
     has gap 1 + r - sqrt(1 + 2r - 3r^2) =: eps to sigma while the uniform
     mixture has gap exactly 2r, and (2r)^2 >= 2 eps on all of [0, 1].
     """
-    if not (0.0 <= r <= 1.0):
+    _check_r(r)
+    return tuple(SubnormalizedState(m) for m in _extremal_matrices(r))
+
+
+def _check_r(r) -> None:
+    if not np.all((0.0 <= r) & (r <= 1.0)):
         raise ValueError(f"r must lie in [0, 1], got {r!r}")
+
+
+def _extremal_matrices(r):
+    """Unchecked (rho_1, rho_2, sigma) of `extremal_family`, each of shape
+    (..., 2, 2) for r of shape (...)."""
+    r = np.asarray(r, dtype=float)
     s = np.sqrt(r * (1.0 - r))
-    rho1 = SubnormalizedState(np.array([[1.0 - r, s], [s, r]], dtype=complex))
-    rho2 = SubnormalizedState(np.array([[1.0 - r, -s], [-s, r]], dtype=complex))
-    sigma = SubnormalizedState(np.array([[0.0, 0.0], [0.0, r]], dtype=complex))
-    return rho1, rho2, sigma
+    zero = np.zeros_like(r)
+
+    def hermitian(a, b, d):
+        return np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2).astype(complex)
+
+    return hermitian(1.0 - r, s, r), hermitian(1.0 - r, -s, r), hermitian(zero, zero, r)
 
 
-def extremal_gaps(r: float) -> tuple[float, float]:
-    """Closed forms (member gap, mixture gap) for the extremal family."""
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"r must lie in [0, 1], got {r!r}")
+def extremal_gaps(r) -> tuple:
+    """Closed forms (member gap, mixture gap) for the extremal family: floats
+    for a float r, arrays for an array."""
+    _check_r(r)
     member = 1.0 + r - np.sqrt(1.0 + 2.0 * r - 3.0 * r * r)
-    return float(member), 2.0 * r
+    return (float(member) if np.ndim(member) == 0 else member), 2.0 * r
+
+
+def extremal_grid(rs) -> tuple[float, float]:
+    """The extremal family at every r in `rs`, checked as one stack.
+
+    Returns (min over r of mixture_gap^2 - 2 member_gap, the tightness of the
+    sqrt; max over r of |measured gap - closed form| for both members and
+    the mixture). The gaps are `subnormalized_gap` of each state and sigma.
+    """
+    r = np.asarray(rs, dtype=float)
+    _check_r(r)
+    rho1, rho2, sigma = _extremal_matrices(r)
+    states = _check_state_matrix(
+        np.stack([rho1, rho2, 0.5 * rho1 + 0.5 * rho2, sigma]), 0.0, 1.0, "state"
+    )
+    traces = np.real(np.trace(states, axis1=-2, axis2=-1))
+    gaps = traces[:3] + traces[3] - trace_norm(states[:3] - states[3])
+    member_formula, mixture_formula = extremal_gaps(r)
+    residual = float(np.abs(gaps - [member_formula, member_formula, mixture_formula]).max())
+    member, _, mixture = gaps.tolist()
+    # On Python floats: x**2 there and x * x in numpy can round apart, and
+    # the verify-rti report pins the last digit.
+    tightness = min(x**2 - 2.0 * m for x, m in zip(mixture, member))
+    return tightness, residual
 
 
 def embed_subnormalized(rho: SubnormalizedState, sigma: SubnormalizedState):
@@ -278,37 +352,79 @@ def fvdg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[InequalityRepo
     return low, high
 
 
-def _block_density(dim: int, lo: int, hi: int, rng, diagonal: bool) -> DensityMatrix:
-    """Random state supported on coordinates [lo, hi) of a dim-dim space."""
-    width = hi - lo
-    mat = np.zeros((dim, dim), dtype=complex)
+def _block_draw(width: int, rng, diagonal: bool) -> np.ndarray:
+    """Raw draw of a random state on `width` coordinates: diagonal weights
+    of shape (width,) or a Ginibre factor of shape (width, width)."""
     if diagonal:
-        probs = rng.random(width) + 1e-3
-        mat[range(lo, hi), range(lo, hi)] = probs / probs.sum()
+        return rng.random(width) + 1e-3
+    return _complex_normal((width, width), rng)
+
+
+def _draw_rti(dim: int, l: int, rng, commuting: bool):
+    """Every random draw of one instance, in order: (split, sigma's block
+    draw, [(base block draw, leak, noise block draw)] * l, weights).
+
+    `_instance_states` turns the draws into states. Both `sample_rti_instance`
+    and `rti_campaign` draw through here, so they see the same instances.
+    """
+    if dim < 2:
+        raise ValueError("need dim >= 2 to separate the reference from the ensemble")
+    split = int(rng.integers(1, dim))
+    sigma = _block_draw(split, rng, commuting)
+    members = []
+    for _ in range(l):
+        base = _block_draw(dim - split, rng, commuting)
+        leak = rng.uniform(0.0, 0.05)
+        members.append((base, leak, _block_draw(dim, rng, commuting)))
+    weights = rng.random(l) + 0.1
+    weights /= weights.sum()
+    return split, sigma, members, weights
+
+
+def _block_state(dim: int, lo: int, draw: np.ndarray, diagonal: bool, state) -> np.ndarray:
+    """The state of a `_block_draw` draw, supported on coordinates
+    [lo, lo + width) of a dim-dim space. Draws may carry leading stack axes."""
+    width = draw.shape[-1]
+    stack = draw.shape[:-1] if diagonal else draw.shape[:-2]
+    mat = np.zeros(stack + (dim, dim), dtype=complex)
+    if diagonal:
+        slots = range(lo, lo + width)
+        mat[..., slots, slots] = draw / draw.sum(axis=-1, keepdims=True)
     else:
-        inner = sample_density(width, width, rng).mat
-        mat[lo:hi, lo:hi] = inner
-    return DensityMatrix(mat)
+        mat[..., lo : lo + width, lo : lo + width] = state(_gram_state(draw))
+    return state(mat)
+
+
+def _instance_states(dim: int, split: int, sigma, members, commuting: bool, state):
+    """(sigma, [rho_i]) built from `_draw_rti` draws; sigma and the ensemble
+    sit on complementary blocks, plus a little full-support leakage per
+    member. Draws may be stacked over leading axes, a leak then of shape
+    (...). Every matrix made into a state passes through `state`, which
+    returns the matrix to go on with: `sample_rti_instance` checks each at
+    once, `rti_campaign` keeps them for one stacked check."""
+    sigma = _block_state(dim, 0, sigma, commuting, state)
+    rhos = []
+    for base, leak, noise in members:
+        base = _block_state(dim, split, base, commuting, state)
+        noise = _block_state(dim, 0, noise, True, state) if commuting else state(_gram_state(noise))
+        leak = np.asarray(leak)[..., None, None]
+        rhos.append(state((1.0 - leak) * base + leak * noise))
+    return sigma, rhos
+
+
+def _checked_state(mat: np.ndarray) -> np.ndarray:
+    return DensityMatrix(mat).mat
 
 
 def sample_rti_instance(dim: int, l: int, seed, commuting: bool = False) -> RtiInstance:
     """Random instance with small tight eps: sigma and the ensemble live on
     complementary blocks, plus a little full-support leakage per member."""
-    if dim < 2:
-        raise ValueError("need dim >= 2 to separate the reference from the ensemble")
-    rng = np.random.default_rng(seed)
-    split = int(rng.integers(1, dim))
-    sigma = _block_density(dim, 0, split, rng, commuting)
-    rhos = []
-    for _ in range(l):
-        base = _block_density(dim, split, dim, rng, commuting)
-        leak = float(rng.uniform(0.0, 0.05))
-        noise = _block_density(dim, 0, dim, rng, True) if commuting else sample_density(dim, dim, rng)
-        rhos.append(DensityMatrix((1.0 - leak) * base.mat + leak * noise.mat))
-    weights = rng.random(l) + 0.1
-    weights /= weights.sum()
+    split, sigma, members, weights = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
+    sigma, rhos = _instance_states(dim, split, sigma, members, commuting, _checked_state)
+    sigma = DensityMatrix._trusted(sigma)
+    rhos = tuple(DensityMatrix._trusted(m) for m in rhos)
     eps = RtiInstance.tight_epsilon_of(rhos, sigma)
-    return RtiInstance(sigma=sigma, rhos=tuple(rhos), weights=weights, epsilon=eps)
+    return RtiInstance(sigma=sigma, rhos=rhos, weights=weights, epsilon=eps)
 
 
 @dataclass(frozen=True)
@@ -333,17 +449,21 @@ class CampaignRow:
 
 def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> list[CampaignRow]:
     """Verify `trials` random instances per (dim, l); per-trial seeds derive
-    from (seed, dim, l, trial) so runs are order-independent."""
+    from (seed, dim, l, trial) so runs are order-independent.
+
+    Each instance is the one `sample_rti_instance` draws for its seed and gets
+    every check it and `verify_rti` make, run on stacks of RTI_CHUNK trials.
+    """
     rows = []
     for dim in dims:
         for l in ls:
             violations = 0
             min_slack = np.inf
-            for t in range(trials):
-                inst = sample_rti_instance(dim, l, (seed, dim, l, t), commuting)
-                report = verify_rti(inst, commuting=commuting)
-                min_slack = min(min_slack, report.slack)
-                violations += 0 if report.passed else 1
+            for start in range(0, trials, RTI_CHUNK):
+                chunk = range(start, min(start + RTI_CHUNK, trials))
+                slack = _campaign_slacks(dim, l, [(seed, dim, l, t) for t in chunk], commuting)
+                violations += int(np.count_nonzero(~(slack >= -PASS_SLACK)))
+                min_slack = min(min_slack, float(slack.min()))
             rows.append(
                 CampaignRow(
                     dim=dim,
@@ -355,3 +475,50 @@ def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> l
                 )
             )
     return rows
+
+
+def _campaign_slacks(dim: int, l: int, seeds, commuting: bool) -> np.ndarray:
+    """`verify_rti(sample_rti_instance(dim, l, s, commuting), commuting).slack`
+    for every s in `seeds`, in some order, computed on stacks."""
+    if l < 1:
+        raise ValueError("need at least one ensemble member")
+    by_split = {}
+    for seed in seeds:
+        split, *draws = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
+        by_split.setdefault(split, []).append(draws)
+
+    drawn = []
+
+    def keep(mat: np.ndarray) -> np.ndarray:
+        drawn.append(mat)
+        return hermitian_part(mat)
+
+    sigma, rhos, weights = [], [], []
+    for split, group in by_split.items():
+        sigmas, members, ws = zip(*group)
+        # members[t][i] is (base, leak, noise) of member i in trial t; stack
+        # each field over the trials of the group.
+        stacked_members = [
+            tuple(np.stack(field) for field in zip(*member)) for member in zip(*members)
+        ]
+        states = _instance_states(dim, split, np.stack(sigmas), stacked_members, commuting, keep)
+        sigma.append(states[0])
+        rhos.append(np.stack(states[1], axis=1))
+        weights.append(np.stack(ws))
+    sigma, rhos, weights = np.concatenate(sigma), np.concatenate(rhos), np.concatenate(weights)
+    by_shape = {}
+    for mat in drawn:
+        by_shape.setdefault(mat.shape[-2:], []).append(mat.reshape((-1,) + mat.shape[-2:]))
+    for mats in by_shape.values():
+        _check_state_matrix(np.concatenate(mats), 1.0, 1.0, "state")
+
+    # The sampler stores the tight certificate, so the stored and tight
+    # epsilon agree and verify_rti keeps it.
+    tight = 2.0 - trace_norm(rhos - sigma[:, None]).min(axis=1)
+    _check_certificate(weights, tight, tight)
+    if commuting:
+        _check_commuting([rhos[:, i] for i in range(l)] + [sigma])
+    eps = np.clip(tight, 0.0, 2.0)
+    lhs = trace_norm(_mixture(weights, rhos) - sigma)
+    bound = rti_commuting_bound(l, eps) if commuting else rti_general_bound(l, eps)
+    return lhs - bound

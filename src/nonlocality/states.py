@@ -26,14 +26,17 @@ WEIGHT_SUM_TOL = 1e-10
 STEER_DROP_TOL = 1e-12
 
 
-def _check_state_matrix(mat: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
+def _check_state_matrix(mat, lo: float, hi: float, what: str) -> np.ndarray:
+    """Hermitian part of a matrix or (..., d, d) stack, read-only, after
+    checking that every matrix is PSD with trace in [lo, hi]. NaN fails."""
     m = require_hermitian(mat)
     mn = float(np.linalg.eigvalsh(m).min())
-    if mn < -PSD_TOL:
+    if not mn >= -PSD_TOL:
         raise ValueError(f"{what} is not PSD: min eigenvalue = {mn:.3e}")
-    tr = float(np.real(np.trace(m)))
-    if not (lo - TRACE_TOL <= tr <= hi + TRACE_TOL):
-        raise ValueError(f"{what} has trace {tr!r}, expected within [{lo}, {hi}]")
+    traces = np.real(m.trace(axis1=-2, axis2=-1))
+    outside = traces[~((lo - TRACE_TOL <= traces) & (traces <= hi + TRACE_TOL))]
+    if outside.size:
+        raise ValueError(f"{what} has trace {float(outside[0])!r}, expected within [{lo}, {hi}]")
     m.setflags(write=False)
     return m
 
@@ -45,7 +48,15 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _check_state_matrix(self.mat, 1.0, 1.0, "state"))
+        mat = as_complex_matrix(self.mat)
+        object.__setattr__(self, "mat", _check_state_matrix(mat, 1.0, 1.0, "state"))
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix that has already passed `_check_state_matrix`."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "mat", mat)
+        return state
 
     @property
     def dim(self) -> int:
@@ -62,7 +73,8 @@ class SubnormalizedState:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _check_state_matrix(self.mat, 0.0, 1.0, "state"))
+        mat = as_complex_matrix(self.mat)
+        object.__setattr__(self, "mat", _check_state_matrix(mat, 0.0, 1.0, "state"))
 
     @property
     def dim(self) -> int:
@@ -89,13 +101,13 @@ class Povm:
                 raise ValueError("POVM elements have mixed dimensions")
             h = require_hermitian(e)
             mn = float(np.linalg.eigvalsh(h).min())
-            if mn < -PSD_TOL:
+            if not mn >= -PSD_TOL:
                 raise ValueError(f"POVM element {i} is not PSD: min eigenvalue = {mn:.3e}")
             h.setflags(write=False)
             checked.append(h)
         total = sum(checked)
         defect = float(np.abs(total - np.eye(dim)).max())
-        if defect > POVM_SUM_TOL:
+        if not defect <= POVM_SUM_TOL:
             raise ValueError(f"POVM does not sum to identity: max deviation = {defect:.3e}")
         object.__setattr__(self, "elements", tuple(checked))
 
@@ -125,9 +137,9 @@ class Ensemble:
             raise ValueError("weights and states disagree in length")
         if len(self.states) == 0:
             raise ValueError("ensemble needs at least one member")
-        if float(w.min()) < -WEIGHT_SUM_TOL:
-            raise ValueError(f"negative weight {float(w.min())!r}")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        if not float(w.min()) >= -WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must be nonnegative numbers, min is {float(w.min())!r}")
+        if not abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
         dim = self.states[0].dim
         if any(s.dim != dim for s in self.states):
@@ -274,10 +286,19 @@ def sample_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Ginibre-induced random state: G G^dag normalized, G of shape (dim, rank)."""
     if not (1 <= rank <= dim):
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.real(np.trace(m)))
+    g = _complex_normal((dim, rank), np.random.default_rng(seed))
+    return DensityMatrix(_gram_state(g))
+
+
+def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussian array: the real parts are drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _gram_state(g: np.ndarray) -> np.ndarray:
+    """Unchecked G G^dag / Tr(G G^dag), matrix by matrix over a stack."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
 
 
 def sample_povm(dim: int, outcomes: int, seed) -> Povm:

@@ -98,6 +98,10 @@ def test_universal_fod_bound_frozen():
     assert universal_fod_bound(1, 1, 1).theorem_form == pytest.approx(F_STAR / 2.0)
     with pytest.raises(ValueError):
         universal_fod_bound(0, 2, 2)
+    assert universal_fod_bound(np.int64(2), 2, 2).theorem_form == bound.theorem_form
+    for counts in ((2.5, 2, 2), (2, 2.0, 2), (2, 2, "2"), (True, 2, 2)):
+        with pytest.raises(ValueError, match="integers"):
+            universal_fod_bound(*counts)
 
 
 def test_proof_form_never_exceeds_theorem_form():

@@ -2,9 +2,13 @@
 
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from nonlocality import cli
 
 from nonlocality.boxes import (
     Box,
@@ -15,8 +19,10 @@ from nonlocality.boxes import (
     tsirelson_realization,
 )
 from nonlocality.cli import main
+from nonlocality.decomp import InfeasibleError
 
 THEOREM_222 = 0.0035437670488272285
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -106,6 +112,52 @@ def test_verify_rti_validation(capsys):
         rc = main(argv)
         assert rc == 2, argv
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, golden",
+    [
+        ([], "verify_rti_trials50_seed7.json"),
+        (["--format", "csv"], "verify_rti_trials50_seed7.csv"),
+        (["--l", "2,3,4"], "verify_rti_trials50_seed7_l234.json"),
+    ],
+)
+def test_verify_rti_matches_golden_report(tmp_path, extra, golden):
+    out = tmp_path / golden
+    assert main(["verify-rti", "--trials", "50", "--seed", "7", *extra, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_verify_rti_memory_does_not_grow_with_trials(tmp_path):
+    # Trials are verified RTI_CHUNK at a time; holding all 2,000 dim-16
+    # trials of a cell at once would take several hundred MB.
+    tracemalloc.start()
+    try:
+        rc = main(["verify-rti", "--dims", "16", "--trials", "2000", "--out", str(tmp_path / "r.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RuntimeError("simplex iteration budget 10 exhausted"),
+        np.linalg.LinAlgError("no convergence"),
+        InfeasibleError("phase 1 optimum is positive"),
+    ],
+)
+def test_internal_failure_exits_3(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "rti_campaign", fail)
+    assert main(["verify-rti", "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
 
 
 def _write(tmp_path, name, payload):

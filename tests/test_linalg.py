@@ -87,6 +87,29 @@ def test_trace_norm_is_sum_of_abs_eigenvalues(seed, dim):
     assert trace_norm(a) == pytest.approx(np.abs(np.linalg.eigvalsh(a)).sum(), abs=1e-10)
 
 
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 4))
+def test_trace_norm_on_a_stack_matches_each_matrix(seed, dim, count):
+    stack = np.stack([random_hermitian(dim, (seed, i)) for i in range(count)])
+    norms = trace_norm(stack)
+    assert norms.shape == (count,)
+    assert norms.tolist() == [trace_norm(m) for m in stack]
+    assert np.array_equal(require_hermitian(stack)[0], require_hermitian(stack[0]))
+
+
+def test_require_hermitian_checks_every_matrix_of_a_stack():
+    stack = np.stack([PAULI_X, PAULI_Z, PAULI_X])
+    assert hermiticity_defect(stack) == 0.0
+    stack[1, 0, 1] = 0.5
+    assert hermiticity_defect(stack) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(stack)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_norm(stack)
+    with pytest.raises(ValueError, match="square"):
+        require_hermitian(np.zeros((2, 2, 3)))
+
+
 def test_psd_sqrt_diagonal_oracle():
     root = psd_sqrt(np.diag([4.0, 9.0]))
     assert np.abs(root - np.diag([2.0, 3.0])).max() < 1e-12

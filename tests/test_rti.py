@@ -2,13 +2,16 @@
 classical sharpness, and the two proof-ingredient inequalities."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nonlocality import rti
 from nonlocality.rti import (
+    RTI_CHUNK,
     ClassicalSharpExample,
     RtiInstance,
     classical_sharp_example,
@@ -64,6 +67,15 @@ def test_instance_certificate_validation():
         )
     with pytest.raises(ValueError, match="probability"):
         RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([0.5]), epsilon=0.0)
+
+
+def test_instance_rejects_nan_weight_and_epsilon():
+    sigma = basis_state(0, 3)
+    rhos = (basis_state(1, 3), basis_state(2, 3))
+    with pytest.raises(ValueError, match="probability"):
+        RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([np.nan, 1.0]), epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([0.5, 0.5]), epsilon=math.nan)
 
 
 def test_verify_orthogonal_single_member():
@@ -139,6 +151,62 @@ def test_campaign_rows():
     # deterministic per seed
     again = rti_campaign([2, 3], [2], 25, seed=3)
     assert [r.min_slack for r in rows] == [r.min_slack for r in again]
+
+
+def _oracle_row(dim, l, trials, seed, commuting):
+    """(violations, min slack) of a campaign cell, one instance at a time."""
+    slacks, violations = [], 0
+    for t in range(trials):
+        inst = sample_rti_instance(dim, l, (seed, dim, l, t), commuting)
+        report = verify_rti(inst, commuting=commuting)
+        slacks.append(report.slack)
+        violations += 0 if report.passed else 1
+    return violations, float(min(slacks, default=np.inf))
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 5),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(1, 9),
+    st.integers(1, 4),
+)
+def test_campaign_matches_per_instance_oracle(seed, dim, l, commuting, trials, chunk):
+    with mock.patch.object(rti, "RTI_CHUNK", chunk):
+        (row,) = rti_campaign([dim], [l], trials, seed, commuting)
+    assert (row.violations, row.min_slack) == _oracle_row(dim, l, trials, seed, commuting)
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_campaign_across_a_chunk_boundary_matches_oracle(commuting):
+    trials = RTI_CHUNK + 5
+    (row,) = rti_campaign([3], [2], trials, 17, commuting)
+    assert row.trials == trials
+    assert (row.violations, row.min_slack) == _oracle_row(3, 2, trials, 17, commuting)
+    (empty,) = rti_campaign([3], [2], 0, 17, commuting)
+    assert (empty.violations, empty.min_slack) == (0, math.inf)
+
+
+def test_campaign_keeps_the_per_instance_state_checks():
+    gram_state = rti._gram_state
+    with mock.patch.object(rti, "_gram_state", lambda g: -gram_state(g)):
+        with pytest.raises(ValueError, match="not PSD"):
+            sample_rti_instance(3, 2, 1)
+        with pytest.raises(ValueError, match="not PSD"):
+            rti_campaign([3], [2], 4, 1)
+    with pytest.raises(ValueError, match="dim >= 2"):
+        rti_campaign([1], [2], 4, 1)
+    with pytest.raises(ValueError, match="at least one"):
+        rti_campaign([3], [0], 4, 1)
+
+
+def test_commuting_check_on_stacks():
+    diag = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
+    plus = np.stack([np.diag([0.5, 0.5]), np.full((2, 2), 0.5)]).astype(complex)
+    rti._check_commuting([diag, diag[::-1]])
+    with pytest.raises(ValueError, match="commute"):
+        rti._check_commuting([diag, plus])
 
 
 def test_subnormalized_gap_oracle():

@@ -26,6 +26,7 @@ from nonlocality.states import (
     truncate_ensemble,
     xz_spin_povm,
 )
+from nonlocality.states import _check_state_matrix
 
 KET_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
@@ -41,6 +42,30 @@ def test_density_matrix_validation():
     assert rho.dim == 2 and rho.trace() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 9.0  # write-protected
+
+
+def test_density_matrix_rejects_nan():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(ValueError):
+        DensityMatrix(np.diag([np.nan, 1.0]))
+
+
+def test_stacked_state_check_matches_one_at_a_time():
+    good = np.stack([sample_density(3, 3, s).mat for s in range(4)])
+    checked = _check_state_matrix(good, 1.0, 1.0, "state")
+    assert checked.shape == (4, 3, 3) and not checked.flags.writeable
+    for i in range(4):
+        assert np.array_equal(checked[i], DensityMatrix(good[i]).mat)
+    for bad, match in (
+        (np.diag([1.5, -0.5, 0.0]), "not PSD"),
+        (np.diag([0.5, 0.6, 0.0]), "trace 1.1"),
+        (np.diag([np.nan, 1.0, 0.0]), "not Hermitian"),
+    ):
+        stack = good.copy()
+        stack[2] = bad
+        with pytest.raises(ValueError, match=match):
+            _check_state_matrix(stack, 1.0, 1.0, "state")
 
 
 def test_subnormalized_state_range():
@@ -101,6 +126,12 @@ def test_ensemble_validation():
         Ensemble(weights=np.array([1.0]), states=s)
     with pytest.raises(ValueError):
         Ensemble(weights=np.array([0.4, 0.6]), states=s, labels=(1,))
+
+
+def test_ensemble_rejects_nan_weight():
+    s = (basis_state(0, 2), basis_state(1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Ensemble(weights=np.array([np.nan, 1.0]), states=s)
 
 
 def test_trace_distance_oracles():

@@ -128,6 +128,45 @@ def test_verify_rti_matches_golden_report(tmp_path, extra, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# Report file -> argv, run from tests/golden so that the box paths in the
+# report's config are the same relative paths on every machine.
+GOLDEN_REPORTS = {
+    "reproduce.json": ["reproduce"],
+    "reproduce.csv": ["reproduce", "--format", "csv"],
+    "bounds_222_beta.json": ["bounds", "2", "2", "2", "--beta-alg", "4", "--beta-det", "2"],
+    "bounds_222_beta.csv": [
+        "bounds", "2", "2", "2", "--beta-alg", "4", "--beta-det", "2", "--format", "csv"
+    ],
+    "bounds_324.json": ["bounds", "3", "2", "4"],
+    "bounds_324.csv": ["bounds", "3", "2", "4", "--format", "csv"],
+    "box_pr_all_ops.json": [
+        "box", "inputs/pr_box.json", "--ops", "ns,fod,cf,bell",
+        "--functional", "inputs/chsh_functional.json",
+    ],
+    "box_pr_all_ops.csv": [
+        "box", "inputs/pr_box.json", "--ops", "ns,fod,cf,bell",
+        "--functional", "inputs/chsh_functional.json", "--format", "csv",
+    ],
+    "box_noisy_pr.json": ["box", "inputs/noisy_pr_box.json", "--ops", "ns,fod,cf"],
+    "box_noisy_pr.csv": ["box", "inputs/noisy_pr_box.json", "--ops", "ns,fod,cf", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_REPORTS))
+def test_report_matches_golden(monkeypatch, tmp_path, golden):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("NONLOCAL_SEED", raising=False)
+    out = tmp_path / golden
+    assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_noisy_golden_box_has_a_residual():
+    report = json.loads((GOLDEN / "box_noisy_pr.json").read_text())
+    assert 0.0 < report["rows"][-1]["computed"] < 1.0
+    assert report["details"]["cf_decomposition"]["residual"] is not None
+
+
 def test_verify_rti_memory_does_not_grow_with_trials(tmp_path):
     # Trials are verified RTI_CHUNK at a time; holding all 2,000 dim-16
     # trials of a cell at once would take several hundred MB.

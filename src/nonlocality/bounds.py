@@ -12,13 +12,15 @@ coefficient. Optimizing the truncation threshold gives the universal constant.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
 
-from .boxes import quantum_box
+from .boxes import _check_counts, quantum_box
+from .records import Record
 from .states import (
     DensityMatrix,
     Ensemble,
@@ -34,19 +36,22 @@ MU_SEARCH_HI = 50.0
 MU_AGREE_TOL = 1e-8
 
 
-def mu_objective(mu: float) -> float:
+def mu_objective(mu):
     """Per-member floor factor ((mu - 2) / (mu - 1))^2 / mu of the truncation
-    threshold 1 / (l mu); positive only for mu > 2."""
-    if mu <= 1.0:
+    threshold 1 / (l mu); positive only for mu > 2. Takes a float or a
+    Decimal and returns the same type."""
+    if mu <= 1:
         raise ValueError(f"objective needs mu > 1, got {mu!r}")
-    return ((mu - 2.0) / (mu - 1.0)) ** 2 / mu
+    return ((mu - 2) / (mu - 1)) ** 2 / mu
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Argmax of a unimodal function on [lo, hi] by golden-section search."""
+def golden_section_max(fn, lo, hi, tol=1e-12):
+    """Argmax of a unimodal function on [lo, hi] by golden-section search,
+    in the arithmetic of `lo`: float, or Decimal at the context precision."""
     if not lo < hi:
         raise ValueError("empty search interval")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    five = type(lo)(5)
+    inv_phi = ((five.sqrt() if isinstance(five, Decimal) else math.sqrt(five)) - 1) / 2
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
@@ -60,51 +65,31 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = fn(d)
-    return 0.5 * (a + b)
+    return (a + b) / 2
 
 
 @dataclass(frozen=True)
-class MuOptimum:
+class MuOptimum(Record):
     mu: float
     value: float
 
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "value": self.value}
 
-
-def _golden_section_max_decimal() -> float:
+@functools.cache
+def _searched_mu() -> float:
     """Argmax of the truncation objective over (2, 50] in 40-digit decimal
     arithmetic; float64 is too flat near the maximum to localize the argmax
     beyond ~1e-7."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        inv_phi = (Decimal(5).sqrt() - 1) / 2
-        a, b = Decimal("2.000000001"), Decimal(MU_SEARCH_HI)
-        tol = Decimal("1e-12")
-
-        def fn(mu):
-            return ((mu - 2) / (mu - 1)) ** 2 / mu
-
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = fn(c), fn(d)
-        while b - a > tol:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = fn(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = fn(d)
-        return float((a + b) / 2)
+        lo, hi = Decimal("2.000000001"), Decimal(MU_SEARCH_HI)
+        return float(golden_section_max(mu_objective, lo, hi, Decimal("1e-12")))
 
 
 def optimize_mu() -> MuOptimum:
     """Maximizer of mu_objective: mu = (5 + sqrt(17)) / 2, cross-checked
     against a golden-section search; raises RuntimeError on disagreement."""
     mu = (5.0 + math.sqrt(17.0)) / 2.0
-    searched = _golden_section_max_decimal()
+    searched = _searched_mu()
     if abs(searched - mu) > MU_AGREE_TOL:
         raise RuntimeError(
             f"closed-form maximizer {mu!r} disagrees with search {searched!r}"
@@ -123,19 +108,8 @@ def epsilon_from_average_distance(x: float, l1: int, l2: int) -> float:
     return ((2.0 - x) / 2.0) ** 2 / (l1 * l2)
 
 
-def pair_gap_from_mu(mu: float, l: int) -> float:
-    """Worst-case cross-pair closeness after truncation at 1 / (l mu): the
-    truncated averages differ by at most 2 / (mu - 1), so epsilon =
-    ((mu - 2) / (l (mu - 1)))^2."""
-    if mu <= 2.0:
-        raise ValueError(f"truncation scale must exceed 2, got {mu!r}")
-    if l < 1:
-        raise ValueError("ensemble size must be at least 1")
-    return ((mu - 2.0) / (l * (mu - 1.0))) ** 2
-
-
 @dataclass(frozen=True)
-class UniversalBound:
+class UniversalBound(Record):
     """Fraction-of-determinism floor f(mu0) / (2k l l1 l2), with the looser
     all-l form f(mu0) / (2k l^3) kept alongside."""
 
@@ -145,25 +119,12 @@ class UniversalBound:
     theorem_form: float
     proof_form: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l1": self.l1,
-            "l2": self.l2,
-            "theorem_form": self.theorem_form,
-            "proof_form": self.proof_form,
-        }
-
 
 def universal_fod_bound(k: int, l1: int, l2: int) -> UniversalBound:
     """Universal deterministic-fraction floor for boxes from k-outcome Alice
     measurements and Bob measurements steering into l1- and l2-member
     ensembles. proof_form replaces l1 l2 by l^2 and is never larger."""
-    for count in (k, l1, l2):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"outcome counts must be integers, got {count!r}")
-    if k < 1 or l1 < 1 or l2 < 1:
-        raise ValueError("outcome counts must be at least 1")
+    _check_counts((k, l1, l2))
     fmax = optimize_mu().value
     l = max(l1, l2)
     theorem = fmax / (2.0 * k * l * l1 * l2)
@@ -172,7 +133,7 @@ def universal_fod_bound(k: int, l1: int, l2: int) -> UniversalBound:
 
 
 @dataclass(frozen=True)
-class ConfusingOutcome:
+class ConfusingOutcome(Record):
     """Outcome of a k-outcome measurement carrying probability >= epsilon on
     both states of a close pair, epsilon = (2 - distance) / (2k)."""
 
@@ -180,14 +141,6 @@ class ConfusingOutcome:
     epsilon: float
     prob_rho: float
     prob_sigma: float
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "epsilon": self.epsilon,
-            "prob_rho": self.prob_rho,
-            "prob_sigma": self.prob_sigma,
-        }
 
 
 def confusing_outcome(rho: DensityMatrix, sigma: DensityMatrix, povm: Povm) -> ConfusingOutcome:
@@ -210,7 +163,7 @@ def confusing_outcome(rho: DensityMatrix, sigma: DensityMatrix, povm: Povm) -> C
 
 
 @dataclass(frozen=True)
-class ClosePair:
+class ClosePair(Record):
     """Closest cross pair of two ensembles, with the guaranteed closeness
     floor epsilon derived from the distance of the ensemble averages."""
 
@@ -219,15 +172,6 @@ class ClosePair:
     distance: float
     epsilon: float
     average_distance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "distance": self.distance,
-            "epsilon": self.epsilon,
-            "average_distance": self.average_distance,
-        }
 
 
 def close_pair(e1: Ensemble, e2: Ensemble) -> ClosePair:
@@ -253,34 +197,11 @@ def close_pair(e1: Ensemble, e2: Ensemble) -> ClosePair:
     )
 
 
-def fod_witness(e1: Ensemble, e2: Ensemble, povm: Povm):
-    """Best realized joint floor max_{r,i,j} min(w_i p(r|rho_i), v_j p(r|sigma_j)).
-
-    Returns (value, (r, i, j)); first maximizer in r-major scan order.
-    """
-    best = -1.0
-    arg = (0, 0, 0)
-    for r, element in enumerate(povm.elements):
-        p1 = [
-            w * float(np.real(np.trace(element @ s.mat)))
-            for w, s in zip(e1.weights, e1.states)
-        ]
-        p2 = [
-            v * float(np.real(np.trace(element @ s.mat)))
-            for v, s in zip(e2.weights, e2.states)
-        ]
-        for i, a in enumerate(p1):
-            for j, b in enumerate(p2):
-                value = min(a, b)
-                if value > best:
-                    best = value
-                    arg = (r, i, j)
-    return best, arg
-
-
 @dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(Record):
     """One certified step lhs <= rhs with its numerical slack."""
+
+    _DERIVED = ("slack", "holds")
 
     name: str
     lhs: float
@@ -294,20 +215,13 @@ class InequalityRecord:
     def holds(self) -> bool:
         return self.slack >= -PIPELINE_TOL
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class PipelineTrace:
+class PipelineTrace(Record):
     """Every intermediate quantity of the determinism-floor argument for one
     quantum realization, with each inequality recorded alongside its slack."""
+
+    _DERIVED = ("passed",)
 
     mu: float
     k: int
@@ -336,34 +250,6 @@ class PipelineTrace:
     @property
     def passed(self) -> bool:
         return all(r.holds for r in self.inequalities)
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "k": self.k,
-            "l1": self.l1,
-            "l2": self.l2,
-            "l": self.l,
-            "threshold": self.threshold,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "truncated_sizes": list(self.truncated_sizes),
-            "average_distance": self.average_distance,
-            "truncated_average_distance": self.truncated_average_distance,
-            "x_bound": self.x_bound,
-            "epsilon": self.epsilon,
-            "epsilon_measured": self.epsilon_measured,
-            "pair_labels": list(self.pair_labels),
-            "pair_distance": self.pair_distance,
-            "confusing": [c.to_dict() for c in self.confusing],
-            "box_entries": [list(e) for e in self.box_entries],
-            "c": self.c,
-            "theorem_form": self.theorem_form,
-            "proof_form": self.proof_form,
-            "vacuous": self.vacuous,
-            "passed": self.passed,
-            "inequalities": [r.to_dict() for r in self.inequalities],
-        }
 
 
 def fod_floor_pipeline(
@@ -542,7 +428,7 @@ def _second_terms(p0, q0):
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryBobBounds:
+class BinaryBobBounds(Record):
     """Determinism and classical-fraction constants when Bob's two
     measurements are binary, minimized over his outcome distributions.
 
@@ -563,19 +449,6 @@ class BinaryBobBounds:
     fod_witness: tuple
     cf_witness: tuple
     case_minima: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "fod_constant": self.fod_constant,
-            "cf_constant": self.cf_constant,
-            "cf_constant_coupled": self.cf_constant_coupled,
-            "fod_bound": self.fod_bound,
-            "cf_bound": self.cf_bound,
-            "fod_witness": list(self.fod_witness),
-            "cf_witness": list(self.cf_witness),
-            "case_minima": dict(self.case_minima),
-        }
 
 
 def binary_bob_bounds(

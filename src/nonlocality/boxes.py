@@ -14,12 +14,22 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import tensor
-from .states import DensityMatrix, Povm, xz_spin_povm, singlet
+from .records import Record
+from .states import DensityMatrix, xz_spin_povm, singlet
 
 ENTRY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
 NS_TOL = 1e-9
 DEFAULT_ENUMERATION_BUDGET = 10**6
+
+
+def _check_counts(counts) -> None:
+    """Every count is an integer (not a bool or float) of at least 1."""
+    for count in counts:
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"outcome counts must be integers, got {count!r}")
+        if count < 1:
+            raise ValueError("outcome counts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -30,14 +40,12 @@ class Scenario:
     outcomes_b: tuple
 
     def __post_init__(self):
-        a = tuple(int(k) for k in self.outcomes_a)
-        b = tuple(int(k) for k in self.outcomes_b)
+        a, b = tuple(self.outcomes_a), tuple(self.outcomes_b)
         if not a or not b:
             raise ValueError("each party needs at least one input")
-        if min(a) < 1 or min(b) < 1:
-            raise ValueError("each input needs at least one outcome")
-        object.__setattr__(self, "outcomes_a", a)
-        object.__setattr__(self, "outcomes_b", b)
+        _check_counts(a + b)
+        object.__setattr__(self, "outcomes_a", tuple(int(k) for k in a))
+        object.__setattr__(self, "outcomes_b", tuple(int(k) for k in b))
 
     @property
     def inputs_a(self) -> int:
@@ -78,85 +86,83 @@ class Scenario:
         return sc
 
 
-def _parsed_blocks(d: dict, key: str, kind: str) -> tuple:
-    """Extract the scenario and the per-input-pair block list from a dict."""
-    try:
-        return Scenario.from_dict(d["scenario"]), d[key]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"{kind} dict needs 'scenario' and '{key}' entries: {exc}") from None
-
-
-def _block_at(rows, x: int, y: int, kind: str) -> np.ndarray:
-    try:
-        return np.asarray(rows[x][y], dtype=float)
-    except (TypeError, KeyError, IndexError):
-        raise ValueError(f"{kind} dict has no block at input pair ({x}, {y})") from None
-
-
-def _check_table(scenario: Scenario, arr, normalized: bool) -> np.ndarray:
-    t = np.asarray(arr, dtype=float)
-    if t.shape != scenario.shape:
-        raise ValueError(f"table shape {t.shape} does not match scenario {scenario.shape}")
-    for x, ka in enumerate(scenario.outcomes_a):
-        for y, kb in enumerate(scenario.outcomes_b):
-            pad = np.abs(t[x, y, ka:, :]).max(initial=0.0) + np.abs(t[x, y, :, kb:]).max(initial=0.0)
-            if pad > 0.0:
-                raise ValueError(f"structural-zero cells are nonzero at input pair ({x}, {y})")
-            if normalized:
-                block = t[x, y, :ka, :kb]
-                if float(block.min()) < -ENTRY_TOL or float(block.max()) > 1.0 + ENTRY_TOL:
-                    raise ValueError(f"probabilities out of range at input pair ({x}, {y})")
-                total = float(block.sum())
-                if abs(total - 1.0) > NORMALIZATION_TOL:
-                    raise ValueError(f"block ({x}, {y}) sums to {total!r}, expected 1")
-    t.setflags(write=False)
-    return t
-
-
-@dataclass(frozen=True, eq=False)
-class Box:
-    """Normalized conditional distribution table."""
-
-    scenario: Scenario
-    p: np.ndarray
+class _Table:
+    """Dense table on a scenario: the one body of `Box` and `BellFunctional`.
+    A subclass names its table field `_FIELD` and itself `_KIND` in errors;
+    `_NORMALIZED` makes every block a probability distribution. Cells must
+    be finite, and zero past each input's outcome counts."""
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_table(self.scenario, self.p, normalized=True))
+        sc = self.scenario
+        t = np.asarray(getattr(self, self._FIELD), dtype=float)
+        if t.shape != sc.shape:
+            raise ValueError(f"table shape {t.shape} does not match scenario {sc.shape}")
+        bad = np.argwhere(~np.isfinite(t))
+        if bad.size:
+            raise ValueError(f"non-finite table entry at (x, y, a, b) = {tuple(bad[0].tolist())}")
+        for x, ka in enumerate(sc.outcomes_a):
+            for y, kb in enumerate(sc.outcomes_b):
+                pad = np.abs(t[x, y, ka:, :]).max(initial=0.0) + np.abs(t[x, y, :, kb:]).max(initial=0.0)
+                if pad > 0.0:
+                    raise ValueError(f"structural-zero cells are nonzero at input pair ({x}, {y})")
+                if self._NORMALIZED:
+                    block = t[x, y, :ka, :kb]
+                    if float(block.min()) < -ENTRY_TOL or float(block.max()) > 1.0 + ENTRY_TOL:
+                        raise ValueError(f"probabilities out of range at input pair ({x}, {y})")
+                    total = float(block.sum())
+                    if abs(total - 1.0) > NORMALIZATION_TOL:
+                        raise ValueError(f"block ({x}, {y}) sums to {total!r}, expected 1")
+        t.setflags(write=False)
+        object.__setattr__(self, self._FIELD, t)
 
     def block(self, x: int, y: int) -> np.ndarray:
-        return self.p[x, y, : self.scenario.outcomes_a[x], : self.scenario.outcomes_b[y]]
+        table = getattr(self, self._FIELD)
+        return table[x, y, : self.scenario.outcomes_a[x], : self.scenario.outcomes_b[y]]
 
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario.to_dict(),
-            "p": [
+            self._FIELD: [
                 [self.block(x, y).tolist() for y in range(self.scenario.inputs_b)]
                 for x in range(self.scenario.inputs_a)
             ],
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Box":
-        sc, rows = _parsed_blocks(d, "p", "box")
+    @classmethod
+    def from_dict(cls, d: dict):
+        key, kind = cls._FIELD, cls._KIND
+        try:
+            sc, rows = Scenario.from_dict(d["scenario"]), d[key]
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"{kind} dict needs 'scenario' and '{key}' entries: {exc}") from None
         t = np.zeros(sc.shape)
         for x in range(sc.inputs_a):
             for y in range(sc.inputs_b):
-                t[x, y, : sc.outcomes_a[x], : sc.outcomes_b[y]] = _block_at(rows, x, y, "box")
-        return Box(sc, t)
+                try:
+                    block = np.asarray(rows[x][y], dtype=float)
+                except (TypeError, KeyError, IndexError):
+                    raise ValueError(f"{kind} dict has no block at input pair ({x}, {y})") from None
+                t[x, y, : sc.outcomes_a[x], : sc.outcomes_b[y]] = block
+        return cls(sc, t)
+
+
+@dataclass(frozen=True, eq=False)
+class Box(_Table):
+    """Normalized conditional distribution table."""
+
+    _FIELD, _KIND, _NORMALIZED = "p", "box", True
+
+    scenario: Scenario
+    p: np.ndarray
 
 
 @dataclass(frozen=True)
-class NsReport:
+class NsReport(Record):
+    _RENAME = {"passed": "pass"}
+
     passed: bool
     max_violation: float
     location: str
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "max_violation": self.max_violation,
-            "location": self.location,
-        }
 
 
 def validate_ns(box: Box, tol: float = NS_TOL) -> NsReport:
@@ -287,17 +293,13 @@ def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
 
 
 @dataclass(frozen=True, eq=False)
-class BellFunctional:
+class BellFunctional(_Table):
     """Linear functional sum s(a,b|x,y) p(a,b|x,y) on boxes."""
+
+    _FIELD, _KIND, _NORMALIZED = "s", "functional", False
 
     scenario: Scenario
     s: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", _check_table(self.scenario, self.s, normalized=False))
-
-    def block(self, x: int, y: int) -> np.ndarray:
-        return self.s[x, y, : self.scenario.outcomes_a[x], : self.scenario.outcomes_b[y]]
 
     @cached_property
     def algebraic_max(self) -> float:
@@ -306,26 +308,6 @@ class BellFunctional:
     @cached_property
     def deterministic_max(self) -> float:
         return bell_det_max(self)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "s": [
-                [self.block(x, y).tolist() for y in range(self.scenario.inputs_b)]
-                for x in range(self.scenario.inputs_a)
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BellFunctional":
-        sc, rows = _parsed_blocks(d, "s", "functional")
-        t = np.zeros(sc.shape)
-        for x in range(sc.inputs_a):
-            for y in range(sc.inputs_b):
-                t[x, y, : sc.outcomes_a[x], : sc.outcomes_b[y]] = _block_at(
-                    rows, x, y, "functional"
-                )
-        return BellFunctional(sc, t)
 
 
 def bell_value(functional: BellFunctional, box: Box) -> float:

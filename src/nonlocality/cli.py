@@ -420,8 +420,6 @@ def _validate(args) -> None:
         raise ValueError("dims must lie in [2, 16]")
     if any(l < 1 for l in getattr(args, "l", [1])):
         raise ValueError("ensemble sizes must be at least 1")
-    if any(getattr(args, name, 1) < 1 for name in ("k", "l1", "l2")):
-        raise ValueError("outcome counts must be at least 1")
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, DeterministicStrategy, deterministic_box, enumerate_deterministic, validate_ns
+from .boxes import Box, deterministic_box, enumerate_deterministic, validate_ns
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -61,6 +61,19 @@ class SimplexResult:
     iterations: int
 
 
+def _pivot(t, rhs, basis, row: int, col: int) -> None:
+    """Make column `col` basic in row `row` by Gauss-Jordan elimination."""
+    piv = t[row, col]
+    t[row] /= piv
+    rhs[row] /= piv
+    for i in range(t.shape[0]):
+        if i != row and t[i, col] != 0.0:
+            f = t[i, col]
+            t[i] -= f * t[row]
+            rhs[i] -= f * rhs[row]
+    basis[row] = col
+
+
 def _pivot_loop(t, rhs, basis, obj, tol, budget, iterations):
     m = t.shape[0]
     while True:
@@ -81,15 +94,7 @@ def _pivot_loop(t, rhs, basis, obj, tol, budget, iterations):
         leave = min(
             (i for r, i in ratios if r <= best + 1e-12), key=lambda i: basis[i]
         )
-        piv = t[leave, entering]
-        t[leave] /= piv
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and t[i, entering] != 0.0:
-                f = t[i, entering]
-                t[i] -= f * t[leave]
-                rhs[i] -= f * rhs[leave]
-        basis[leave] = entering
+        _pivot(t, rhs, basis, leave, entering)
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
@@ -152,22 +157,13 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL) -> SimplexResult:
                 )
                 if pivot_col is None:
                     drop_rows.append(i)
-                    continue
-                piv = t[i, pivot_col]
-                t[i] /= piv
-                rhs[i] /= piv
-                for r in range(m):
-                    if r != i and t[r, pivot_col] != 0.0:
-                        f = t[r, pivot_col]
-                        t[r] -= f * t[i]
-                        rhs[r] -= f * rhs[i]
-                basis[i] = pivot_col
+                else:
+                    _pivot(t, rhs, basis, i, pivot_col)
         if drop_rows:
             keep = [i for i in range(m) if i not in drop_rows]
             t = t[keep]
             rhs = rhs[keep]
             basis = [basis[i] for i in keep]
-            m = len(keep)
         t = t[:, :first_artificial]
         total = first_artificial
 
@@ -259,23 +255,21 @@ def cf_exact(box: Box, budget: int = 10**6):
     result = simplex_solve(lp)
     coeffs = np.clip(result.x, 0.0, None)
     total = float(coeffs.sum())
+    # P - sum_i c_i D_i, subtracted term by term: the residual's last bits
+    # depend on this order.
+    leftover = np.array(box.p)
+    for w, s in zip(coeffs, strategies):
+        if w > 0.0:
+            leftover -= w * deterministic_box(s, sc).p
     residual = None
+    defect = leftover
     if total < 1.0 - LP_TOL:
-        leftover = np.array(box.p)
-        for w, s in zip(coeffs, strategies):
-            if w > 0.0:
-                leftover -= w * deterministic_box(s, sc).p
         residual = Box(sc, np.clip(leftover, 0.0, None) / (1.0 - total))
+        defect = leftover - (1.0 - total) * residual.p
     decomp = Decomposition(
         strategies=tuple(strategies), coefficients=coeffs, total=total, residual=residual
     )
-    recon = np.zeros(sc.shape)
-    for w, s in zip(coeffs, strategies):
-        if w > 0.0:
-            recon += w * deterministic_box(s, sc).p
-    if residual is not None:
-        recon += (1.0 - total) * residual.p
-    if float(np.abs(recon - box.p).max()) > RECONSTRUCTION_TOL:
+    if float(np.abs(defect).max()) > RECONSTRUCTION_TOL:
         raise RuntimeError("decomposition does not reconstruct the box")
     return total, decomp
 

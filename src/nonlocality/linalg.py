@@ -57,10 +57,6 @@ class HermitianEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(a, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     """Full eigendecomposition of a Hermitian matrix.

@@ -22,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_part, max_commutator_entry, psd_sqrt, trace_norm
+from .records import Record
 from .states import (
     DensityMatrix,
     SubnormalizedState,
     _check_state_matrix,
     _complex_normal,
     _gram_state,
+    _mixture,
     fidelity,
     trace_distance,
 )
@@ -84,14 +86,6 @@ def _check_certificate(weights, epsilon, tight) -> None:
         )
 
 
-def _mixture(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_i weights[..., i] * mats[..., i, :, :], added member by member."""
-    acc = np.zeros(mats.shape[:-3] + mats.shape[-2:], dtype=complex)
-    for i in range(weights.shape[-1]):
-        acc += weights[..., i, None, None] * mats[..., i, :, :]
-    return acc
-
-
 @dataclass(frozen=True, eq=False)
 class RtiInstance:
     """Reference state, ensemble, and a certificate eps.
@@ -130,7 +124,9 @@ class RtiInstance:
 
 
 @dataclass(frozen=True)
-class RtiReport:
+class RtiReport(Record):
+    _RENAME = {"passed": "pass"}
+
     lhs: float
     bound: float
     epsilon: float
@@ -139,18 +135,6 @@ class RtiReport:
     commuting: bool
     passed: bool
     slack: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "epsilon": self.epsilon,
-            "epsilon_stored": self.epsilon_stored,
-            "l": self.l,
-            "commuting": self.commuting,
-            "pass": self.passed,
-            "slack": self.slack,
-        }
 
 
 def verify_rti(instance: RtiInstance, commuting: bool = False) -> RtiReport:
@@ -266,9 +250,6 @@ def embed_subnormalized(rho: SubnormalizedState, sigma: SubnormalizedState):
     if rho.dim != sigma.dim:
         raise ValueError("states must share a dimension")
     d = rho.dim
-    for name, state in (("rho", rho), ("sigma", sigma)):
-        if state.trace() > 1.0 + 1e-10:
-            raise ValueError(f"{name} has trace {state.trace()!r} > 1")
     big_rho = np.zeros((d + 2, d + 2), dtype=complex)
     big_sigma = np.zeros((d + 2, d + 2), dtype=complex)
     big_rho[:d, :d] = rho.mat
@@ -317,14 +298,22 @@ def classical_sharp_example(l: int, eps: float) -> ClassicalSharpExample:
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
+    """lhs <= rhs, passing when the slack rhs - lhs is at least -PASS_SLACK."""
+
+    _DERIVED = ("slack", "passed")
+    _RENAME = {"passed": "pass"}
+
     lhs: float
     rhs: float
-    slack: float
-    passed: bool
 
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack, "pass": self.passed}
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.slack >= -PASS_SLACK)
 
 
 def rotfeld_check(psd_mats) -> InequalityReport:
@@ -334,8 +323,7 @@ def rotfeld_check(psd_mats) -> InequalityReport:
         raise ValueError("need at least one matrix")
     lhs = float(np.real(np.trace(psd_sqrt(sum(mats)))))
     rhs = float(sum(np.real(np.trace(psd_sqrt(m))) for m in mats))
-    slack = rhs - lhs
-    return InequalityReport(lhs=lhs, rhs=rhs, slack=slack, passed=bool(slack >= -PASS_SLACK))
+    return InequalityReport(lhs=lhs, rhs=rhs)
 
 
 def fvdg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[InequalityReport, InequalityReport]:
@@ -343,13 +331,7 @@ def fvdg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[InequalityRepo
     f = fidelity(rho, sigma)
     half = trace_distance(rho, sigma) / 2.0
     upper = float(np.sqrt(max(0.0, 1.0 - f * f)))
-    low = InequalityReport(
-        lhs=1.0 - f, rhs=half, slack=half - (1.0 - f), passed=bool(half - (1.0 - f) >= -PASS_SLACK)
-    )
-    high = InequalityReport(
-        lhs=half, rhs=upper, slack=upper - half, passed=bool(upper - half >= -PASS_SLACK)
-    )
-    return low, high
+    return InequalityReport(lhs=1.0 - f, rhs=half), InequalityReport(lhs=half, rhs=upper)
 
 
 def _block_draw(width: int, rng, diagonal: bool) -> np.ndarray:
@@ -428,23 +410,13 @@ def sample_rti_instance(dim: int, l: int, seed, commuting: bool = False) -> RtiI
 
 
 @dataclass(frozen=True)
-class CampaignRow:
+class CampaignRow(Record):
     dim: int
     l: int
     trials: int
     commuting: bool
     violations: int
     min_slack: float
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "l": self.l,
-            "trials": self.trials,
-            "commuting": self.commuting,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-        }
 
 
 def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> list[CampaignRow]:

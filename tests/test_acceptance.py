@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nonlocality.bounds import (
-    _golden_section_max_decimal,
+    _searched_mu,
     binary_bob_bounds,
     close_pair,
     confusing_outcome,
@@ -61,7 +61,7 @@ MU_STAR = (5.0 + math.sqrt(17.0)) / 2.0
 def test_c1_truncation_scale_optimum():
     start = time.perf_counter()
     opt = optimize_mu()
-    searched = _golden_section_max_decimal()
+    searched = _searched_mu()
     elapsed = time.perf_counter() - start
     assert abs(opt.mu - MU_STAR) <= 1e-10
     assert abs(opt.value - 0.1134) <= 1e-4

@@ -17,11 +17,9 @@ from nonlocality.bounds import (
     confusing_outcome,
     epsilon_from_average_distance,
     fod_floor_pipeline,
-    fod_witness,
     golden_section_max,
     mu_objective,
     optimize_mu,
-    pair_gap_from_mu,
     universal_fod_bound,
 )
 from nonlocality.decomp import bell_bound_from_fod, fod_exact
@@ -33,7 +31,6 @@ from nonlocality.states import (
     pure_state,
     sample_density,
     sample_povm,
-    singlet,
     xz_spin_povm,
 )
 
@@ -75,20 +72,6 @@ def test_epsilon_from_average_distance():
         epsilon_from_average_distance(-0.1, 1, 1)
     with pytest.raises(ValueError):
         epsilon_from_average_distance(0.5, 0, 1)
-
-
-def test_pair_gap_from_mu():
-    assert pair_gap_from_mu(3.0, 1) == pytest.approx(0.25)
-    assert pair_gap_from_mu(MU_STAR, 2) == pytest.approx(0.12932064439613675, abs=1e-12)
-    with pytest.raises(ValueError):
-        pair_gap_from_mu(2.0, 1)
-    with pytest.raises(ValueError):
-        pair_gap_from_mu(3.0, 0)
-    for mu in (2.5, 4.0, 10.0):
-        for l in (1, 2, 3):
-            assert pair_gap_from_mu(mu, l) == pytest.approx(
-                epsilon_from_average_distance(2.0 / (mu - 1.0), l, l)
-            )
 
 
 def test_universal_fod_bound_frozen():
@@ -178,24 +161,6 @@ def test_close_pair_dimension_mismatch():
     e3 = Ensemble(weights=np.array([1.0]), states=(maximally_mixed(3),))
     with pytest.raises(ValueError, match="dimension"):
         close_pair(e2, e3)
-
-
-def test_fod_witness_trivial():
-    e = Ensemble(weights=np.array([1.0]), states=(maximally_mixed(2),))
-    povm = Povm((np.eye(2, dtype=complex),))
-    value, arg = fod_witness(e, e, povm)
-    assert value == pytest.approx(1.0)
-    assert arg == (0, 0, 0)
-
-
-def test_fod_witness_singlet_exceeds_universal_floor():
-    from nonlocality.states import steer
-
-    ens_z = steer(singlet(), xz_spin_povm(0.0))
-    ens_x = steer(singlet(), xz_spin_povm(math.pi / 2.0))
-    value, (r, i, j) = fod_witness(ens_z, ens_x, xz_spin_povm(0.0))
-    assert value >= THEOREM_222 - 1e-12
-    assert 0 <= r < 2 and 0 <= i < 2 and 0 <= j < 2
 
 
 def test_pipeline_tsirelson_realization():

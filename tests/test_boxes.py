@@ -43,6 +43,48 @@ def test_scenario_validation_and_roundtrip():
         Scenario.from_dict({"nA": 3, "nB": 1, "outcomesA": [2, 2], "outcomesB": [2]})
 
 
+@pytest.mark.parametrize(
+    "outcomes_a, outcomes_b",
+    [((2.7, 2), (2,)), ((2, 2), (True,)), ((2.0,), (2,)), (("2",), (2,))],
+)
+def test_scenario_rejects_non_integer_counts(outcomes_a, outcomes_b):
+    with pytest.raises(ValueError, match="must be integers"):
+        Scenario(outcomes_a, outcomes_b)
+    with pytest.raises(ValueError, match="must be integers"):
+        Scenario.from_dict({"outcomesA": list(outcomes_a), "outcomesB": list(outcomes_b)})
+
+
+def test_scenario_accepts_numpy_integer_counts():
+    sc = Scenario(np.array([2, 3]), (np.int64(2),))
+    assert sc == Scenario((2, 3), (2,))
+    assert all(type(k) is int for k in sc.outcomes_a + sc.outcomes_b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tables_reject_non_finite_cells(bad):
+    sc = Scenario((2, 1), (2,))  # input 1 of Alice pads one outcome
+    t = maximally_mixed_box(sc).p.copy()
+    t[0, 0, 0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Box(sc, t)
+    with pytest.raises(ValueError, match="non-finite"):
+        BellFunctional(sc, t)
+    padded = maximally_mixed_box(sc).p.copy()
+    padded[1, 0, 1, 0] = bad  # a structural-zero cell
+    with pytest.raises(ValueError, match="non-finite"):
+        Box(sc, padded)
+    with pytest.raises(ValueError, match="non-finite"):
+        BellFunctional(sc, padded)
+    d = pr_box().to_dict()
+    d["p"][1][1][0][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Box.from_dict(d)
+    d = chsh_functional().to_dict()
+    d["s"][0][1][1][0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BellFunctional.from_dict(d)
+
+
 def test_chsh_scenario_strategy_count():
     assert chsh_scenario().strategy_count() == 16
 

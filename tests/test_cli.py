@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nonlocality
 from nonlocality import cli
 
 from nonlocality.boxes import (
@@ -167,6 +171,30 @@ def test_noisy_golden_box_has_a_residual():
     assert report["details"]["cf_decomposition"]["residual"] is not None
 
 
+NUMPY_ONLY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from nonlocality import cli
+assert cli.main(["reproduce", "--out", sys.argv[1]]) == 0
+assert cli.main(["bounds", "2", "2", "2", "--out", sys.argv[2]]) == 0
+assert "scipy" not in [name.split(".")[0] for name, mod in sys.modules.items() if mod]
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = str(Path(nonlocality.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NONLOCAL_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = [tmp_path / "reproduce.json", tmp_path / "bounds.json"]
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, *map(str, out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out[0].read_bytes() == (GOLDEN / "reproduce.json").read_bytes()
+    assert json.loads(out[1].read_text())["summary"]["all_pass"] is True
+
+
 def test_verify_rti_memory_does_not_grow_with_trials(tmp_path):
     # Trials are verified RTI_CHUNK at a time; holding all 2,000 dim-16
     # trials of a cell at once would take several hundred MB.
@@ -247,6 +275,30 @@ def test_box_bad_usage(tmp_path, capsys):
     noschema.write_text(json.dumps({"scenario": pr_box().to_dict()["scenario"]}))
     assert main(["box", str(noschema), "--ops", "ns"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_box_non_finite_inputs_exit_2(tmp_path, capsys, bad):
+    box = pr_box().to_dict()
+    box["p"][0][0][0][0] = bad
+    box_path = _write(tmp_path, "bad_box.json", box)
+    assert main(["box", box_path, "--ops", "ns,fod,cf"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    functional = chsh_functional().to_dict()
+    functional["s"][1][0][1][1] = bad
+    fn_path = _write(tmp_path, "bad_fn.json", functional)
+    good_path = _write(tmp_path, "pr.json", pr_box().to_dict())
+    assert main(["box", good_path, "--ops", "bell", "--functional", fn_path]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def test_box_non_integer_outcome_counts_exit_2(tmp_path, capsys):
+    box = pr_box().to_dict()
+    box["scenario"]["outcomesA"] = [2.7, 2]
+    assert main(["box", _write(tmp_path, "bad.json", box)]) == 2
+    assert "must be integers" in capsys.readouterr().err
 
 
 def test_box_signalling(tmp_path, capsys):

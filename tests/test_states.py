@@ -15,7 +15,6 @@ from nonlocality.states import (
     basis_state,
     ensemble_average,
     fidelity,
-    helstrom_error,
     maximally_mixed,
     pure_state,
     sample_density,
@@ -157,12 +156,6 @@ def test_fidelity_symmetric_and_bounded(seed):
     # the singular values of sqrt(rho) sqrt(sigma) and its adjoint coincide
     assert f1 == pytest.approx(f2, abs=1e-12)
     assert -1e-12 <= f1 <= 1.0
-
-
-def test_helstrom_error_oracles():
-    z0, z1 = basis_state(0, 2), basis_state(1, 2)
-    assert helstrom_error(z0, z1) == pytest.approx(0.0)
-    assert helstrom_error(z0, z0) == pytest.approx(0.5)
 
 
 def test_ensemble_average():

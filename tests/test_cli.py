@@ -153,6 +153,18 @@ GOLDEN_REPORTS = {
     ],
     "box_noisy_pr.json": ["box", "inputs/noisy_pr_box.json", "--ops", "ns,fod,cf"],
     "box_noisy_pr.csv": ["box", "inputs/noisy_pr_box.json", "--ops", "ns,fod,cf", "--format", "csv"],
+    "box_chained4_v090.json": ["box", "inputs/chained4_v090_box.json", "--ops", "ns,fod,cf"],
+    "box_chained4_v090.csv": [
+        "box", "inputs/chained4_v090_box.json", "--ops", "ns,fod,cf", "--format", "csv"
+    ],
+    "box_uneven3_all_ops.json": [
+        "box", "inputs/uneven3_box.json", "--ops", "ns,fod,cf,bell",
+        "--functional", "inputs/uneven3_functional.json",
+    ],
+    "box_uneven3_all_ops.csv": [
+        "box", "inputs/uneven3_box.json", "--ops", "ns,fod,cf,bell",
+        "--functional", "inputs/uneven3_functional.json", "--format", "csv",
+    ],
 }
 
 

@@ -347,3 +347,33 @@ def test_bell_bound_from_fod():
         bell_bound_from_fod(4.0, 2.0, -0.1)
     with pytest.raises(ValueError, match="exceed"):
         bell_bound_from_fod(2.0, 4.0, 0.5)
+
+
+def _chained_singlet(n: int, visibility: float) -> Box:
+    """Singlet at the chained-Bell angles x pi/n and (y + 1/2) pi/n, mixed
+    with white noise; n binary inputs per side."""
+    theta = np.arange(n) * np.pi / n
+    phi = (np.arange(n) + 0.5) * np.pi / n
+    corr = -np.cos(theta[:, None] - phi[None, :])
+    parity = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    p = visibility * (1.0 + parity * corr[:, :, None, None]) / 4.0 + (1.0 - visibility) / 4.0
+    return Box(Scenario((2,) * n, (2,) * n), p)
+
+
+@pytest.mark.parametrize("n, visibility, pivots", [(4, 0.9, 38), (5, 0.86, 453)])
+def test_cf_simplex_pivot_counts_are_pinned(monkeypatch, n, visibility, pivots):
+    # Bland's rule fixes the pivot sequence; any change to the entering or
+    # leaving choice, or to the tableau arithmetic, moves these counts.
+    from nonlocality import decomp
+
+    solved = []
+
+    def recording(lp, *args, **kwargs):
+        result = simplex_solve(lp, *args, **kwargs)
+        solved.append((lp.a.shape, result.iterations))
+        return result
+
+    monkeypatch.setattr(decomp, "simplex_solve", recording)
+    cf_exact(_chained_singlet(n, visibility))
+    rows = 4 * n * n + 1
+    assert solved == [((rows, 4**n), pivots)]

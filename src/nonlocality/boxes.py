@@ -197,11 +197,15 @@ class DeterministicStrategy:
         object.__setattr__(self, "bob", tuple(int(b) for b in self.bob))
 
 
-def enumerate_deterministic(scenario: Scenario, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """All deterministic strategies, lexicographic with Alice assignments outer."""
+def _check_budget(scenario: Scenario, budget: int) -> None:
     count = scenario.strategy_count()
     if count > budget:
         raise ValueError(f"enumeration needs {count} strategies, budget is {budget}")
+
+
+def enumerate_deterministic(scenario: Scenario, budget: int = DEFAULT_ENUMERATION_BUDGET):
+    """All deterministic strategies, lexicographic with Alice assignments outer."""
+    _check_budget(scenario, budget)
     alice_all = itertools.product(*(range(k) for k in scenario.outcomes_a))
     out = []
     for alice in alice_all:
@@ -210,17 +214,47 @@ def enumerate_deterministic(scenario: Scenario, budget: int = DEFAULT_ENUMERATIO
     return out
 
 
-def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Box:
-    if len(strategy.alice) != scenario.inputs_a or len(strategy.bob) != scenario.inputs_b:
+def assignments(outcomes) -> np.ndarray:
+    """Every output assignment of one party, one row per assignment, in
+    lexicographic order (last input fastest). Strategy s of
+    `enumerate_deterministic` is (alice[i], bob[j]) with i, j = divmod(s, len(bob))."""
+    return np.indices(tuple(outcomes)).reshape(len(outcomes), -1).T
+
+
+def _strategy_arrays(scenario: Scenario, budget: int = DEFAULT_ENUMERATION_BUDGET):
+    """`assignments` of Alice and of Bob, within the same budget on their
+    product as `enumerate_deterministic`."""
+    _check_budget(scenario, budget)
+    return assignments(scenario.outcomes_a), assignments(scenario.outcomes_b)
+
+
+def _cells(alice: np.ndarray, bob: np.ndarray) -> tuple:
+    """Index arrays (x, y, a, b), broadcasting to (strategies, nA, nB), of the
+    cells that strategies (alice[i], bob[i]) set to 1, strategy-major."""
+    x = np.arange(alice.shape[1])[:, None]
+    y = np.arange(bob.shape[1])[None, :]
+    return x, y, alice[:, :, None], bob[:, None, :]
+
+
+def _strategy_rows(strategies, scenario: Scenario):
+    """(alice, bob) assignment rows of DeterministicStrategy objects, checked
+    against the scenario."""
+    if any(len(s.alice) != scenario.inputs_a or len(s.bob) != scenario.inputs_b for s in strategies):
         raise ValueError("strategy length does not match the scenario")
+    rows = []
+    for side, counts in (("alice", scenario.outcomes_a), ("bob", scenario.outcomes_b)):
+        out = np.array([getattr(s, side) for s in strategies], dtype=int).reshape(len(strategies), len(counts))
+        bad = np.argwhere((out < 0) | (out >= np.array(counts)))
+        if bad.size:
+            i, x = bad[0]
+            raise ValueError(f"{side} output {out[i, x]} out of range for input {x}")
+        rows.append(out)
+    return tuple(rows)
+
+
+def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Box:
     t = np.zeros(scenario.shape)
-    for x, a in enumerate(strategy.alice):
-        if not (0 <= a < scenario.outcomes_a[x]):
-            raise ValueError(f"alice output {a} out of range for input {x}")
-        for y, b in enumerate(strategy.bob):
-            if not (0 <= b < scenario.outcomes_b[y]):
-                raise ValueError(f"bob output {b} out of range for input {y}")
-            t[x, y, a, b] = 1.0
+    t[_cells(*_strategy_rows([strategy], scenario))] = 1.0
     return Box(scenario, t)
 
 
@@ -231,18 +265,22 @@ def local_box(scenario: Scenario, weights, strategies=None) -> Box:
     probability vector over them.
     """
     if strategies is None:
-        strategies = enumerate_deterministic(scenario)
+        alice, bob = _strategy_arrays(scenario)
+        alice, bob = np.repeat(alice, len(bob), axis=0), np.tile(bob, (len(alice), 1))
+    else:
+        alice, bob = _strategy_rows(strategies, scenario)
     w = np.asarray(weights, dtype=float)
-    if len(w) != len(strategies):
+    if len(w) != len(alice):
         raise ValueError("weights and strategies disagree in length")
     if float(w.min()) < -ENTRY_TOL:
         raise ValueError(f"negative weight {float(w.min())!r}")
     if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
+    used = w > 0.0
     t = np.zeros(scenario.shape)
-    for wi, s in zip(w, strategies):
-        if wi > 0.0:
-            t += wi * deterministic_box(s, scenario).p
+    # unbuffered and in strategy order: each cell sums its weights as a
+    # term-by-term loop would
+    np.add.at(t, _cells(alice[used], bob[used]), w[used][:, None, None])
     return Box(scenario, t)
 
 
@@ -327,16 +365,15 @@ def bell_algebraic_max(functional: BellFunctional) -> float:
 
 
 def bell_det_max(functional: BellFunctional, budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
-    """Best value over deterministic strategies (the local/classical maximum)."""
+    """Best value over deterministic strategies (the local/classical maximum).
+    Each strategy's value sums its cells with x outer and y inner."""
     sc = functional.scenario
-    best = -np.inf
-    for strat in enumerate_deterministic(sc, budget):
-        val = 0.0
-        for x, a in enumerate(strat.alice):
-            for y, b in enumerate(strat.bob):
-                val += float(functional.s[x, y, a, b])
-        best = max(best, val)
-    return float(best)
+    alice, bob = _strategy_arrays(sc, budget)
+    values = np.zeros((len(alice), len(bob)))
+    for x in range(sc.inputs_a):
+        for y in range(sc.inputs_b):
+            values += functional.s[x, y][alice[:, x][:, None], bob[:, y][None, :]]
+    return float(values.max())
 
 
 def chsh_scenario() -> Scenario:

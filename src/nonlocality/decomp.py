@@ -10,11 +10,12 @@ program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, deterministic_box, enumerate_deterministic, validate_ns
+from .boxes import Box, DeterministicStrategy, _cells, _strategy_arrays, validate_ns
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -66,8 +67,8 @@ def _pivot(t, rhs, basis, row: int, col: int) -> None:
     piv = t[row, col]
     t[row] /= piv
     rhs[row] /= piv
-    for i in range(t.shape[0]):
-        if i != row and t[i, col] != 0.0:
+    for i in np.flatnonzero(t[:, col]).tolist():
+        if i != row:
             f = t[i, col]
             t[i] -= f * t[row]
             rhs[i] -= f * rhs[row]
@@ -75,26 +76,19 @@ def _pivot(t, rhs, basis, row: int, col: int) -> None:
 
 
 def _pivot_loop(t, rhs, basis, obj, tol, budget, iterations):
-    m = t.shape[0]
     while True:
-        reduced = obj - obj[basis] @ t
-        entering = -1
-        for j in range(t.shape[1]):
-            if reduced[j] > tol:
-                entering = j
-                break
-        if entering < 0:
+        improving = obj - obj[basis] @ t > tol
+        if not improving.any():
             return iterations
+        entering = int(np.argmax(improving))
         col = t[:, entering]
-        ratios = [(rhs[i] / col[i], i) for i in range(m) if col[i] > tol]
-        if not ratios:
+        rows = np.flatnonzero(col > tol)
+        if not rows.size:
             raise UnboundedError("improving direction has no blocking constraint")
-        best = min(r for r, _ in ratios)
+        ratios = rhs[rows] / col[rows]
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
-        leave = min(
-            (i for r, i in ratios if r <= best + 1e-12), key=lambda i: basis[i]
-        )
-        _pivot(t, rhs, basis, leave, entering)
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        _pivot(t, rhs, basis, int(tied[np.argmin(basis[tied])]), entering)
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
@@ -139,7 +133,9 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL) -> SimplexResult:
             next_col += 1
     t = np.hstack(cols)
     total = next_col
-    basis = [slack_of[i] if senses[i] == "<=" else artificial_of[i] for i in range(m)]
+    basis = np.array(
+        [slack_of[i] if senses[i] == "<=" else artificial_of[i] for i in range(m)], dtype=int
+    )
     budget = 10 * (m + total)
     iterations = 0
 
@@ -149,21 +145,14 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL) -> SimplexResult:
         iterations = _pivot_loop(t, rhs, basis, phase1, tol, budget, iterations)
         if float(phase1[basis] @ rhs) < -tol:
             raise InfeasibleError(f"artificial residual {-float(phase1[basis] @ rhs):.3e}")
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= first_artificial:
-                pivot_col = next(
-                    (j for j in range(first_artificial) if abs(t[i, j]) > tol), None
-                )
-                if pivot_col is None:
-                    drop_rows.append(i)
-                else:
-                    _pivot(t, rhs, basis, i, pivot_col)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            t = t[keep]
-            rhs = rhs[keep]
-            basis = [basis[i] for i in keep]
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(basis >= first_artificial):
+            nonzero = np.flatnonzero(np.abs(t[i, :first_artificial]) > tol)
+            if nonzero.size:
+                _pivot(t, rhs, basis, i, int(nonzero[0]))
+            else:
+                keep[i] = False
+        t, rhs, basis = t[keep], rhs[keep], basis[keep]
         t = t[:, :first_artificial]
         total = first_artificial
 
@@ -174,8 +163,7 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL) -> SimplexResult:
     if float(reduced.max(initial=0.0)) > tol:
         raise RuntimeError("optimality certificate failed: positive reduced cost")
     x = np.zeros(total)
-    for i, j in enumerate(basis):
-        x[j] = rhs[i]
+    x[basis] = rhs
     x = np.where(np.abs(x) < tol, 0.0, x)
     return SimplexResult(value=float(obj[:n] @ x[:n]), x=x[:n], iterations=iterations)
 
@@ -190,25 +178,33 @@ def _require_ns(box: Box, what: str):
 
 def fod_exact(box: Box, budget: int = 10**6):
     """Largest single-deterministic weight: max over strategies of the minimum
-    matched cell. Ties keep the lexicographically first strategy."""
+    matched cell. Ties keep the lexicographically first strategy.
+
+    Once Alice's assignment alpha is fixed, Bob's outputs are chosen per
+    input: the value is max_alpha min_y max_b g[alpha, y, b] with
+    g[alpha, y, b] = min_x p[x, y, alpha_x, b]."""
     _require_ns(box, "fraction of determinism")
-    best_value = -1.0
-    best_strategy = None
-    for strat in enumerate_deterministic(box.scenario, budget):
-        worst = min(
-            float(box.p[x, y, a, b])
-            for x, a in enumerate(strat.alice)
-            for y, b in enumerate(strat.bob)
-        )
-        if worst > best_value:
-            best_value = worst
-            best_strategy = strat
-    return best_value, best_strategy
+    sc = box.scenario
+    alice, _ = _strategy_arrays(sc, budget)
+    g = box.p[np.arange(sc.inputs_a), :, alice, :].min(axis=1)
+    g[:, np.arange(g.shape[2]) >= np.array(sc.outcomes_b)[:, None]] = -np.inf
+    values = g.max(axis=2).min(axis=1)
+    best = int(np.argmax(values))
+    # first alpha with the largest value, then per y the first b reaching it
+    strategy = DeterministicStrategy(alice[best], np.argmax(g[best] >= values[best], axis=1))
+    # the winner's cells in enumeration order give the value, sign of zero included
+    value = min(
+        float(box.p[x, y, a, b])
+        for x, a in enumerate(strategy.alice)
+        for y, b in enumerate(strategy.bob)
+    )
+    return value, strategy
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """P = sum_i c_i D_i + (1 - sum c_i) X with X a box (None when sum = 1)."""
+    """P = sum_i c_i D_i + (1 - sum c_i) X with X a box (None when sum = 1);
+    holds the strategies D_i with positive weight c_i, in enumeration order."""
 
     strategies: tuple
     coefficients: np.ndarray
@@ -232,42 +228,46 @@ def cf_exact(box: Box, budget: int = 10**6):
     entrywise, c >= 0, sum c_i <= 1. Returns (value, Decomposition)."""
     _require_ns(box, "classical fraction")
     sc = box.scenario
-    strategies = enumerate_deterministic(sc, budget)
-    n = len(strategies)
+    alice, bob = _strategy_arrays(sc, budget)
+    n = len(alice) * len(bob)
+    # one row per cell (x, y, a, b) with a, b inside the outcome counts,
+    # one column per strategy in enumeration order, then the row sum c <= 1
     rows = []
-    rhs = []
-    for x in range(sc.inputs_a):
-        for y in range(sc.inputs_b):
-            for a in range(sc.outcomes_a[x]):
-                for b in range(sc.outcomes_b[y]):
-                    rows.append(
-                        [1.0 if (s.alice[x] == a and s.bob[y] == b) else 0.0 for s in strategies]
-                    )
-                    rhs.append(max(0.0, float(box.p[x, y, a, b])))
-    rows.append([1.0] * n)
-    rhs.append(1.0)
+    for x, ka in enumerate(sc.outcomes_a):
+        hit_a = alice[:, x] == np.arange(ka)[:, None]
+        for y, kb in enumerate(sc.outcomes_b):
+            hit_b = bob[:, y] == np.arange(kb)[:, None]
+            rows.append((hit_a[:, None, :, None] & hit_b[None, :, None, :]).reshape(ka * kb, n))
+    rows.append(np.ones((1, n)))
+    cells = np.concatenate(
+        [box.block(x, y).ravel() for x in range(sc.inputs_a) for y in range(sc.inputs_b)]
+    )
+    a = np.vstack(rows)
     lp = LinearProgram(
         c=np.ones(n),
-        a=np.array(rows),
-        b=np.array(rhs),
-        senses=("<=",) * len(rows),
+        a=a,
+        b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),
+        senses=("<=",) * len(a),
     )
     result = simplex_solve(lp)
     coeffs = np.clip(result.x, 0.0, None)
     total = float(coeffs.sum())
-    # P - sum_i c_i D_i, subtracted term by term: the residual's last bits
-    # depend on this order.
+    used = np.flatnonzero(coeffs > 0.0)
+    used_a, used_b = alice[used // len(bob)], bob[used % len(bob)]
+    # P - sum_i c_i D_i, subtracted term by term in strategy order (ufunc.at
+    # is unbuffered): the residual's last bits depend on this order.
     leftover = np.array(box.p)
-    for w, s in zip(coeffs, strategies):
-        if w > 0.0:
-            leftover -= w * deterministic_box(s, sc).p
+    np.subtract.at(leftover, _cells(used_a, used_b), coeffs[used][:, None, None])
     residual = None
     defect = leftover
     if total < 1.0 - LP_TOL:
         residual = Box(sc, np.clip(leftover, 0.0, None) / (1.0 - total))
         defect = leftover - (1.0 - total) * residual.p
     decomp = Decomposition(
-        strategies=tuple(strategies), coefficients=coeffs, total=total, residual=residual
+        strategies=tuple(map(DeterministicStrategy, used_a, used_b)),
+        coefficients=coeffs[used],
+        total=total,
+        residual=residual,
     )
     if float(np.abs(defect).max()) > RECONSTRUCTION_TOL:
         raise RuntimeError("decomposition does not reconstruct the box")
@@ -277,6 +277,10 @@ def cf_exact(box: Box, budget: int = 10**6):
 def bell_bound_from_fod(beta_algebraic: float, beta_deterministic: float, c: float) -> float:
     """Bell-value ceiling beta_alg - c (beta_alg - beta_det) implied by a
     deterministic fraction c."""
+    if not all(math.isfinite(v) for v in (beta_algebraic, beta_deterministic, c)):
+        raise ValueError(
+            f"Bell maxima and fraction must be finite, got {(beta_algebraic, beta_deterministic, c)!r}"
+        )
     if not (0.0 <= c <= 1.0 + 1e-12):
         raise ValueError(f"fraction must lie in [0, 1], got {c!r}")
     if beta_deterministic > beta_algebraic + 1e-12:

@@ -12,6 +12,7 @@ from nonlocality.boxes import (
     Box,
     DeterministicStrategy,
     Scenario,
+    assignments,
     bell_algebraic_max,
     bell_det_max,
     bell_value,
@@ -255,3 +256,70 @@ def test_random_local_boxes_are_ns_and_classical(seed):
     box = local_box(chsh_scenario(), w)
     assert validate_ns(box).passed
     assert bell_value(chsh_functional(), box) <= 2.0 + 1e-9
+
+
+scenarios = st.builds(
+    Scenario,
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+)
+
+
+@given(scenarios)
+def test_assignments_pair_up_in_enumeration_order(sc):
+    alice, bob = assignments(sc.outcomes_a), assignments(sc.outcomes_b)
+    paired = [DeterministicStrategy(a, b) for a in alice for b in bob]
+    assert paired == enumerate_deterministic(sc)
+
+
+def _random_functional(sc: Scenario, rng) -> BellFunctional:
+    s = np.zeros(sc.shape)
+    for x, ka in enumerate(sc.outcomes_a):
+        for y, kb in enumerate(sc.outcomes_b):
+            s[x, y, :ka, :kb] = rng.normal(size=(ka, kb)) * 10.0 ** rng.integers(-3, 3)
+    return BellFunctional(sc, s)
+
+
+@given(scenarios, st.integers(0, 2**32 - 1))
+def test_bell_det_max_matches_strategy_loop(sc, seed):
+    f = _random_functional(sc, np.random.default_rng(seed))
+    best = -math.inf
+    for strat in enumerate_deterministic(sc):
+        val = 0.0
+        for x, a in enumerate(strat.alice):
+            for y, b in enumerate(strat.bob):
+                val += float(f.s[x, y, a, b])
+        best = max(best, val)
+    assert bell_det_max(f) == best
+
+
+def _mixture_by_loop(sc, weights, strategies):
+    t = np.zeros(sc.shape)
+    for w, strat in zip(weights, strategies):
+        if w > 0.0:
+            t += w * deterministic_box(strat, sc).p
+    return t
+
+
+@given(scenarios, st.integers(0, 2**32 - 1), st.floats(0.0, 0.95))
+def test_local_box_matches_deterministic_box_loop(sc, seed, sparsity):
+    rng = np.random.default_rng(seed)
+    strategies = enumerate_deterministic(sc)
+    w = rng.random(len(strategies))
+    w[rng.random(len(w)) < sparsity] = 0.0
+    w[rng.integers(len(w))] += 0.5
+    w /= w.sum()
+    assert np.array_equal(local_box(sc, w).p, _mixture_by_loop(sc, w, strategies))
+    picked = [strategies[i] for i in rng.permutation(len(strategies))[: rng.integers(1, 6)]]
+    v = rng.dirichlet(np.ones(len(picked)))
+    assert np.array_equal(local_box(sc, v, picked).p, _mixture_by_loop(sc, v, picked))
+
+
+def test_local_box_checks_given_strategies():
+    sc = chsh_scenario()
+    with pytest.raises(ValueError, match="bob output 2 out of range for input 1"):
+        local_box(sc, [0.5, 0.5], [DeterministicStrategy((0, 0), (0, 0)), DeterministicStrategy((1, 1), (0, 2))])
+    with pytest.raises(ValueError, match="strategy length"):
+        local_box(sc, [1.0], [DeterministicStrategy((0, 0, 0), (0, 0))])
+    with pytest.raises(ValueError, match="budget"):
+        bell_det_max(chsh_functional(), budget=8)

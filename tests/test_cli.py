@@ -354,6 +354,13 @@ def test_bounds_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("beta_alg, beta_det", [("nan", "2"), ("inf", "2"), ("4", "nan"), ("4", "-inf")])
+def test_bounds_rejects_non_finite_betas(capsys, beta_alg, beta_det):
+    rc, out = run(capsys, ["bounds", "2", "2", "2", f"--beta-alg={beta_alg}", f"--beta-det={beta_det}"])
+    assert rc == 2
+    assert out == ""
+
+
 def test_bounds_csv(capsys):
     rc, out = run(capsys, ["bounds", "2", "2", "2", "--format", "csv"])
     assert rc == 0

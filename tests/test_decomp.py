@@ -1,9 +1,12 @@
 """Simplex solver unit cases, LP cross-checks, and box decompositions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nonlocality.boxes import (
@@ -347,6 +350,9 @@ def test_bell_bound_from_fod():
         bell_bound_from_fod(4.0, 2.0, -0.1)
     with pytest.raises(ValueError, match="exceed"):
         bell_bound_from_fod(2.0, 4.0, 0.5)
+    for bad in ((math.nan, 2.0, 0.5), (math.inf, 2.0, 0.5), (4.0, -math.inf, 0.5), (4.0, 2.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            bell_bound_from_fod(*bad)
 
 
 def _chained_singlet(n: int, visibility: float) -> Box:
@@ -377,3 +383,86 @@ def test_cf_simplex_pivot_counts_are_pinned(monkeypatch, n, visibility, pivots):
     cf_exact(_chained_singlet(n, visibility))
     rows = 4 * n * n + 1
     assert solved == [((rows, 4**n), pivots)]
+
+
+def _fod_by_strict_loop(box: Box):
+    """The fraction of determinism by walking every strategy, keeping the
+    first one whose smallest matched cell is strictly larger."""
+    best_value, best = -1.0, None
+    for strat in enumerate_deterministic(box.scenario):
+        worst = min(
+            float(box.p[x, y, a, b])
+            for x, a in enumerate(strat.alice)
+            for y, b in enumerate(strat.bob)
+        )
+        if worst > best_value:
+            best_value, best = worst, strat
+    return best_value, best
+
+
+def _pr_like(sc: Scenario) -> np.ndarray:
+    """a xor b = [x = y = 1] on outcomes {0, 1}, uniform otherwise: no-signalling
+    on any scenario with at least two outcomes per input."""
+    t = np.zeros(sc.shape)
+    for x, y, a, b in itertools.product(range(sc.inputs_a), range(sc.inputs_b), range(2), range(2)):
+        if (a ^ b) == int(x == 1 and y == 1):
+            t[x, y, a, b] = 0.5
+    return t
+
+
+def _ns_box(sc: Scenario, kind: str, rng) -> Box:
+    strategies = enumerate_deterministic(sc)
+    if kind == "mixed":
+        return maximally_mixed_box(sc)
+    if kind == "deterministic":
+        return deterministic_box(strategies[rng.integers(len(strategies))], sc)
+    w = np.zeros(len(strategies))
+    if kind == "ties":
+        w[rng.choice(len(w), size=min(len(w), 3), replace=False)] = 1.0
+    else:
+        w = rng.dirichlet(np.full(len(w), 0.3))
+    local = local_box(sc, w / w.sum())
+    if kind == "pr":
+        t = rng.uniform(0.1, 0.9)
+        return Box(sc, t * _pr_like(sc) + (1.0 - t) * local.p)
+    return local
+
+
+ns_boxes = st.builds(
+    _ns_box,
+    st.builds(
+        Scenario,
+        st.lists(st.integers(2, 3), min_size=1, max_size=3).map(tuple),
+        st.lists(st.integers(2, 3), min_size=1, max_size=3).map(tuple),
+    ),
+    st.sampled_from(["mixed", "deterministic", "ties", "local", "pr"]),
+    st.integers(0, 2**32 - 1).map(np.random.default_rng),
+)
+
+
+@given(ns_boxes)
+def test_fod_matches_strict_strategy_loop(box):
+    assert fod_exact(box) == _fod_by_strict_loop(box)
+
+
+@given(ns_boxes)
+def test_cf_matches_highs_and_reconstructs(box):
+    sc = box.scenario
+    strategies = enumerate_deterministic(sc)
+    total, decomp = cf_exact(box)
+    columns = np.array([deterministic_box(s, sc).p.ravel() for s in strategies]).T
+    ref = linprog(
+        -np.ones(len(strategies)),
+        A_ub=np.vstack([columns, np.ones(len(strategies))]),
+        b_ub=np.append(np.clip(box.p.ravel(), 0.0, None), 1.0),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert ref.status == 0
+    assert total == pytest.approx(-ref.fun, abs=1e-7)
+    order = [strategies.index(s) for s in decomp.strategies]
+    assert order == sorted(order) and (decomp.coefficients > 0.0).all()
+    rebuilt = sum(w * deterministic_box(s, sc).p for s, w in zip(decomp.strategies, decomp.coefficients))
+    if decomp.residual is not None:
+        rebuilt = rebuilt + (1.0 - total) * decomp.residual.p
+    np.testing.assert_allclose(rebuilt, box.p, rtol=0.0, atol=1e-8)

@@ -239,11 +239,12 @@ def _cells(alice: np.ndarray, bob: np.ndarray) -> tuple:
 def _strategy_rows(strategies, scenario: Scenario):
     """(alice, bob) assignment rows of DeterministicStrategy objects, checked
     against the scenario."""
-    if any(len(s.alice) != scenario.inputs_a or len(s.bob) != scenario.inputs_b for s in strategies):
+    sides = (("alice", scenario.outcomes_a), ("bob", scenario.outcomes_b))
+    if any(len(getattr(s, side)) != len(counts) for s in strategies for side, counts in sides):
         raise ValueError("strategy length does not match the scenario")
     rows = []
-    for side, counts in (("alice", scenario.outcomes_a), ("bob", scenario.outcomes_b)):
-        out = np.array([getattr(s, side) for s in strategies], dtype=int).reshape(len(strategies), len(counts))
+    for side, counts in sides:
+        out = np.array([getattr(s, side) for s in strategies], dtype=int).reshape(-1, len(counts))
         bad = np.argwhere((out < 0) | (out >= np.array(counts)))
         if bad.size:
             i, x = bad[0]

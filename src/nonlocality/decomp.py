@@ -279,7 +279,8 @@ def bell_bound_from_fod(beta_algebraic: float, beta_deterministic: float, c: flo
     deterministic fraction c."""
     if not all(math.isfinite(v) for v in (beta_algebraic, beta_deterministic, c)):
         raise ValueError(
-            f"Bell maxima and fraction must be finite, got {(beta_algebraic, beta_deterministic, c)!r}"
+            "Bell maxima and fraction must be finite, got "
+            f"{(beta_algebraic, beta_deterministic, c)!r}"
         )
     if not (0.0 <= c <= 1.0 + 1e-12):
         raise ValueError(f"fraction must lie in [0, 1], got {c!r}")

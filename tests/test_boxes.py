@@ -205,6 +205,8 @@ def test_chsh_functional_maxima():
     assert f.deterministic_max == pytest.approx(2.0)
     assert bell_algebraic_max(f) == pytest.approx(4.0)
     assert bell_det_max(f) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="budget"):
+        bell_det_max(f, budget=8)
 
 
 def test_bell_value_oracles():
@@ -318,8 +320,10 @@ def test_local_box_matches_deterministic_box_loop(sc, seed, sparsity):
 def test_local_box_checks_given_strategies():
     sc = chsh_scenario()
     with pytest.raises(ValueError, match="bob output 2 out of range for input 1"):
-        local_box(sc, [0.5, 0.5], [DeterministicStrategy((0, 0), (0, 0)), DeterministicStrategy((1, 1), (0, 2))])
+        local_box(
+            sc,
+            [0.5, 0.5],
+            [DeterministicStrategy((0, 0), (0, 0)), DeterministicStrategy((1, 1), (0, 2))],
+        )
     with pytest.raises(ValueError, match="strategy length"):
         local_box(sc, [1.0], [DeterministicStrategy((0, 0, 0), (0, 0))])
-    with pytest.raises(ValueError, match="budget"):
-        bell_det_max(chsh_functional(), budget=8)

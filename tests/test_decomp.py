@@ -462,7 +462,8 @@ def test_cf_matches_highs_and_reconstructs(box):
     assert total == pytest.approx(-ref.fun, abs=1e-7)
     order = [strategies.index(s) for s in decomp.strategies]
     assert order == sorted(order) and (decomp.coefficients > 0.0).all()
-    rebuilt = sum(w * deterministic_box(s, sc).p for s, w in zip(decomp.strategies, decomp.coefficients))
+    terms = zip(decomp.strategies, decomp.coefficients)
+    rebuilt = sum(w * deterministic_box(s, sc).p for s, w in terms)
     if decomp.residual is not None:
         rebuilt = rebuilt + (1.0 - total) * decomp.residual.p
     np.testing.assert_allclose(rebuilt, box.p, rtol=0.0, atol=1e-8)

@@ -26,7 +26,7 @@ from nonlocality.rti import (
     sample_rti_instance,
     verify_rti,
 )
-from nonlocality.states import pure_state, sample_density, steer
+from nonlocality.states import Povm, pure_state, sample_density, sample_povm, steer
 
 GOLDEN = Path(__file__).parent / "golden" / "records.json"
 
@@ -101,3 +101,69 @@ def test_to_dict_matches_golden(name):
 
 def test_golden_covers_every_record():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(RECORDS)
+
+
+PIPELINE_GOLDEN = Path(__file__).parent / "golden" / "pipelines.json"
+
+
+def _realization(seed, dim_a, dim_b, alice_outcomes, bob_outcomes, rank=None):
+    """Seeded state on dim_a x dim_b with one sampled POVM per outcome count."""
+    rng = np.random.default_rng((20261018, seed))
+    dim = dim_a * dim_b
+    rho = sample_density(dim, dim if rank is None else rank, rng)
+    alice = [sample_povm(dim_a, k, rng) for k in alice_outcomes]
+    bob = [sample_povm(dim_b, k, rng) for k in bob_outcomes]
+    return rho, alice, bob
+
+
+def _dropped_outcome():
+    """Bob's side of the state lives on |0>, |1> of a qutrit, so the third
+    outcome of his computational-basis measurement has weight 0 and is dropped."""
+    rng = np.random.default_rng((20261018, 99))
+    vec = np.zeros((2, 3), dtype=complex)
+    vec[:, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho = pure_state(vec.reshape(-1))
+    basis = Povm(tuple(np.diag(np.eye(3)[i]).astype(complex) for i in range(3)))
+    alice = [sample_povm(2, 2, rng) for _ in range(2)]
+    return rho, alice, [basis, sample_povm(3, 2, rng)]
+
+
+# name -> (rho, alice POVMs, bob POVMs, mu or None for the optimum)
+PIPELINES = {
+    "d22_k2_l22": lambda: (*_realization(1, 2, 2, (2, 2), (2, 2)), None),
+    "d22_k3_l22": lambda: (*_realization(2, 2, 2, (3, 3), (2, 2)), None),
+    "d22_k2_l33_pure": lambda: (*_realization(3, 2, 2, (2, 2), (3, 3), rank=1), None),
+    "d23_k2_l23": lambda: (*_realization(4, 2, 3, (2, 2), (2, 3)), None),
+    "d23_k3_l32": lambda: (*_realization(5, 2, 3, (3, 3), (3, 2)), None),
+    "d32_k2_l22": lambda: (*_realization(6, 3, 2, (2, 2), (2, 2)), None),
+    "d32_k3_l23_rank2": lambda: (*_realization(7, 3, 2, (3, 3), (2, 3), rank=2), None),
+    "d33_k3_l33": lambda: (*_realization(8, 3, 3, (3, 3), (3, 3)), None),
+    "d33_k23_l32": lambda: (*_realization(9, 3, 3, (2, 3), (3, 2)), None),
+    "d23_three_alice_inputs": lambda: (*_realization(10, 2, 3, (2, 3, 2), (3, 3)), None),
+    "d22_k2_l23_mu3": lambda: (*_realization(11, 2, 2, (2, 2), (2, 3)), 3.0),
+    "d33_k2_l33_mu10": lambda: (*_realization(12, 3, 3, (2, 2), (3, 3)), 10.0),
+    "d23_dropped_outcome": lambda: (*_dropped_outcome(), None),
+}
+
+
+def _pipeline_dict(name):
+    rho, alice, bob, mu = PIPELINES[name]()
+    return fod_floor_pipeline(rho, bob[0], bob[1], alice, mu=mu).to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_pipeline_trace_matches_golden(name):
+    frozen = json.loads(PIPELINE_GOLDEN.read_text())[name]
+    got = json.loads(json.dumps(_pipeline_dict(name)))
+    assert canonical(got) == canonical(frozen)
+
+
+def test_pipeline_golden_covers_every_realization():
+    assert sorted(json.loads(PIPELINE_GOLDEN.read_text())) == sorted(PIPELINES)
+
+
+def test_dropped_outcome_realization_drops_one_member():
+    rho, _, bob, _ = PIPELINES["d23_dropped_outcome"]()
+    ensemble = steer(rho, bob[0])
+    assert ensemble.labels == (0, 1)
+    assert json.loads(PIPELINE_GOLDEN.read_text())["d23_dropped_outcome"]["l1"] == 2

@@ -20,12 +20,13 @@ from decimal import Decimal
 import numpy as np
 
 from .boxes import _check_counts, quantum_box
+from .linalg import trace_norm
 from .records import Record
 from .states import (
     DensityMatrix,
     Ensemble,
     Povm,
-    ensemble_average,
+    _average_distance,
     steer,
     trace_distance,
     truncate_ensemble,
@@ -152,8 +153,12 @@ def confusing_outcome(rho: DensityMatrix, sigma: DensityMatrix, povm: Povm) -> C
     """
     if povm.dim != rho.dim or povm.dim != sigma.dim:
         raise ValueError("measurement and states must share a dimension")
-    k = len(povm)
-    eps = (2.0 - trace_distance(rho, sigma)) / (2.0 * k)
+    return _confusing_outcome(rho, sigma, povm, trace_distance(rho, sigma))
+
+
+def _confusing_outcome(rho, sigma, povm: Povm, distance: float) -> ConfusingOutcome:
+    """`confusing_outcome` for states at a known trace distance."""
+    eps = (2.0 - distance) / (2.0 * len(povm))
     for r, element in enumerate(povm.elements):
         p = float(np.real(np.trace(element @ rho.mat)))
         q = float(np.real(np.trace(element @ sigma.mat)))
@@ -175,25 +180,23 @@ class ClosePair(Record):
 
 
 def close_pair(e1: Ensemble, e2: Ensemble) -> ClosePair:
-    """Minimum-distance pair (first in i-major scan order on ties)."""
+    """Minimum-distance pair (first in i-major scan order on ties). All
+    l1 l2 cross distances are one stacked trace norm."""
     if e1.dim != e2.dim:
         raise ValueError("ensembles must share a dimension")
-    x = trace_distance(ensemble_average(e1), ensemble_average(e2))
+    x = _average_distance(e1, e2)
     if x >= 2.0:
         raise ValueError("ensemble averages are perfectly distinguishable")
     eps = epsilon_from_average_distance(x, len(e1), len(e2))
-    best = (0, 0)
-    best_d = math.inf
-    for i, rho in enumerate(e1.states):
-        for j, sigma in enumerate(e2.states):
-            d = trace_distance(rho, sigma)
-            if d < best_d:
-                best_d = d
-                best = (i, j)
+    first = np.stack([s.mat for s in e1.states])
+    second = np.stack([s.mat for s in e2.states])
+    distances = trace_norm(first[:, None] - second[None, :])
+    i, j = np.unravel_index(int(np.argmin(distances)), distances.shape)
+    best_d = float(distances[i, j])
     if best_d > 2.0 - eps + PIPELINE_TOL:
         raise RuntimeError("closest pair misses its guaranteed closeness floor")
     return ClosePair(
-        i=best[0], j=best[1], distance=best_d, epsilon=eps, average_distance=x
+        i=int(i), j=int(j), distance=best_d, epsilon=eps, average_distance=x
     )
 
 
@@ -276,6 +279,8 @@ def fod_floor_pipeline(
         raise ValueError("Bob's measurements must share a dimension")
     if mu is None:
         mu = optimize_mu().mu
+    elif not math.isfinite(mu):
+        raise ValueError(f"truncation scale must be finite, got {mu!r}")
     elif mu <= 2.0:
         raise ValueError(f"truncation scale must exceed 2, got {mu!r}")
 
@@ -287,7 +292,7 @@ def fod_floor_pipeline(
     l = max(l1, l2)
     threshold = 1.0 / (l * mu)
     bound = universal_fod_bound(k, l1, l2)
-    average_distance = trace_distance(ensemble_average(ens1), ensemble_average(ens2))
+    average_distance = _average_distance(ens1, ens2)
 
     try:
         t1, delta1 = truncate_ensemble(ens1, threshold)
@@ -305,11 +310,9 @@ def fod_floor_pipeline(
         )
 
     x_bound = 2.0 / (mu - 1.0)
-    truncated_average_distance = trace_distance(
-        ensemble_average(t1), ensemble_average(t2)
-    )
     epsilon = epsilon_from_average_distance(x_bound, len(t1), len(t2))
     pair = close_pair(t1, t2)
+    truncated_average_distance = pair.average_distance
     rho_pair = t1.states[pair.i]
     sigma_pair = t2.states[pair.j]
     b1 = t1.labels[pair.i]
@@ -347,7 +350,8 @@ def fod_floor_pipeline(
     confusing = []
     box_entries = []
     for x, povm in enumerate(alice):
-        co = confusing_outcome(rho_pair, sigma_pair, povm)
+        # quantum_box has checked that Alice's side is the steered side
+        co = _confusing_outcome(rho_pair, sigma_pair, povm, pair.distance)
         confusing.append(co)
         records.append(
             InequalityRecord(

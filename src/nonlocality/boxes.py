@@ -155,6 +155,11 @@ class Box(_Table):
     scenario: Scenario
     p: np.ndarray
 
+    @cached_property
+    def ns_report(self) -> "NsReport":
+        """`validate_ns` at NS_TOL, run once per box: the table is read-only."""
+        return validate_ns(self)
+
 
 @dataclass(frozen=True)
 class NsReport(Record):
@@ -322,13 +327,18 @@ def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
     if da * db != rho.dim:
         raise ValueError(f"state is {rho.dim}-dim, measurements give {da * db}")
     sc = Scenario(tuple(len(p) for p in alice), tuple(len(p) for p in bob))
-    t = np.zeros(sc.shape)
-    for x, ma in enumerate(alice):
-        for y, nb in enumerate(bob):
-            for a, ea in enumerate(ma.elements):
-                for b, eb in enumerate(nb.elements):
-                    t[x, y, a, b] = max(0.0, float(np.real(np.trace(tensor(ea, eb) @ rho.mat))))
-    return Box(sc, t)
+    _, _, ka, kb = sc.shape
+    # (x, a) and (y, b) stacks of elements, zero past each outcome count, so
+    # that one (nA, nB, ka, kb, d, d) stack holds every M^x_a (x) N^y_b and
+    # the structural cells come out as exact zeros
+    stack_a = np.zeros((sc.inputs_a, ka, da, da), dtype=complex)
+    stack_b = np.zeros((sc.inputs_b, kb, db, db), dtype=complex)
+    for stack, povms in ((stack_a, alice), (stack_b, bob)):
+        for i, povm in enumerate(povms):
+            stack[i, : len(povm)] = povm.elements
+    lifted = tensor(stack_a[:, None, :, None], stack_b[None, :, None, :])
+    probs = np.real((lifted @ rho.mat).trace(axis1=-2, axis2=-1))
+    return Box(sc, np.where(probs > 0.0, probs, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

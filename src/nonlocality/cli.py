@@ -34,7 +34,6 @@ from .boxes import (
     pr_box,
     quantum_box,
     tsirelson_realization,
-    validate_ns,
 )
 from .decomp import InfeasibleError, UnboundedError, bell_bound_from_fod, cf_exact, fod_exact
 from .rti import extremal_grid, rti_campaign
@@ -269,7 +268,7 @@ def cmd_box(args) -> int:
     details = {}
     for op in ops:
         if op == "ns":
-            ns = validate_ns(box)
+            ns = box.ns_report
             rows.append(
                 report_row(
                     "ns_max_violation",

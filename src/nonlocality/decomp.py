@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, DeterministicStrategy, _cells, _strategy_arrays, validate_ns
+from .boxes import Box, DeterministicStrategy, _cells, _strategy_arrays
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -169,7 +169,7 @@ def simplex_solve(lp: LinearProgram, tol: float = LP_TOL) -> SimplexResult:
 
 
 def _require_ns(box: Box, what: str):
-    report = validate_ns(box)
+    report = box.ns_report
     if not report.passed:
         raise ValueError(
             f"{what} needs a no-signalling box: {report.location} deviates by {report.max_violation:.3e}"

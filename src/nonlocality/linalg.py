@@ -3,8 +3,9 @@
 All matrices are dense complex numpy arrays. Inputs that are supposed to be
 Hermitian are rejected when max|A - A^dag| exceeds HERMITIAN_TOL, with the
 deviation reported in the error message; a NaN entry fails that check too.
-`hermiticity_defect`, `hermitian_part`, `require_hermitian` and `trace_norm`
-also take stacks of shape (..., d, d), checked and reduced in one pass.
+`hermiticity_defect`, `hermitian_part`, `require_hermitian`, `trace_norm`,
+`tensor` and `partial_trace` also take stacks of shape (..., d, d), checked and
+reduced in one pass.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def as_complex_stack(a) -> np.ndarray:
+    """Coerce to a complex128 square matrix or (..., d, d) stack."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """Max-entry distance from A to its adjoint, over a whole stack."""
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
@@ -39,9 +48,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """`hermitian_part` of a matrix or (..., d, d) stack, rejected when its
     `hermiticity_defect` exceeds `tol` or is NaN."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    m = as_complex_stack(a)
     # One adjoint serves both the check and the symmetrization.
     adjoint = m.conj().swapaxes(-1, -2)
     defect = float(np.abs(m - adjoint).max())
@@ -92,25 +99,36 @@ def psd_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product, matrix by matrix over broadcast leading dimensions:
+    entry (i p + k, j p + l) is a[..., i, j] * b[..., k, l], the product
+    `np.kron` forms."""
+    a, b = as_complex_stack(a), as_complex_stack(b)
+    m, p = a.shape[-1], b.shape[-1]
+    # Equal ranks keep numpy on the multiply loop `np.kron` uses, even for a
+    # single 1 x 1 product; a rank mismatch can pick one that rounds differently.
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + (m, m))
+    b = np.broadcast_to(b, lead + (p, p))
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(lead + (m * p, m * p))
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator.
+    """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator or
+    (..., d, d) stack of them.
 
     keep="A" returns Tr_B(m); keep="B" returns Tr_A(m).
     """
-    mat = as_complex_matrix(m)
-    if mat.shape[0] != dim_a * dim_b:
+    mat = as_complex_stack(m)
+    if mat.shape[-1] != dim_a * dim_b:
         raise ValueError(
-            f"dimension mismatch: matrix is {mat.shape[0]}-dim, factors give {dim_a * dim_b}"
+            f"dimension mismatch: matrix is {mat.shape[-1]}-dim, factors give {dim_a * dim_b}"
         )
-    t = mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    t = mat.reshape(mat.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if keep == "B":
-        return np.einsum("ijil->jl", t)
+        return np.einsum("...ijil->...jl", t)
     raise ValueError(f'keep must be "A" or "B", got {keep!r}')
 
 

@@ -207,8 +207,21 @@ def _mixture(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _averages(*ensembles: Ensemble) -> np.ndarray:
+    """Read-only stack of the ensembles' averages, checked as unit-trace
+    states in one pass."""
+    mixed = [_mixture(e.weights, np.stack([s.mat for s in e.states])) for e in ensembles]
+    return _check_state_matrix(np.stack(mixed), 1.0, 1.0, "state")
+
+
 def ensemble_average(ensemble: Ensemble) -> DensityMatrix:
-    return DensityMatrix(_mixture(ensemble.weights, np.stack([s.mat for s in ensemble.states])))
+    return DensityMatrix._trusted(_averages(ensemble)[0])
+
+
+def _average_distance(e1: Ensemble, e2: Ensemble) -> float:
+    """`trace_distance` of the two ensemble averages, checked together."""
+    first, second = _averages(e1, e2)
+    return trace_norm(first - second)
 
 
 def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
@@ -216,7 +229,9 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
 
     Member b has weight Tr((I (x) N_b) rho) and state Tr_B((I (x) N_b) rho)
     normalized. Outcomes with weight below STEER_DROP_TOL are dropped; the
-    surviving outcome indices are recorded in `labels`.
+    surviving outcome indices are recorded in `labels`. Every outcome is
+    computed in one stacked product and partial trace, and the surviving
+    states are checked as one stack.
     """
     dim_b = povm_b.dim
     dim_a, rem = divmod(rho_ab.dim, dim_b)
@@ -224,20 +239,19 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
         raise ValueError(
             f"dimension mismatch: state is {rho_ab.dim}-dim, POVM side is {dim_b}-dim"
         )
-    eye_a = np.eye(dim_a, dtype=complex)
-    weights, states, labels = [], [], []
-    for b, element in enumerate(povm_b.elements):
-        reduced = partial_trace(tensor(eye_a, element) @ rho_ab.mat, dim_a, dim_b, keep="A")
-        w = float(np.real(np.trace(reduced)))
-        if w < STEER_DROP_TOL:
-            continue
-        weights.append(w)
-        states.append(DensityMatrix(reduced / w))
-        labels.append(b)
-    if not states:
+    lifted = tensor(np.eye(dim_a, dtype=complex), np.stack(povm_b.elements))
+    reduced = partial_trace(lifted @ rho_ab.mat, dim_a, dim_b, keep="A")
+    weights = np.real(reduced.trace(axis1=-2, axis2=-1))
+    kept = np.flatnonzero(~(weights < STEER_DROP_TOL))
+    if not kept.size:
         raise ValueError("all steering outcomes fell below the drop tolerance")
-    w = np.array(weights)
-    return Ensemble(weights=w / w.sum(), states=tuple(states), labels=tuple(labels))
+    w = weights[kept]
+    checked = _check_state_matrix(reduced[kept] / w[:, None, None], 1.0, 1.0, "state")
+    return Ensemble(
+        weights=w / w.sum(),
+        states=tuple(DensityMatrix._trusted(m) for m in checked),
+        labels=tuple(int(b) for b in kept),
+    )
 
 
 def truncate_ensemble(ensemble: Ensemble, min_weight: float) -> tuple[Ensemble, float]:
@@ -246,7 +260,7 @@ def truncate_ensemble(ensemble: Ensemble, min_weight: float) -> tuple[Ensemble, 
     Members are returned sorted by nonincreasing weight. Raises ValueError
     when nothing survives (min_weight at or above the largest weight).
     """
-    if min_weight < 0:
+    if not min_weight >= 0:
         raise ValueError("min_weight must be nonnegative")
     order = np.argsort(-ensemble.weights, kind="stable")
     kept = [i for i in order if ensemble.weights[i] > min_weight]

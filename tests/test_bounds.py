@@ -27,10 +27,12 @@ from nonlocality.states import (
     Ensemble,
     Povm,
     basis_state,
+    ensemble_average,
     maximally_mixed,
     pure_state,
     sample_density,
     sample_povm,
+    trace_distance,
     xz_spin_povm,
 )
 
@@ -149,6 +151,54 @@ def test_close_pair_mutually_unbiased_bases():
     assert (pair.i, pair.j) == (0, 0)  # all pairs tie; first in scan order wins
 
 
+def _close_pair_loop(e1, e2):
+    """i-major double loop with a strict-< update: the first minimum wins."""
+    best, best_d = (0, 0), math.inf
+    for i, rho in enumerate(e1.states):
+        for j, sigma in enumerate(e2.states):
+            d = trace_distance(rho, sigma)
+            if d < best_d:
+                best, best_d = (i, j), d
+    return best, best_d
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_close_pair_matches_i_major_loop(dim, first, second, seed):
+    # members drawn with repetition from a pool of three states, so that
+    # equal distances, and so ties, are common
+    rng = np.random.default_rng(seed)
+    pool = [sample_density(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(3)]
+    e1, e2 = (
+        Ensemble(weights=rng.dirichlet(np.ones(len(picks))), states=tuple(pool[i] for i in picks))
+        for picks in (first, second)
+    )
+    try:
+        pair = close_pair(e1, e2)
+    except ValueError:
+        # only pure orthogonal averages are perfectly distinguishable
+        assert trace_distance(ensemble_average(e1), ensemble_average(e2)) >= 2.0
+        return
+    (i, j), distance = _close_pair_loop(e1, e2)
+    assert (pair.i, pair.j) == (i, j)
+    assert type(pair.i) is int and type(pair.j) is int
+    assert pair.distance == distance
+    assert pair.average_distance == trace_distance(ensemble_average(e1), ensemble_average(e2))
+
+
+def test_close_pair_ties_keep_the_first_pair_in_i_major_order():
+    a, b, c = (sample_density(2, 2, seed) for seed in (1, 2, 3))
+    e1 = Ensemble(weights=np.array([0.2, 0.3, 0.5]), states=(a, b, b))
+    e2 = Ensemble(weights=np.array([0.6, 0.4]), states=(c, b))
+    pair = close_pair(e1, e2)
+    assert (pair.i, pair.j) == (1, 1) == _close_pair_loop(e1, e2)[0]
+    assert pair.distance == 0.0
+
+
 def test_close_pair_rejects_distinguishable_averages():
     e0 = Ensemble(weights=np.array([1.0]), states=(basis_state(0, 2),))
     e1 = Ensemble(weights=np.array([1.0]), states=(basis_state(1, 2),))
@@ -199,6 +249,9 @@ def test_pipeline_validation():
     rho, alice, bob = tsirelson_realization()
     with pytest.raises(ValueError, match="exceed 2"):
         fod_floor_pipeline(rho, bob[0], bob[1], alice, mu=2.0)
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="must be finite"):
+            fod_floor_pipeline(rho, bob[0], bob[1], alice, mu=bad)
     with pytest.raises(ValueError, match="at least one"):
         fod_floor_pipeline(rho, bob[0], bob[1], [])
     with pytest.raises(ValueError, match="share a dimension"):

@@ -27,7 +27,7 @@ from nonlocality.boxes import (
     tsirelson_realization,
     validate_ns,
 )
-from nonlocality.states import Povm, singlet, xz_spin_povm
+from nonlocality.states import Povm, pure_state, sample_density, sample_povm, singlet, xz_spin_povm
 
 
 def test_scenario_validation_and_roundtrip():
@@ -145,6 +145,12 @@ def test_validate_ns_pr_box():
     assert report.to_dict()["pass"] is True
 
 
+def test_box_ns_report_is_validate_ns_once():
+    box = pr_box()
+    assert box.ns_report is box.ns_report
+    assert box.ns_report == validate_ns(box)
+
+
 def test_validate_ns_flags_signalling_with_location():
     sc = chsh_scenario()
     t = np.zeros(sc.shape)
@@ -241,6 +247,55 @@ def test_quantum_box_dimension_mismatch():
     trivial_3dim = Povm((np.eye(3, dtype=complex),))
     with pytest.raises(ValueError, match="dim"):
         quantum_box(singlet(), [z], [trivial_3dim])
+
+
+def _born_loop(rho, alice, bob):
+    """Per-cell oracle: one Kronecker product and trace per (x, y, a, b)."""
+    sc = Scenario(tuple(len(p) for p in alice), tuple(len(p) for p in bob))
+    t = np.zeros(sc.shape)
+    for x, ma in enumerate(alice):
+        for y, nb in enumerate(bob):
+            for a, ea in enumerate(ma.elements):
+                for b, eb in enumerate(nb.elements):
+                    t[x, y, a, b] = max(0.0, float(np.real(np.trace(np.kron(ea, eb) @ rho.mat))))
+    return t
+
+
+def _basis_povm(dim):
+    return Povm(tuple(np.diag(row).astype(complex) for row in np.eye(dim)))
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_quantum_box_matches_per_cell_kron_loop(dim_a, dim_b, outcomes_a, outcomes_b, projective, seed):
+    rng = np.random.default_rng(seed)
+    dim = dim_a * dim_b
+    alice = [sample_povm(dim_a, k, rng) for k in outcomes_a]
+    bob = [sample_povm(dim_b, k, rng) for k in outcomes_b]
+    if projective:
+        # a pure state and basis measurements leave exact and rounded zeros
+        rho = pure_state(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        alice[0], bob[-1] = _basis_povm(dim_a), _basis_povm(dim_b)
+    else:
+        rho = sample_density(dim, int(rng.integers(1, dim + 1)), rng)
+    box = quantum_box(rho, alice, bob)
+    assert box.p.tobytes() == _born_loop(rho, alice, bob).tobytes()
+
+
+def test_quantum_box_clamps_like_the_loop():
+    # parallel measurements on the singlet: the Born rule gives -2.2e-17 for
+    # the same-outcome cells at angle pi/20, which both forms clamp to +0.0
+    alice = [xz_spin_povm(np.pi / 20), xz_spin_povm(0.0)]
+    bob = [xz_spin_povm(np.pi / 20), xz_spin_povm(21 * np.pi / 20)]
+    box = quantum_box(singlet(), alice, bob)
+    assert box.p.tobytes() == _born_loop(singlet(), alice, bob).tobytes()
+    assert box.p[0, 0, 0, 0] == 0.0 and not np.signbit(box.p).any()
 
 
 def test_tsirelson_realization_value():

@@ -177,6 +177,22 @@ def test_report_matches_golden(monkeypatch, tmp_path, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_box_checks_no_signalling_once_per_box(monkeypatch, tmp_path):
+    from nonlocality import boxes
+
+    checked = []
+    original = boxes.validate_ns
+
+    def counting(box, *args, **kwargs):
+        checked.append(box)
+        return original(box, *args, **kwargs)
+
+    monkeypatch.setattr(boxes, "validate_ns", counting)
+    path = GOLDEN / "inputs" / "noisy_pr_box.json"
+    assert main(["box", str(path), "--ops", "ns,fod,cf", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(checked) == 1
+
+
 def test_noisy_golden_box_has_a_residual():
     report = json.loads((GOLDEN / "box_noisy_pr.json").read_text())
     assert 0.0 < report["rows"][-1]["computed"] < 1.0

@@ -3,7 +3,7 @@ tensor products and partial traces."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nonlocality.linalg import (
@@ -175,3 +175,53 @@ def test_partial_trace_validation():
 def test_max_commutator_entry_oracles():
     assert max_commutator_entry(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
     assert max_commutator_entry(PAULI_X, PAULI_Z) == pytest.approx(2.0)
+
+
+def _random_stack(rng, lead, dim):
+    shape = tuple(lead) + (dim, dim)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+# one 1 x 1 product against a broadcast factor: numpy can pick a multiply
+# loop that rounds the imaginary part differently from np.kron's
+@example(1, 1, [1], 14)
+def test_stacked_tensor_matches_kron(dim_a, dim_b, lead, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _random_stack(rng, lead, dim_a), _random_stack(rng, lead, dim_b)
+    single_b = b[(0,) * len(lead)]
+    stacked, broadcast = tensor(a, b), tensor(a, single_b)
+    assert stacked.shape == broadcast.shape == tuple(lead) + (dim_a * dim_b,) * 2
+    for idx in np.ndindex(*lead):
+        assert stacked[idx].tobytes() == np.kron(a[idx], b[idx]).tobytes()
+        assert broadcast[idx].tobytes() == np.kron(a[idx], single_b).tobytes()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_partial_trace_matches_2d_form(dim_a, dim_b, lead, seed):
+    m = _random_stack(np.random.default_rng(seed), lead, dim_a * dim_b)
+    for keep, subscripts in (("A", "ijkj->ik"), ("B", "ijil->jl")):
+        out = partial_trace(m, dim_a, dim_b, keep=keep)
+        for idx in np.ndindex(*lead):
+            blocks = m[idx].reshape(dim_a, dim_b, dim_a, dim_b)
+            assert out[idx].tobytes() == np.einsum(subscripts, blocks).tobytes()
+            assert out[idx].tobytes() == partial_trace(m[idx], dim_a, dim_b, keep=keep).tobytes()
+
+
+def test_stacked_tensor_and_partial_trace_reject_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        tensor(np.zeros((2, 2, 3)), np.eye(2))
+    with pytest.raises(ValueError, match="square"):
+        partial_trace(np.zeros(4), 2, 2, keep="A")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        partial_trace(np.zeros((3, 4, 4)), 2, 3, keep="A")

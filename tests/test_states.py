@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nonlocality import states
 from nonlocality.states import (
+    STEER_DROP_TOL,
     DensityMatrix,
     Ensemble,
     Povm,
@@ -197,6 +199,78 @@ def test_steer_dimension_mismatch():
         steer(maximally_mixed(3), xz_spin_povm(0.0))
 
 
+def _steer_loop(rho_ab, povm_b):
+    """Per-member oracle: weights, validated states and labels of `steer`."""
+    dim_b = povm_b.dim
+    dim_a = rho_ab.dim // dim_b
+    weights, members, labels = [], [], []
+    for b, element in enumerate(povm_b.elements):
+        lifted = np.kron(np.eye(dim_a, dtype=complex), element) @ rho_ab.mat
+        reduced = np.einsum("ijkj->ik", lifted.reshape(dim_a, dim_b, dim_a, dim_b))
+        w = float(np.real(np.trace(reduced)))
+        if w < STEER_DROP_TOL:
+            continue
+        weights.append(w)
+        members.append(DensityMatrix(reduced / w))
+        labels.append(b)
+    w = np.array(weights)
+    return w / w.sum(), members, labels
+
+
+def _assert_steers_like_the_loop(rho_ab, povm_b):
+    ens = steer(rho_ab, povm_b)
+    weights, members, labels = _steer_loop(rho_ab, povm_b)
+    assert ens.weights.tobytes() == weights.tobytes()
+    assert ens.labels == tuple(labels)
+    assert all(type(b) is int for b in ens.labels)
+    assert len(ens.states) == len(members)
+    for got, want in zip(ens.states, members):
+        assert type(got) is DensityMatrix
+        assert got.mat.tobytes() == want.mat.tobytes()
+        assert not got.mat.flags.writeable
+    return ens
+
+
+def _partly_supported_state(dim_a, dim_b, rng):
+    """Pure state whose B side has no weight on B's last basis vector."""
+    vec = np.zeros((dim_a, dim_b), dtype=complex)
+    vec[:, :-1] = rng.standard_normal((dim_a, dim_b - 1)) + 1j * rng.standard_normal((dim_a, dim_b - 1))
+    return pure_state(vec.reshape(-1))
+
+
+def _basis_povm(dim):
+    return Povm(tuple(np.diag(row).astype(complex) for row in np.eye(dim)))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_steer_matches_per_member_loop(dim_a, dim_b, outcomes, seed):
+    rng = np.random.default_rng(seed)
+    dim = dim_a * dim_b
+    rho_ab = sample_density(dim, int(rng.integers(1, dim + 1)), rng)
+    _assert_steers_like_the_loop(rho_ab, sample_povm(dim_b, outcomes, rng))
+    _assert_steers_like_the_loop(rho_ab, _basis_povm(dim_b))
+
+
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_steer_drops_like_the_loop(dim_a, dim_b, seed):
+    rho_ab = _partly_supported_state(dim_a, dim_b, np.random.default_rng(seed))
+    ens = _assert_steers_like_the_loop(rho_ab, _basis_povm(dim_b))
+    assert ens.labels == tuple(range(dim_b - 1))
+
+
+def test_steer_raises_when_every_outcome_is_dropped(monkeypatch):
+    rho_ab, povm = singlet(), xz_spin_povm(0.3)
+    monkeypatch.setattr(states, "STEER_DROP_TOL", 1.5)
+    with pytest.raises(ValueError, match="all steering outcomes fell below"):
+        steer(rho_ab, povm)
+
+
+@pytest.mark.parametrize("dim, dim_b", [(3, 2), (5, 2), (4, 3), (2, 4)])
+def test_steer_rejects_non_dividing_dimension(dim, dim_b):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        steer(maximally_mixed(dim), _basis_povm(dim_b))
+
+
 def test_truncate_ensemble():
     e = Ensemble(
         weights=np.array([0.3, 0.5, 0.2]),
@@ -211,6 +285,9 @@ def test_truncate_ensemble():
     assert kept2.labels == (1,) and delta2 == pytest.approx(0.5)
     with pytest.raises(ValueError, match="no weight exceeds"):
         truncate_ensemble(e, 0.9)
+    for bad in (-0.1, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="min_weight must be nonnegative"):
+            truncate_ensemble(e, bad)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 4))

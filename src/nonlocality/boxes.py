@@ -156,7 +156,7 @@ class Box(_Table):
     p: np.ndarray
 
     @cached_property
-    def ns_report(self) -> "NsReport":
+    def ns_report(self) -> NsReport:
         """`validate_ns` at NS_TOL, run once per box: the table is read-only."""
         return validate_ns(self)
 

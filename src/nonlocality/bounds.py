@@ -385,42 +385,24 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _minimize_q(fn, step: float, refine: float):
-    """Minimize fn(q0) over q0 in [0, 1/2] by grid search plus zooming."""
-    lo, hi = 0.0, 0.5
-    q = _grid(lo, hi, step)
-    vals = fn(q)
-    i = int(np.argmin(vals))
-    best_q, best_v = float(q[i]), float(vals[i])
-    while step > refine:
-        lo = max(0.0, best_q - 2.0 * step)
-        hi = min(0.5, best_q + 2.0 * step)
+def _minimize(fn, arity: int, step: float, refine: float):
+    """Minimize fn(q0) over q0 in [0, 1/2] (arity 1), or fn(p0, q0) over
+    0 <= p0 <= q0 <= 1/2 (arity 2), by grid search at `step`, then zooming to
+    +-2 steps around the best point at a tenth of the step until the step is
+    at most `refine`. Returns the value and the tuple of arguments."""
+    lo, hi = (0.0,) * arity, (0.5,) * arity
+    while True:
+        grid = np.meshgrid(*(_grid(a, b, step) for a, b in zip(lo, hi)), indexing="ij")
+        vals = fn(*grid)
+        if arity == 2:
+            vals = np.where(grid[0] <= grid[1] + 1e-15, vals, np.inf)
+        i = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        best = tuple(float(g[i]) for g in grid)
+        if not step > refine:
+            return float(vals[i]), best
+        lo = tuple(max(0.0, v - 2.0 * step) for v in best)
+        hi = tuple(min(0.5, v + 2.0 * step) for v in best)
         step /= 10.0
-        q = _grid(lo, hi, step)
-        vals = fn(q)
-        i = int(np.argmin(vals))
-        best_q, best_v = float(q[i]), float(vals[i])
-    return best_v, best_q
-
-
-def _minimize_pq(fn, step: float, refine: float):
-    """Minimize fn(p0, q0) over 0 <= p0 <= q0 <= 1/2 by grid plus zooming."""
-
-    def scan(plo, phi, qlo, qhi, h):
-        p = _grid(plo, phi, h)
-        q = _grid(qlo, qhi, h)
-        pp, qq = np.meshgrid(p, q, indexing="ij")
-        vals = np.where(pp <= qq + 1e-15, fn(pp, qq), np.inf)
-        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        return float(vals[i, j]), float(pp[i, j]), float(qq[i, j])
-
-    best_v, best_p, best_q = scan(0.0, 0.5, 0.0, 0.5, step)
-    while step > refine:
-        plo, phi = max(0.0, best_p - 2.0 * step), min(0.5, best_p + 2.0 * step)
-        qlo, qhi = max(0.0, best_q - 2.0 * step), min(0.5, best_q + 2.0 * step)
-        step /= 10.0
-        best_v, best_p, best_q = scan(plo, phi, qlo, qhi, step)
-    return best_v, (best_p, best_q)
 
 
 def _second_terms(p0, q0):
@@ -498,13 +480,13 @@ def binary_bob_bounds(
         _, t3 = _second_terms(p0, q0)
         return np.maximum((1.0 - q0) / 4.0, t3)
 
-    v00, w00 = _minimize_pq(fod_same_pair, grid_step, refine_step)
-    v10, q10 = _minimize_q(cross10_decoupled, grid_step, refine_step)
-    v11, q11 = _minimize_q(cross11_decoupled, grid_step, refine_step)
-    c00, wc00 = _minimize_pq(cf_case00, grid_step, refine_step)
-    c01, wc01 = _minimize_pq(cf_case01, grid_step, refine_step)
-    c10, _ = _minimize_pq(cross10_coupled, grid_step, refine_step)
-    c11, _ = _minimize_pq(cross11_coupled, grid_step, refine_step)
+    v00, w00 = _minimize(fod_same_pair, 2, grid_step, refine_step)
+    v10, (q10,) = _minimize(cross10_decoupled, 1, grid_step, refine_step)
+    v11, (q11,) = _minimize(cross11_decoupled, 1, grid_step, refine_step)
+    c00, wc00 = _minimize(cf_case00, 2, grid_step, refine_step)
+    c01, wc01 = _minimize(cf_case01, 2, grid_step, refine_step)
+    c10, _ = _minimize(cross10_coupled, 2, grid_step, refine_step)
+    c11, _ = _minimize(cross11_coupled, 2, grid_step, refine_step)
 
     case_minima = {
         "fod_case00": v00,

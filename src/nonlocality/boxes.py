@@ -20,7 +20,7 @@ from .states import DensityMatrix, xz_spin_povm, singlet
 ENTRY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
 NS_TOL = 1e-9
-DEFAULT_ENUMERATION_BUDGET = 10**6
+ENUMERATION_BUDGET = 10**6
 
 
 def _check_counts(counts) -> None:
@@ -136,13 +136,24 @@ class _Table:
         except (TypeError, KeyError) as exc:
             raise ValueError(f"{kind} dict needs 'scenario' and '{key}' entries: {exc}") from None
         t = np.zeros(sc.shape)
-        for x in range(sc.inputs_a):
-            for y in range(sc.inputs_b):
+        for x, ka in enumerate(sc.outcomes_a):
+            for y, kb in enumerate(sc.outcomes_b):
                 try:
-                    block = np.asarray(rows[x][y], dtype=float)
+                    block = rows[x][y]
                 except (TypeError, KeyError, IndexError):
                     raise ValueError(f"{kind} dict has no block at input pair ({x}, {y})") from None
-                t[x, y, : sc.outcomes_a[x], : sc.outcomes_b[y]] = block
+                # JSON numbers only: a bool or a numeric string is not a cell,
+                # and a short row must not broadcast
+                if not (
+                    type(block) is list
+                    and len(block) == ka
+                    and all(type(row) is list and len(row) == kb for row in block)
+                    and all(type(v) in (int, float) for row in block for v in row)
+                ):
+                    raise ValueError(
+                        f"{kind} block at input pair ({x}, {y}) is not a {ka} x {kb} table of numbers"
+                    )
+                t[x, y, :ka, :kb] = block
         return cls(sc, t)
 
 
@@ -170,7 +181,7 @@ class NsReport(Record):
     location: str
 
 
-def validate_ns(box: Box, tol: float = NS_TOL) -> NsReport:
+def validate_ns(box: Box) -> NsReport:
     """Check that each party's marginal ignores the other party's input."""
     sc = box.scenario
     worst = 0.0
@@ -187,7 +198,7 @@ def validate_ns(box: Box, tol: float = NS_TOL) -> NsReport:
             dev = float(np.abs(marg[x1] - marg[x2]).max())
             if dev > worst:
                 worst, where = dev, f"bob marginal at y={y} between x={x1} and x={x2}"
-    return NsReport(passed=bool(worst <= tol), max_violation=worst, location=where)
+    return NsReport(passed=bool(worst <= NS_TOL), max_violation=worst, location=where)
 
 
 @dataclass(frozen=True)
@@ -202,15 +213,15 @@ class DeterministicStrategy:
         object.__setattr__(self, "bob", tuple(int(b) for b in self.bob))
 
 
-def _check_budget(scenario: Scenario, budget: int) -> None:
+def _check_budget(scenario: Scenario) -> None:
     count = scenario.strategy_count()
-    if count > budget:
-        raise ValueError(f"enumeration needs {count} strategies, budget is {budget}")
+    if count > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration needs {count} strategies, budget is {ENUMERATION_BUDGET}")
 
 
-def enumerate_deterministic(scenario: Scenario, budget: int = DEFAULT_ENUMERATION_BUDGET):
+def enumerate_deterministic(scenario: Scenario):
     """All deterministic strategies, lexicographic with Alice assignments outer."""
-    _check_budget(scenario, budget)
+    _check_budget(scenario)
     alice_all = itertools.product(*(range(k) for k in scenario.outcomes_a))
     out = []
     for alice in alice_all:
@@ -226,10 +237,10 @@ def assignments(outcomes) -> np.ndarray:
     return np.indices(tuple(outcomes)).reshape(len(outcomes), -1).T
 
 
-def _strategy_arrays(scenario: Scenario, budget: int = DEFAULT_ENUMERATION_BUDGET):
+def _strategy_arrays(scenario: Scenario):
     """`assignments` of Alice and of Bob, within the same budget on their
     product as `enumerate_deterministic`."""
-    _check_budget(scenario, budget)
+    _check_budget(scenario)
     return assignments(scenario.outcomes_a), assignments(scenario.outcomes_b)
 
 
@@ -375,11 +386,11 @@ def bell_algebraic_max(functional: BellFunctional) -> float:
     return total
 
 
-def bell_det_max(functional: BellFunctional, budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
+def bell_det_max(functional: BellFunctional) -> float:
     """Best value over deterministic strategies (the local/classical maximum).
     Each strategy's value sums its cells with x outer and y inner."""
     sc = functional.scenario
-    alice, bob = _strategy_arrays(sc, budget)
+    alice, bob = _strategy_arrays(sc)
     values = np.zeros((len(alice), len(bob)))
     for x in range(sc.inputs_a):
         for y in range(sc.inputs_b):

@@ -7,8 +7,8 @@ campaigns plus the extremal-family grid, `box` analyzes a box JSON file, and
 or CSV with fixed columns, byte-identical for identical (command, config,
 seed). Exit codes: 0 when every checked row passes, 1 when some checked row
 fails, 2 on usage or input errors, 3 on an internal failure (a RuntimeError,
-a numpy LinAlgError or an infeasible or unbounded LP, such as an exhausted
-simplex budget or a failed certificate), reported on stderr as
+a numpy LinAlgError or an unbounded LP, such as an exhausted simplex budget
+or a failed certificate), reported on stderr as
 `internal error: ...` with no report.
 """
 
@@ -35,7 +35,7 @@ from .boxes import (
     quantum_box,
     tsirelson_realization,
 )
-from .decomp import InfeasibleError, UnboundedError, bell_bound_from_fod, cf_exact, fod_exact
+from .decomp import UnboundedError, bell_bound_from_fod, cf_exact, fod_exact
 from .rti import extremal_grid, rti_campaign
 
 SEED_ENV_VAR = "NONLOCAL_SEED"
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except (RuntimeError, np.linalg.LinAlgError, InfeasibleError, UnboundedError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError, UnboundedError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:

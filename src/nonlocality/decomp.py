@@ -21,22 +21,18 @@ LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 
 
-class InfeasibleError(Exception):
-    """The linear program has no feasible point."""
-
-
 class UnboundedError(Exception):
     """The objective is unbounded above on the feasible region."""
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize c @ x subject to a[i] @ x (sense_i) b[i], x >= 0."""
+    """maximize c @ x subject to a @ x <= b, x >= 0, with b >= 0: the slack
+    basis x = 0 is feasible."""
 
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    senses: tuple
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -45,14 +41,13 @@ class LinearProgram:
         if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValueError("bad shapes for LP data")
         m, n = a.shape
-        if len(c) != n or len(b) != m or len(self.senses) != m:
+        if len(c) != n or len(b) != m:
             raise ValueError("LP dimensions disagree")
-        if any(s not in ("<=", ">=", "=") for s in self.senses):
-            raise ValueError(f"senses must be <=, >= or =, got {self.senses}")
+        if not (b >= 0.0).all():
+            raise ValueError(f"right-hand side must be nonnegative, got minimum {float(b.min())!r}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "senses", tuple(self.senses))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,109 +57,51 @@ class SimplexResult:
     iterations: int
 
 
-def _pivot(t, rhs, basis, row: int, col: int) -> None:
-    """Make column `col` basic in row `row` by Gauss-Jordan elimination."""
-    piv = t[row, col]
-    t[row] /= piv
-    rhs[row] /= piv
-    for i in np.flatnonzero(t[:, col]).tolist():
-        if i != row:
-            f = t[i, col]
-            t[i] -= f * t[row]
-            rhs[i] -= f * rhs[row]
-    basis[row] = col
+def simplex_solve(lp: LinearProgram) -> SimplexResult:
+    """Primal simplex with Bland's rule on the tableau [a | I], started from
+    the slack basis.
 
-
-def _pivot_loop(t, rhs, basis, obj, tol, budget, iterations):
+    Raises UnboundedError when an improving column has no blocking row and
+    RuntimeError when the iteration budget 10 * (rows + columns), slack
+    columns included, is exhausted. The loop stops only when every reduced
+    cost is at most LP_TOL: that test is the optimality certificate.
+    """
+    m, n = lp.a.shape
+    t = np.hstack([lp.a, np.eye(m)])
+    rhs = lp.b.copy()
+    basis = np.arange(n, n + m)
+    obj = np.concatenate([lp.c, np.zeros(m)])
+    budget = 10 * (2 * m + n)
+    iterations = 0
     while True:
-        improving = obj - obj[basis] @ t > tol
+        improving = obj - obj[basis] @ t > LP_TOL
         if not improving.any():
-            return iterations
+            break
         entering = int(np.argmax(improving))
         col = t[:, entering]
-        rows = np.flatnonzero(col > tol)
+        rows = np.flatnonzero(col > LP_TOL)
         if not rows.size:
             raise UnboundedError("improving direction has no blocking constraint")
         ratios = rhs[rows] / col[rows]
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
         tied = rows[ratios <= ratios.min() + 1e-12]
-        _pivot(t, rhs, basis, int(tied[np.argmin(basis[tied])]), entering)
+        row = int(tied[np.argmin(basis[tied])])
+        # Gauss-Jordan elimination makes `entering` basic in `row`
+        piv = t[row, entering]
+        t[row] /= piv
+        rhs[row] /= piv
+        for i in np.flatnonzero(t[:, entering]).tolist():
+            if i != row:
+                f = t[i, entering]
+                t[i] -= f * t[row]
+                rhs[i] -= f * rhs[row]
+        basis[row] = entering
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
-
-
-def simplex_solve(lp: LinearProgram, tol: float = LP_TOL) -> SimplexResult:
-    """Two-phase primal simplex with Bland's rule.
-
-    Raises InfeasibleError / UnboundedError accordingly and RuntimeError when
-    the iteration budget 10 * (rows + columns) is exhausted. Optimality of the
-    returned point is certified by nonnegative reduced costs within `tol`.
-    """
-    a = np.array(lp.a, dtype=float)
-    rhs = np.array(lp.b, dtype=float)
-    senses = list(lp.senses)
-    m, n = a.shape
-    for i in range(m):
-        if rhs[i] < 0:
-            a[i] *= -1.0
-            rhs[i] *= -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    cols = [a]
-    next_col = n
-    slack_of = {}
-    for i, s in enumerate(senses):
-        if s in ("<=", ">="):
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0 if s == "<=" else -1.0
-            cols.append(col)
-            if s == "<=":
-                slack_of[i] = next_col
-            next_col += 1
-    first_artificial = next_col
-    artificial_of = {}
-    for i, s in enumerate(senses):
-        if s != "<=":
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0
-            cols.append(col)
-            artificial_of[i] = next_col
-            next_col += 1
-    t = np.hstack(cols)
-    total = next_col
-    basis = np.array(
-        [slack_of[i] if senses[i] == "<=" else artificial_of[i] for i in range(m)], dtype=int
-    )
-    budget = 10 * (m + total)
-    iterations = 0
-
-    if artificial_of:
-        phase1 = np.zeros(total)
-        phase1[first_artificial:] = -1.0
-        iterations = _pivot_loop(t, rhs, basis, phase1, tol, budget, iterations)
-        if float(phase1[basis] @ rhs) < -tol:
-            raise InfeasibleError(f"artificial residual {-float(phase1[basis] @ rhs):.3e}")
-        keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(basis >= first_artificial):
-            nonzero = np.flatnonzero(np.abs(t[i, :first_artificial]) > tol)
-            if nonzero.size:
-                _pivot(t, rhs, basis, i, int(nonzero[0]))
-            else:
-                keep[i] = False
-        t, rhs, basis = t[keep], rhs[keep], basis[keep]
-        t = t[:, :first_artificial]
-        total = first_artificial
-
-    obj = np.zeros(total)
-    obj[:n] = np.asarray(lp.c, dtype=float)
-    iterations = _pivot_loop(t, rhs, basis, obj, tol, budget, iterations)
-    reduced = obj - obj[basis] @ t
-    if float(reduced.max(initial=0.0)) > tol:
-        raise RuntimeError("optimality certificate failed: positive reduced cost")
-    x = np.zeros(total)
+    x = np.zeros(n + m)
     x[basis] = rhs
-    x = np.where(np.abs(x) < tol, 0.0, x)
+    x = np.where(np.abs(x) < LP_TOL, 0.0, x)
     return SimplexResult(value=float(obj[:n] @ x[:n]), x=x[:n], iterations=iterations)
 
 
@@ -176,7 +113,7 @@ def _require_ns(box: Box, what: str):
         )
 
 
-def fod_exact(box: Box, budget: int = 10**6):
+def fod_exact(box: Box):
     """Largest single-deterministic weight: max over strategies of the minimum
     matched cell. Ties keep the lexicographically first strategy.
 
@@ -185,7 +122,7 @@ def fod_exact(box: Box, budget: int = 10**6):
     g[alpha, y, b] = min_x p[x, y, alpha_x, b]."""
     _require_ns(box, "fraction of determinism")
     sc = box.scenario
-    alice, _ = _strategy_arrays(sc, budget)
+    alice, _ = _strategy_arrays(sc)
     g = box.p[np.arange(sc.inputs_a), :, alice, :].min(axis=1)
     g[:, np.arange(g.shape[2]) >= np.array(sc.outcomes_b)[:, None]] = -np.inf
     values = g.max(axis=2).min(axis=1)
@@ -223,12 +160,12 @@ class Decomposition:
         }
 
 
-def cf_exact(box: Box, budget: int = 10**6):
+def cf_exact(box: Box):
     """Classical fraction by LP: maximize sum c_i with sum_i c_i D_i <= P
     entrywise, c >= 0, sum c_i <= 1. Returns (value, Decomposition)."""
     _require_ns(box, "classical fraction")
     sc = box.scenario
-    alice, bob = _strategy_arrays(sc, budget)
+    alice, bob = _strategy_arrays(sc)
     n = len(alice) * len(bob)
     # one row per cell (x, y, a, b) with a, b inside the outcome counts,
     # one column per strategy in enumeration order, then the row sum c <= 1
@@ -242,12 +179,10 @@ def cf_exact(box: Box, budget: int = 10**6):
     cells = np.concatenate(
         [box.block(x, y).ravel() for x in range(sc.inputs_a) for y in range(sc.inputs_b)]
     )
-    a = np.vstack(rows)
     lp = LinearProgram(
         c=np.ones(n),
-        a=a,
+        a=np.vstack(rows),
         b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),
-        senses=("<=",) * len(a),
     )
     result = simplex_solve(lp)
     coeffs = np.clip(result.x, 0.0, None)

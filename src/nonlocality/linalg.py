@@ -10,8 +10,6 @@ reduced in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
@@ -45,34 +43,16 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """`hermitian_part` of a matrix or (..., d, d) stack, rejected when its
-    `hermiticity_defect` exceeds `tol` or is NaN."""
+    `hermiticity_defect` exceeds HERMITIAN_TOL or is NaN."""
     m = as_complex_stack(a)
     # One adjoint serves both the check and the symmetrization.
     adjoint = m.conj().swapaxes(-1, -2)
     defect = float(np.abs(m - adjoint).max())
-    if not defect <= tol:
+    if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
     return (m + adjoint) / 2
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianEigen:
-    """Eigenvalues in ascending order and matching orthonormal eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(a, tol: float = HERMITIAN_TOL) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Raises ValueError when the input is not Hermitian within `tol`.
-    """
-    m = require_hermitian(as_complex_matrix(a), tol)
-    w, v = np.linalg.eigh(m)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
 def trace_norm(a):
@@ -82,19 +62,18 @@ def trace_norm(a):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def psd_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is
-    rejected. The result B satisfies max|B @ B - A| <= SQRT_RESIDUAL_TOL.
+    Raises ValueError when the input is not Hermitian. Eigenvalues in
+    [-PSD_TOL, 0) are clamped to zero; anything below -PSD_TOL is rejected.
+    The result B satisfies max|B @ B - A| <= SQRT_RESIDUAL_TOL.
     """
-    dec = eig_hermitian(a)
-    lo = float(dec.eigenvalues.min())
-    if not lo >= -tol:
+    w, v = np.linalg.eigh(require_hermitian(as_complex_matrix(a)))
+    lo = float(w.min())
+    if not lo >= -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue = {lo:.3e}")
-    w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    v = dec.eigenvectors
-    root = (v * w) @ v.conj().T
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (root + root.conj().T) / 2
 
 

@@ -269,6 +269,7 @@ def test_c8_floor_pipeline_campaigns():
     assert worst_truncation >= -1e-8
 
     floors = []
+    worst_cross = math.inf
     for trial in range(1_000):
         rng = np.random.default_rng((MASTER_SEED, 8, 4, trial))
         rho = sample_density(4, int(rng.integers(1, 5)), rng)
@@ -279,6 +280,10 @@ def test_c8_floor_pipeline_campaigns():
         assert not trace.vacuous
         assert trace.passed, [r.to_dict() for r in trace.inequalities if not r.holds]
         assert trace.c >= trace.theorem_form - 1e-15
+        # cross-strand: the floor lower-bounds the box's true fraction of determinism
+        fod, _ = fod_exact(quantum_box(rho, alice, [bob_1, bob_2]))
+        assert fod >= trace.c - 1e-8, (trial, fod, trace.c)
+        worst_cross = min(worst_cross, fod - trace.c)
         floors.append(trace.c)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
@@ -287,7 +292,7 @@ def test_c8_floor_pipeline_campaigns():
         f"{worst_confusing:.2e}), 10000 steered close pairs ({worst_pair:.2e}), "
         f"10000 truncations ({worst_truncation:.2e}), 1000 full pipelines with "
         f"c in [{min(floors):.2e}, {max(floors):.2e}] above the universal floor "
-        f"({elapsed:.1f}s)"
+        f"and below fod_exact of their box (min margin {worst_cross:.2e}) ({elapsed:.1f}s)"
     )
 
 

@@ -171,7 +171,7 @@ def test_enumeration_order_and_budget():
     assert strategies[1] == DeterministicStrategy((0, 0), (0, 1))
     assert strategies[4] == DeterministicStrategy((0, 1), (0, 0))
     with pytest.raises(ValueError, match="budget"):
-        enumerate_deterministic(chsh_scenario(), budget=8)
+        enumerate_deterministic(Scenario((2,) * 10, (2,) * 10))  # 2^20 > 10^6
 
 
 def test_deterministic_box_range_check():
@@ -211,8 +211,9 @@ def test_chsh_functional_maxima():
     assert f.deterministic_max == pytest.approx(2.0)
     assert bell_algebraic_max(f) == pytest.approx(4.0)
     assert bell_det_max(f) == pytest.approx(2.0)
+    sc = Scenario((2,) * 10, (2,) * 10)  # 2^20 strategies > 10^6
     with pytest.raises(ValueError, match="budget"):
-        bell_det_max(f, budget=8)
+        bell_det_max(BellFunctional(sc, np.zeros(sc.shape)))
 
 
 def test_bell_value_oracles():

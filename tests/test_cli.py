@@ -16,14 +16,17 @@ from nonlocality import cli
 
 from nonlocality.boxes import (
     Box,
+    DeterministicStrategy,
     chsh_functional,
     chsh_scenario,
+    deterministic_box,
+    maximally_mixed_box,
     pr_box,
     quantum_box,
     tsirelson_realization,
 )
 from nonlocality.cli import main
-from nonlocality.decomp import InfeasibleError
+from nonlocality.decomp import UnboundedError
 
 THEOREM_222 = 0.0035437670488272285
 GOLDEN = Path(__file__).parent / "golden"
@@ -241,7 +244,7 @@ def test_verify_rti_memory_does_not_grow_with_trials(tmp_path):
     [
         RuntimeError("simplex iteration budget 10 exhausted"),
         np.linalg.LinAlgError("no convergence"),
-        InfeasibleError("phase 1 optimum is positive"),
+        UnboundedError("improving direction has no blocking constraint"),
     ],
 )
 def test_internal_failure_exits_3(monkeypatch, capsys, error):
@@ -320,6 +323,31 @@ def test_box_non_finite_inputs_exit_2(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("table", ["p", "s"])
+@pytest.mark.parametrize("convert", [bool, str])
+def test_box_non_number_cells_exit_2(tmp_path, capsys, table, convert):
+    # read as numbers, both files pass every check and the run exits 0
+    box = deterministic_box(DeterministicStrategy((0, 1), (1, 0)), chsh_scenario()).to_dict()
+    functional = chsh_functional().to_dict()
+    target = box if table == "p" else functional
+    target[table] = [
+        [[[convert(v) for v in row] for row in block] for block in blocks] for blocks in target[table]
+    ]
+    box_path = _write(tmp_path, "box.json", box)
+    fn_path = _write(tmp_path, "fn.json", functional)
+    assert main(["box", box_path, "--ops", "ns,fod,cf,bell", "--functional", fn_path]) == 2
+    captured = capsys.readouterr()
+    assert "block at input pair (0, 0) is not a 2 x 2 table of numbers" in captured.err
+    assert captured.out == ""
+
+
+def test_box_short_block_does_not_broadcast(tmp_path, capsys):
+    box = maximally_mixed_box(chsh_scenario()).to_dict()
+    box["p"][0][1] = [[0.25, 0.25]]  # would broadcast over both rows
+    assert main(["box", _write(tmp_path, "short.json", box), "--ops", "ns,fod,cf"]) == 2
+    assert "at input pair (0, 1) is not a 2 x 2 table of numbers" in capsys.readouterr().err
 
 
 def test_box_non_integer_outcome_counts_exit_2(tmp_path, capsys):

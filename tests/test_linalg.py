@@ -1,4 +1,4 @@
-"""Hermitian matrix helpers: eigendecomposition, trace norm, PSD square root,
+"""Hermitian matrix helpers: Hermitian checks, trace norm, PSD square root,
 tensor products and partial traces."""
 
 import numpy as np
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nonlocality.linalg import (
     SQRT_RESIDUAL_TOL,
     as_complex_matrix,
-    eig_hermitian,
     hermiticity_defect,
     max_commutator_entry,
     partial_trace,
@@ -60,28 +59,6 @@ def test_require_hermitian_rejects():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _reconstruct(dec):
-    v = dec.eigenvectors
-    return (v * dec.eigenvalues) @ v.conj().T
-
-
-def test_eig_hermitian_ascending_and_reconstructs():
-    a = random_hermitian(5, 11)
-    dec = eig_hermitian(a)
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-    assert np.abs(_reconstruct(dec) - a).max() < 1e-10
-    # eigenvectors orthonormal
-    v = dec.eigenvectors
-    assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-10
-
-
-@given(st.integers(0, 10_000), st.integers(1, 6))
-def test_eig_hermitian_property(seed, dim):
-    a = random_hermitian(dim, seed)
-    dec = eig_hermitian(a)
-    assert np.abs(_reconstruct(dec) - a).max() < 1e-10
-
-
 def test_trace_norm_oracles():
     assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
     assert trace_norm(PAULI_X) == pytest.approx(2.0)
@@ -127,6 +104,10 @@ def test_psd_sqrt_clamps_but_rejects_negative():
     assert np.abs(ok @ ok - np.diag([1.0, 0.0])).max() < 1e-10
     with pytest.raises(ValueError, match="not PSD"):
         psd_sqrt(np.diag([1.0, -1e-6]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        psd_sqrt(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        psd_sqrt(np.stack([np.eye(2)] * 2))
 
 
 @given(

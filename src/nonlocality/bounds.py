@@ -268,15 +268,11 @@ def fod_floor_pipeline(
     cross pair, finds Alice's confusing outcome for every input, and certifies
     that two cells of the realized box (one per Bob input, sharing Bob's
     outputs with the close pair) sit above c = epsilon / (2 k l mu), which in
-    turn dominates the universal theorem floor. If truncation leaves nothing
-    (unreachable for honest ensembles, guarded anyway), the trace is marked
-    vacuous and c falls back to the theorem floor.
+    turn dominates the universal theorem floor. `vacuous` is always False:
+    truncation never empties an ensemble. `quantum_box` rejects an empty
+    Alice list and Bob measurements of unequal dimension.
     """
     alice = list(alice_povms)
-    if not alice:
-        raise ValueError("need at least one Alice measurement")
-    if bob_povm_1.dim != bob_povm_2.dim:
-        raise ValueError("Bob's measurements must share a dimension")
     if mu is None:
         mu = optimize_mu().mu
     elif not math.isfinite(mu):
@@ -294,21 +290,9 @@ def fod_floor_pipeline(
     bound = universal_fod_bound(k, l1, l2)
     average_distance = _average_distance(ens1, ens2)
 
-    try:
-        t1, delta1 = truncate_ensemble(ens1, threshold)
-        t2, delta2 = truncate_ensemble(ens2, threshold)
-    except ValueError:
-        return PipelineTrace(
-            mu=mu, k=k, l1=l1, l2=l2, l=l, threshold=threshold,
-            delta1=math.nan, delta2=math.nan, truncated_sizes=(0, 0),
-            average_distance=average_distance,
-            truncated_average_distance=math.nan, x_bound=2.0 / (mu - 1.0),
-            epsilon=math.nan, epsilon_measured=math.nan, pair_labels=(),
-            pair_distance=math.nan, confusing=(), box_entries=(),
-            c=bound.theorem_form, theorem_form=bound.theorem_form,
-            proof_form=bound.proof_form, vacuous=True, inequalities=(),
-        )
-
+    # each ensemble's heaviest member weighs at least 1/l > 1/(l mu) = threshold
+    t1, delta1 = truncate_ensemble(ens1, threshold)
+    t2, delta2 = truncate_ensemble(ens2, threshold)
     x_bound = 2.0 / (mu - 1.0)
     epsilon = epsilon_from_average_distance(x_bound, len(t1), len(t2))
     pair = close_pair(t1, t2)

@@ -100,18 +100,26 @@ class _Table:
         bad = np.argwhere(~np.isfinite(t))
         if bad.size:
             raise ValueError(f"non-finite table entry at (x, y, a, b) = {tuple(bad[0].tolist())}")
-        for x, ka in enumerate(sc.outcomes_a):
-            for y, kb in enumerate(sc.outcomes_b):
-                pad = np.abs(t[x, y, ka:, :]).max(initial=0.0) + np.abs(t[x, y, :, kb:]).max(initial=0.0)
-                if pad > 0.0:
-                    raise ValueError(f"structural-zero cells are nonzero at input pair ({x}, {y})")
-                if self._NORMALIZED:
-                    block = t[x, y, :ka, :kb]
-                    if float(block.min()) < -ENTRY_TOL or float(block.max()) > 1.0 + ENTRY_TOL:
-                        raise ValueError(f"probabilities out of range at input pair ({x}, {y})")
-                    total = float(block.sum())
-                    if abs(total - 1.0) > NORMALIZATION_TOL:
-                        raise ValueError(f"block ({x}, {y}) sums to {total!r}, expected 1")
+        ka, kb = np.array(sc.outcomes_a), np.array(sc.outcomes_b)
+        a_in = np.arange(sc.shape[2]) < ka[:, None]  # (nA, max_a)
+        b_in = np.arange(sc.shape[3]) < kb[:, None]  # (nB, max_b)
+        inside = a_in[:, None, :, None] & b_in[None, :, None, :]
+        pad = (np.where(inside, 0.0, t) != 0.0).any(axis=(2, 3))
+        fault = pad  # a functional's cells may take any finite value
+        if self._NORMALIZED:
+            # a block with zero padding has no padding cell out of range
+            out_of_range = ((t < -ENTRY_TOL) | (t > 1.0 + ENTRY_TOL)).any(axis=(2, 3))
+            totals = np.where(inside & ~out_of_range[:, :, None, None], t, 0.0).sum(axis=(2, 3))
+            # half the tolerance: this summation order is not the block's own
+            fault = pad | out_of_range | (np.abs(totals - 1.0) > NORMALIZATION_TOL / 2)
+        for x, y in np.argwhere(fault).tolist():
+            if pad[x, y]:
+                raise ValueError(f"structural-zero cells are nonzero at input pair ({x}, {y})")
+            if out_of_range[x, y]:
+                raise ValueError(f"probabilities out of range at input pair ({x}, {y})")
+            total = float(t[x, y, : ka[x], : kb[y]].sum())
+            if abs(total - 1.0) > NORMALIZATION_TOL:
+                raise ValueError(f"block ({x}, {y}) sums to {total!r}, expected 1")
         t.setflags(write=False)
         object.__setattr__(self, self._FIELD, t)
 
@@ -153,7 +161,12 @@ class _Table:
                     raise ValueError(
                         f"{kind} block at input pair ({x}, {y}) is not a {ka} x {kb} table of numbers"
                     )
-                t[x, y, :ka, :kb] = block
+                try:
+                    t[x, y, :ka, :kb] = block
+                except OverflowError:
+                    raise ValueError(
+                        f"{kind} block at input pair ({x}, {y}) has an integer too large for a float"
+                    ) from None
         return cls(sc, t)
 
 
@@ -182,22 +195,22 @@ class NsReport(Record):
 
 
 def validate_ns(box: Box) -> NsReport:
-    """Check that each party's marginal ignores the other party's input."""
+    """Check that each party's marginal ignores the other party's input: one
+    scan over the table for Alice and over its party-swapped transpose for Bob."""
     sc = box.scenario
     worst = 0.0
     where = "none"
-    for x in range(sc.inputs_a):
-        marg = [box.block(x, y).sum(axis=1) for y in range(sc.inputs_b)]
-        for y1, y2 in itertools.combinations(range(sc.inputs_b), 2):
-            dev = float(np.abs(marg[y1] - marg[y2]).max())
-            if dev > worst:
-                worst, where = dev, f"alice marginal at x={x} between y={y1} and y={y2}"
-    for y in range(sc.inputs_b):
-        marg = [box.block(x, y).sum(axis=0) for x in range(sc.inputs_a)]
-        for x1, x2 in itertools.combinations(range(sc.inputs_a), 2):
-            dev = float(np.abs(marg[x1] - marg[x2]).max())
-            if dev > worst:
-                worst, where = dev, f"bob marginal at y={y} between x={x1} and x={x2}"
+    sides = (
+        ("alice", "x", "y", box.p, sc.outcomes_a, sc.outcomes_b),
+        ("bob", "y", "x", box.p.transpose(1, 0, 3, 2), sc.outcomes_b, sc.outcomes_a),
+    )
+    for party, own, other, table, own_counts, other_counts in sides:
+        for i, ki in enumerate(own_counts):
+            marg = [table[i, j, :ki, :kj].sum(axis=1) for j, kj in enumerate(other_counts)]
+            for j1, j2 in itertools.combinations(range(len(other_counts)), 2):
+                dev = float(np.abs(marg[j1] - marg[j2]).max())
+                if dev > worst:
+                    worst, where = dev, f"{party} marginal at {own}={i} between {other}={j1} and {other}={j2}"
     return NsReport(passed=bool(worst <= NS_TOL), max_violation=worst, location=where)
 
 
@@ -275,17 +288,11 @@ def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Bo
     return Box(scenario, t)
 
 
-def local_box(scenario: Scenario, weights, strategies=None) -> Box:
-    """Convex mixture of deterministic boxes.
-
-    `strategies` defaults to the full enumeration order; `weights` must be a
-    probability vector over them.
-    """
-    if strategies is None:
-        alice, bob = _strategy_arrays(scenario)
-        alice, bob = np.repeat(alice, len(bob), axis=0), np.tile(bob, (len(alice), 1))
-    else:
-        alice, bob = _strategy_rows(strategies, scenario)
+def local_box(scenario: Scenario, weights) -> Box:
+    """Convex mixture of deterministic boxes: `weights` is a probability
+    vector over the strategies in enumeration order."""
+    alice, bob = _strategy_arrays(scenario)
+    alice, bob = np.repeat(alice, len(bob), axis=0), np.tile(bob, (len(alice), 1))
     w = np.asarray(weights, dtype=float)
     if len(w) != len(alice):
         raise ValueError("weights and strategies disagree in length")
@@ -301,15 +308,9 @@ def local_box(scenario: Scenario, weights, strategies=None) -> Box:
     return Box(scenario, t)
 
 
-def _require_binary_two_input(scenario: Scenario, what: str):
-    if scenario.outcomes_a != (2, 2) or scenario.outcomes_b != (2, 2):
-        raise ValueError(f"{what} needs two binary inputs per side, got {scenario}")
-
-
-def pr_box(scenario: Scenario | None = None) -> Box:
-    """Nonlocal extremal box: p = 1/2 when a xor b = x and y, else 0."""
-    sc = scenario if scenario is not None else chsh_scenario()
-    _require_binary_two_input(sc, "the PR box")
+def pr_box() -> Box:
+    """Nonlocal extremal box on the CHSH scenario: p = 1/2 when a xor b = x and y, else 0."""
+    sc = chsh_scenario()
     t = np.zeros(sc.shape)
     for x, y, a, b in itertools.product(range(2), repeat=4):
         if (a ^ b) == x * y:

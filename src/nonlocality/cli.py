@@ -240,20 +240,14 @@ def cmd_verify_rti(args) -> int:
     return _emit(_assemble("verify-rti", config, rows), args.out, args.format)
 
 
-def _parse_ops(tokens: list, functional_path: str | None):
-    ops = []
-    for token in tokens:
-        name, _, value = token.partition("=")
-        if name == "bell" and value:
-            functional_path = value
-        elif value:
-            raise ValueError(f"unknown option {token!r} in --ops")
+def _parse_ops(text: str, functional_path: str | None) -> list:
+    ops = text.split(",")
+    for name in ops:
         if name not in ("ns", "fod", "cf", "bell"):
             raise ValueError(f"unknown box operation {name!r}")
-        ops.append(name)
     if "bell" in ops and functional_path is None:
-        raise ValueError("bell needs a functional: --ops bell=PATH or --functional PATH")
-    return ops, functional_path
+        raise ValueError("bell needs a functional: --functional PATH")
+    return ops
 
 
 def _load_json(path: str) -> dict:
@@ -262,7 +256,7 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_box(args) -> int:
-    ops, functional_path = _parse_ops(args.ops.split(","), args.functional)
+    ops = _parse_ops(args.ops, args.functional)
     box = Box.from_dict(_load_json(args.path))
     rows = []
     details = {}
@@ -293,7 +287,7 @@ def cmd_box(args) -> int:
             rows.append(report_row("cf", value, provenance="derived"))
             details["cf_decomposition"] = decomposition.to_dict()
         elif op == "bell":
-            functional = BellFunctional.from_dict(_load_json(functional_path))
+            functional = BellFunctional.from_dict(_load_json(args.functional))
             rows.append(
                 report_row("bell_value", bell_value(functional, box), provenance="derived")
             )
@@ -390,11 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("box", help="analyze a box JSON file")
     p.add_argument("path", help="box JSON file")
-    p.add_argument(
-        "--ops",
-        default="ns",
-        help="comma list from ns,fod,cf,bell (bell=PATH names its functional inline)",
-    )
+    p.add_argument("--ops", default="ns", help="comma list from ns,fod,cf,bell")
     p.add_argument("--functional", default=None, help="Bell functional JSON file for the bell op")
     _add_common(p)
     p.set_defaults(func=cmd_box)

@@ -27,8 +27,8 @@ class UnboundedError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize c @ x subject to a @ x <= b, x >= 0, with b >= 0: the slack
-    basis x = 0 is feasible."""
+    """maximize c @ x subject to a @ x <= b, x >= 0, with finite data and
+    b >= 0: the slack basis x = 0 is feasible."""
 
     c: np.ndarray
     a: np.ndarray
@@ -45,6 +45,8 @@ class LinearProgram:
             raise ValueError("LP dimensions disagree")
         if not (b >= 0.0).all():
             raise ValueError(f"right-hand side must be nonnegative, got minimum {float(b.min())!r}")
+        if not all(np.isfinite(v).all() for v in (c, a, b)):
+            raise ValueError("LP data must be finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -154,7 +156,6 @@ class Decomposition:
             "terms": [
                 {"alice": list(s.alice), "bob": list(s.bob), "weight": float(w)}
                 for s, w in zip(self.strategies, self.coefficients)
-                if float(w) > 0.0
             ],
             "residual": None if self.residual is None else self.residual.to_dict(),
         }

@@ -3,9 +3,9 @@
 All matrices are dense complex numpy arrays. Inputs that are supposed to be
 Hermitian are rejected when max|A - A^dag| exceeds HERMITIAN_TOL, with the
 deviation reported in the error message; a NaN entry fails that check too.
-`hermiticity_defect`, `hermitian_part`, `require_hermitian`, `trace_norm`,
-`tensor` and `partial_trace` also take stacks of shape (..., d, d), checked and
-reduced in one pass.
+`hermitian_part`, `require_hermitian`, `trace_norm`, `tensor` and
+`partial_trace` also take stacks of shape (..., d, d), checked and reduced in
+one pass.
 """
 
 from __future__ import annotations
@@ -33,19 +33,14 @@ def as_complex_stack(a) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-entry distance from A to its adjoint, over a whole stack."""
-    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^dag) / 2, matrix by matrix."""
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def require_hermitian(a) -> np.ndarray:
-    """`hermitian_part` of a matrix or (..., d, d) stack, rejected when its
-    `hermiticity_defect` exceeds HERMITIAN_TOL or is NaN."""
+    """`hermitian_part` of a matrix or (..., d, d) stack, rejected when
+    max|A - A^dag| over the stack exceeds HERMITIAN_TOL or is NaN."""
     m = as_complex_stack(a)
     # One adjoint serves both the check and the symmetrization.
     adjoint = m.conj().swapaxes(-1, -2)
@@ -92,23 +87,16 @@ def tensor(a, b) -> np.ndarray:
     return prod.reshape(lead + (m * p, m * p))
 
 
-def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator or
-    (..., d, d) stack of them.
-
-    keep="A" returns Tr_B(m); keep="B" returns Tr_A(m).
-    """
+def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
+    """Tr_B of a (dim_a*dim_b)-dimensional operator on A (x) B, or of a
+    (..., d, d) stack of them."""
     mat = as_complex_stack(m)
     if mat.shape[-1] != dim_a * dim_b:
         raise ValueError(
             f"dimension mismatch: matrix is {mat.shape[-1]}-dim, factors give {dim_a * dim_b}"
         )
     t = mat.reshape(mat.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
-    if keep == "A":
-        return np.einsum("...ijkj->...ik", t)
-    if keep == "B":
-        return np.einsum("...ijil->...jl", t)
-    raise ValueError(f'keep must be "A" or "B", got {keep!r}')
+    return np.einsum("...ijkj->...ik", t)
 
 
 def max_commutator_entry(a: np.ndarray, b: np.ndarray) -> float:

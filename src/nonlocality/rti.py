@@ -277,10 +277,6 @@ class ClassicalSharpExample:
     components: np.ndarray
     weights: np.ndarray
 
-    @property
-    def l(self) -> int:
-        return len(self.components)
-
     def mixture(self) -> np.ndarray:
         return self.weights @ self.components
 

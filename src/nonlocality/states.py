@@ -240,7 +240,7 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
             f"dimension mismatch: state is {rho_ab.dim}-dim, POVM side is {dim_b}-dim"
         )
     lifted = tensor(np.eye(dim_a, dtype=complex), np.stack(povm_b.elements))
-    reduced = partial_trace(lifted @ rho_ab.mat, dim_a, dim_b, keep="A")
+    reduced = partial_trace(lifted @ rho_ab.mat, dim_a, dim_b)
     weights = np.real(reduced.trace(axis1=-2, axis2=-1))
     kept = np.flatnonzero(~(weights < STEER_DROP_TOL))
     if not kept.size:

@@ -169,7 +169,7 @@ def test_c6_decomposition_oracles():
     w /= w.sum()
     local_cf, _ = cf_exact(local_box(sc, w))
     assert local_cf >= 1.0 - 1e-7
-    mixture = Box(sc, 0.7 * local_box(sc, w).p + 0.3 * pr_box(sc).p)
+    mixture = Box(sc, 0.7 * local_box(sc, w).p + 0.3 * pr_box().p)
     mixture_cf, _ = cf_exact(mixture)
     assert mixture_cf >= 0.7 - 1e-7
 
@@ -184,7 +184,7 @@ def test_c6_decomposition_oracles():
         w = rng.random(16)
         w /= w.sum()
         t = float(rng.uniform(0.0, 1.0))
-        box = Box(sc, t * pr_box(sc).p + (1.0 - t) * local_box(sc, w).p)
+        box = Box(sc, t * pr_box().p + (1.0 - t) * local_box(sc, w).p)
         value, _ = cf_exact(box)
         rhs = [float(box.p[x, y, a, b]) for x, y, a, b in itertools.product(range(2), repeat=4)]
         ref = linprog(

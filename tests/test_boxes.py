@@ -1,6 +1,8 @@
 """Boxes, no-signalling checks, deterministic strategies, Bell functionals."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonlocality.boxes import (
+    ENTRY_TOL,
+    NORMALIZATION_TOL,
     BellFunctional,
     Box,
     DeterministicStrategy,
@@ -92,7 +96,7 @@ def test_chsh_scenario_strategy_count():
 
 def test_box_table_validation():
     sc = chsh_scenario()
-    good = pr_box(sc).p.copy()
+    good = pr_box().p.copy()
     bad = good.copy()
     bad[0, 0, 0, 0] = -0.1
     bad[0, 0, 1, 1] = 0.6  # keep the sum at 1 so the range check fires
@@ -201,8 +205,6 @@ def test_local_box_weight_validation():
 
 def test_pr_box_reaches_algebraic_chsh():
     assert bell_value(chsh_functional(), pr_box()) == pytest.approx(4.0)
-    with pytest.raises(ValueError, match="binary"):
-        pr_box(Scenario((2, 3), (2, 2)))
 
 
 def test_chsh_functional_maxima():
@@ -368,18 +370,103 @@ def test_local_box_matches_deterministic_box_loop(sc, seed, sparsity):
     w[rng.integers(len(w))] += 0.5
     w /= w.sum()
     assert np.array_equal(local_box(sc, w).p, _mixture_by_loop(sc, w, strategies))
-    picked = [strategies[i] for i in rng.permutation(len(strategies))[: rng.integers(1, 6)]]
-    v = rng.dirichlet(np.ones(len(picked)))
-    assert np.array_equal(local_box(sc, v, picked).p, _mixture_by_loop(sc, v, picked))
 
 
-def test_local_box_checks_given_strategies():
-    sc = chsh_scenario()
-    with pytest.raises(ValueError, match="bob output 2 out of range for input 1"):
-        local_box(
-            sc,
-            [0.5, 0.5],
-            [DeterministicStrategy((0, 0), (0, 0)), DeterministicStrategy((1, 1), (0, 2))],
-        )
-    with pytest.raises(ValueError, match="strategy length"):
-        local_box(sc, [1.0], [DeterministicStrategy((0, 0, 0), (0, 0))])
+def _first_table_fault(sc, t, normalized):
+    """Per-block oracle of the table check: the message for the first failing
+    input pair in x-major order, or None."""
+    for x, ka in enumerate(sc.outcomes_a):
+        for y, kb in enumerate(sc.outcomes_b):
+            pad = np.abs(t[x, y, ka:, :]).max(initial=0.0) + np.abs(t[x, y, :, kb:]).max(initial=0.0)
+            if pad > 0.0:
+                return f"structural-zero cells are nonzero at input pair ({x}, {y})"
+            if normalized:
+                block = t[x, y, :ka, :kb]
+                if float(block.min()) < -ENTRY_TOL or float(block.max()) > 1.0 + ENTRY_TOL:
+                    return f"probabilities out of range at input pair ({x}, {y})"
+                total = float(block.sum())
+                if abs(total - 1.0) > NORMALIZATION_TOL:
+                    return f"block ({x}, {y}) sums to {total!r}, expected 1"
+    return None
+
+
+def _corrupt(t, sc, x, y, kind, rng):
+    """Damage block (x, y) of a valid table in one of several ways, some of
+    them within tolerance."""
+    ka, kb = sc.outcomes_a[x], sc.outcomes_b[y]
+    a, b = rng.integers(ka), rng.integers(kb)
+    padding = np.argwhere((np.arange(t.shape[2])[:, None] >= ka) | (np.arange(t.shape[3]) >= kb))
+    if kind == "pad" and len(padding):
+        a, b = padding[rng.integers(len(padding))]
+        t[x, y, a, b] = rng.choice([1e-300, -0.25, 0.5])
+    elif kind == "low":
+        t[x, y, a, b] = -rng.choice([2e-12, 5e-13, 0.3])
+    elif kind == "high":
+        t[x, y, a, b] = 1.0 + rng.choice([2e-12, 5e-13, 0.3])
+    else:
+        # scale the block near the edge of the sum tolerance, either side
+        t[x, y, :ka, :kb] *= 1.0 + rng.choice([-1.0, 1.0]) * rng.choice([5e-10, 9.99e-10, 1.001e-9, 3e-9, 0.2])
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+)
+def test_table_check_reports_the_per_block_loops_first_fault(outcomes_a, outcomes_b, seed, faults):
+    sc = Scenario(outcomes_a, outcomes_b)
+    rng = np.random.default_rng(seed)
+    t = np.zeros(sc.shape)
+    for x, ka in enumerate(sc.outcomes_a):
+        for y, kb in enumerate(sc.outcomes_b):
+            block = rng.random((ka, kb)) ** 3
+            t[x, y, :ka, :kb] = block / block.sum()
+    pairs = list(itertools.product(range(sc.inputs_a), range(sc.inputs_b)))
+    for i in rng.choice(len(pairs), size=min(faults, len(pairs)), replace=False):
+        _corrupt(t, sc, *pairs[i], rng.choice(["pad", "low", "high", "sum"]), rng)
+    for cls, normalized in ((Box, True), (BellFunctional, False)):
+        expected = _first_table_fault(sc, t, normalized)
+        if expected is None:
+            assert np.array_equal(getattr(cls(sc, t), cls._FIELD), t)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                cls(sc, t)
+
+
+def _ns_by_party_loops(box):
+    """Two-loop oracle of `validate_ns`: Alice's marginals over y, then Bob's
+    over x, keeping the first largest deviation."""
+    sc = box.scenario
+    worst, where = 0.0, "none"
+    for x in range(sc.inputs_a):
+        marg = [box.block(x, y).sum(axis=1) for y in range(sc.inputs_b)]
+        for y1, y2 in itertools.combinations(range(sc.inputs_b), 2):
+            dev = float(np.abs(marg[y1] - marg[y2]).max())
+            if dev > worst:
+                worst, where = dev, f"alice marginal at x={x} between y={y1} and y={y2}"
+    for y in range(sc.inputs_b):
+        marg = [box.block(x, y).sum(axis=0) for x in range(sc.inputs_a)]
+        for x1, x2 in itertools.combinations(range(sc.inputs_a), 2):
+            dev = float(np.abs(marg[x1] - marg[x2]).max())
+            if dev > worst:
+                worst, where = dev, f"bob marginal at y={y} between x={x1} and x={x2}"
+    return worst, where
+
+
+@given(
+    st.lists(st.integers(1, 11), min_size=1, max_size=3).map(tuple),
+    st.lists(st.integers(1, 11), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_ns_matches_party_loops(outcomes_a, outcomes_b, seed):
+    sc = Scenario(outcomes_a, outcomes_b)
+    rng = np.random.default_rng(seed)
+    t = np.zeros(sc.shape)
+    for x, ka in enumerate(sc.outcomes_a):
+        for y, kb in enumerate(sc.outcomes_b):
+            block = rng.random((ka, kb)) ** rng.integers(1, 5)
+            t[x, y, :ka, :kb] = block / block.sum()
+    box = Box(sc, t)
+    report = validate_ns(box)
+    assert (report.max_violation, report.location) == _ns_by_party_loops(box)

@@ -1,15 +1,21 @@
 """End-to-end command-line checks: exit codes, report shape, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nonlocality
 from nonlocality import cli
@@ -288,10 +294,9 @@ def test_box_bell_op(tmp_path, capsys):
     assert by_name["bell_value"]["computed"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
     assert by_name["bell_algebraic_max"]["computed"] == pytest.approx(4.0)
     assert by_name["bell_deterministic_max"]["computed"] == pytest.approx(2.0)
-    # inline form carries the path inside --ops
-    rc2, report2 = run_json(capsys, ["box", box_path, "--ops", f"bell={fn_path}"])
-    assert rc2 == 0
-    assert report2["rows"][0]["computed"] == by_name["bell_value"]["computed"]
+    # --functional is the only way to name the functional
+    assert main(["box", box_path, "--ops", f"bell={fn_path}"]) == 2
+    assert "unknown box operation" in capsys.readouterr().err
 
 
 def test_box_bad_usage(tmp_path, capsys):
@@ -348,6 +353,14 @@ def test_box_short_block_does_not_broadcast(tmp_path, capsys):
     box["p"][0][1] = [[0.25, 0.25]]  # would broadcast over both rows
     assert main(["box", _write(tmp_path, "short.json", box), "--ops", "ns,fod,cf"]) == 2
     assert "at input pair (0, 1) is not a 2 x 2 table of numbers" in capsys.readouterr().err
+
+
+def test_box_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    # json reads 10**400 as an int, which numpy cannot store as a float
+    box = maximally_mixed_box(chsh_scenario()).to_dict()
+    box["p"][1][0][0][1] = 10**400
+    assert main(["box", _write(tmp_path, "huge.json", box), "--ops", "ns"]) == 2
+    assert "at input pair (1, 0) has an integer too large for a float" in capsys.readouterr().err
 
 
 def test_box_non_integer_outcome_counts_exit_2(tmp_path, capsys):
@@ -431,3 +444,113 @@ def test_same_seed_byte_identical(capsys):
     rc2, out2 = run(capsys, ["verify-rti", "--trials", "3", "--seed", "5"])
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(0.0, 1.0),
+    st.just(10**400),
+    st.floats(),  # NaN and infinities are written as the NaN / Infinity literals
+    st.text(max_size=3),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=6,
+)
+
+
+def _node_paths(tree, path=()):
+    yield path
+    children = enumerate(tree) if isinstance(tree, list) else tree.items() if isinstance(tree, dict) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, tree):
+    """`tree` after up to three edits: a node replaced by a JSON tree, or a
+    list shortened or lengthened (ragged)."""
+    tree = copy.deepcopy(tree)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_node_paths(tree))))
+        parent, key = None, None
+        node = tree
+        for step in path:
+            parent, key, node = node, step, node[step]
+        action = draw(st.sampled_from(["replace", "pop", "append"]))
+        if action == "pop" and isinstance(node, list) and node:
+            node.pop()
+        elif action == "append" and isinstance(node, list):
+            node.append(draw(json_trees))
+        elif parent is None:
+            tree = draw(json_trees)
+        else:
+            parent[key] = draw(json_trees)
+    return tree
+
+
+@st.composite
+def _table_trees(draw):
+    """A uniform box and a functional on one small scenario, each edited."""
+    outcomes_a = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    outcomes_b = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    scenario = {"nA": len(outcomes_a), "nB": len(outcomes_b), "outcomesA": outcomes_a, "outcomesB": outcomes_b}
+    blocks = [[[[1.0 / (ka * kb)] * kb for _ in range(ka)] for kb in outcomes_b] for ka in outcomes_a]
+    box = {"scenario": scenario, "p": blocks}
+    functional = {"scenario": scenario, "s": blocks}
+    return draw(_mutated(box)), draw(_mutated(functional))
+
+
+def _is_json_number(v) -> bool:
+    if type(v) is int:
+        return abs(v) <= sys.float_info.max
+    return type(v) is float and math.isfinite(v)
+
+
+def _parses_strictly(tree, field) -> bool:
+    """Whether the strict-number rule admits `tree` as a table: positive
+    integer outcome counts and, per input pair, a ka x kb list of lists of
+    JSON numbers (not bools or strings) that are finite as floats."""
+    try:
+        scenario, rows = tree["scenario"], tree[field]
+        counts = scenario["outcomesA"], scenario["outcomesB"]
+    except (TypeError, KeyError, IndexError):
+        return False
+    if not all(type(c) is list and c and all(type(k) is int and k >= 1 for k in c) for c in counts):
+        return False
+    if scenario.get("nA", len(counts[0])) != len(counts[0]) or scenario.get("nB", len(counts[1])) != len(counts[1]):
+        return False
+    for x, ka in enumerate(counts[0]):
+        for y, kb in enumerate(counts[1]):
+            try:
+                block = rows[x][y]
+            except (TypeError, KeyError, IndexError):
+                return False
+            if not (type(block) is list and len(block) == ka):
+                return False
+            if not all(type(row) is list and len(row) == kb and all(map(_is_json_number, row)) for row in block):
+                return False
+    return True
+
+
+@given(_table_trees(), st.sampled_from(["ns", "ns,fod,cf,bell"]))
+def test_box_fuzz_exits_cleanly_and_passes_only_strict_tables(trees, ops):
+    box_tree, functional_tree = trees
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, tree in (("box.json", box_tree), ("functional.json", functional_tree)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w") as fh:
+                json.dump(tree, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["box", paths[0], "--ops", ops, "--functional", paths[1]])
+    assert rc in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    read = [(box_tree, "p")] + [(functional_tree, "s")] * ("bell" in ops)
+    if not all(_parses_strictly(tree, field) for tree, field in read):
+        assert rc == 2
+        assert out.getvalue() == ""

@@ -38,6 +38,13 @@ def test_lp_validation():
     for bad in (-1e-300, -1.0, math.nan):
         with pytest.raises(ValueError, match="nonnegative"):
             LinearProgram(c=np.ones(2), a=np.eye(2), b=np.array([1.0, bad]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LinearProgram(c=np.array([bad, 1.0]), a=np.eye(2), b=np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            LinearProgram(c=np.ones(2), a=np.array([[1.0, bad], [0.0, 1.0]]), b=np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram(c=np.ones(2), a=np.eye(2), b=np.array([1.0, math.inf]))
 
 
 def test_simplex_box_constraints():
@@ -175,7 +182,7 @@ def test_cf_dominates_known_local_weight():
     w = rng.random(16)
     w /= w.sum()
     sc = chsh_scenario()
-    mixed = Box(sc, 0.7 * local_box(sc, w).p + 0.3 * pr_box(sc).p)
+    mixed = Box(sc, 0.7 * local_box(sc, w).p + 0.3 * pr_box().p)
     total, _ = cf_exact(mixed)
     assert total >= 0.7 - 1e-7
     assert total <= 1.0 + 1e-9
@@ -185,7 +192,7 @@ def test_cf_isotropic_closed_form():
     # t PR + (1-t) uniform has classical fraction min(1, 2 - 2t)
     sc = chsh_scenario()
     for t in (0.0, 0.3, 0.5, 0.6, 0.8, 1.0):
-        box = Box(sc, t * pr_box(sc).p + (1.0 - t) * maximally_mixed_box(sc).p)
+        box = Box(sc, t * pr_box().p + (1.0 - t) * maximally_mixed_box(sc).p)
         total, _ = cf_exact(box)
         assert total == pytest.approx(min(1.0, 2.0 - 2.0 * t), abs=1e-9)
 
@@ -260,7 +267,7 @@ def test_cf_random_ns_boxes_match_scipy():
         w = rng.random(16)
         w /= w.sum()
         t = float(rng.uniform(0.2, 0.9))
-        box = Box(sc, t * pr_box(sc).p + (1.0 - t) * local_box(sc, w).p)
+        box = Box(sc, t * pr_box().p + (1.0 - t) * local_box(sc, w).p)
         total, _ = cf_exact(box)
         rows = [
             [1.0 if (s.alice[x] == a and s.bob[y] == b) else 0.0 for s in strategies]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nonlocality.linalg import (
     SQRT_RESIDUAL_TOL,
     as_complex_matrix,
-    hermiticity_defect,
     max_commutator_entry,
     partial_trace,
     psd_sqrt,
@@ -20,6 +19,11 @@ from nonlocality.linalg import (
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def hermiticity_defect(a):
+    """Max-entry distance from A to its adjoint, over a whole stack."""
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
 def random_hermitian(dim, seed):
@@ -40,11 +44,6 @@ def test_as_complex_matrix_rejects_nonsquare():
         as_complex_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="square"):
         as_complex_matrix(np.zeros(4))
-
-
-def test_hermiticity_defect_oracle():
-    assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
-    assert hermiticity_defect(PAULI_X) == 0.0
 
 
 def test_require_hermitian_symmetrizes_small_noise():
@@ -134,23 +133,19 @@ def test_partial_trace_product_states():
     a = random_hermitian(2, 3)
     b = random_hermitian(3, 4)
     ab = tensor(a, b)
-    assert np.abs(partial_trace(ab, 2, 3, keep="A") - a * np.trace(b)).max() < 1e-12
-    assert np.abs(partial_trace(ab, 2, 3, keep="B") - b * np.trace(a)).max() < 1e-12
+    assert np.abs(partial_trace(ab, 2, 3) - a * np.trace(b)).max() < 1e-12
 
 
 def test_partial_trace_entangled_oracle():
     v = np.zeros(4, dtype=complex)
     v[1], v[2] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
     rho = np.outer(v, v.conj())
-    for keep in ("A", "B"):
-        assert np.abs(partial_trace(rho, 2, 2, keep=keep) - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(partial_trace(rho, 2, 2) - np.eye(2) / 2).max() < 1e-12
 
 
 def test_partial_trace_validation():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        partial_trace(np.eye(4), 2, 3, keep="A")
-    with pytest.raises(ValueError, match="keep"):
-        partial_trace(np.eye(6), 2, 3, keep="C")
+        partial_trace(np.eye(4), 2, 3)
 
 
 def test_max_commutator_entry_oracles():
@@ -191,18 +186,17 @@ def test_stacked_tensor_matches_kron(dim_a, dim_b, lead, seed):
 )
 def test_stacked_partial_trace_matches_2d_form(dim_a, dim_b, lead, seed):
     m = _random_stack(np.random.default_rng(seed), lead, dim_a * dim_b)
-    for keep, subscripts in (("A", "ijkj->ik"), ("B", "ijil->jl")):
-        out = partial_trace(m, dim_a, dim_b, keep=keep)
-        for idx in np.ndindex(*lead):
-            blocks = m[idx].reshape(dim_a, dim_b, dim_a, dim_b)
-            assert out[idx].tobytes() == np.einsum(subscripts, blocks).tobytes()
-            assert out[idx].tobytes() == partial_trace(m[idx], dim_a, dim_b, keep=keep).tobytes()
+    out = partial_trace(m, dim_a, dim_b)
+    for idx in np.ndindex(*lead):
+        blocks = m[idx].reshape(dim_a, dim_b, dim_a, dim_b)
+        assert out[idx].tobytes() == np.einsum("ijkj->ik", blocks).tobytes()
+        assert out[idx].tobytes() == partial_trace(m[idx], dim_a, dim_b).tobytes()
 
 
 def test_stacked_tensor_and_partial_trace_reject_bad_shapes():
     with pytest.raises(ValueError, match="square"):
         tensor(np.zeros((2, 2, 3)), np.eye(2))
     with pytest.raises(ValueError, match="square"):
-        partial_trace(np.zeros(4), 2, 2, keep="A")
+        partial_trace(np.zeros(4), 2, 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        partial_trace(np.zeros((3, 4, 4)), 2, 3, keep="A")
+        partial_trace(np.zeros((3, 4, 4)), 2, 3)

@@ -95,9 +95,8 @@ def test_singlet_reduced_states():
     assert np.abs(eigs - [0.0, 0.0, 0.0, 1.0]).max() < 1e-12  # pure
     from nonlocality.linalg import partial_trace
 
-    for keep in ("A", "B"):
-        red = partial_trace(rho.mat, 2, 2, keep=keep)
-        assert np.abs(red - np.eye(2) / 2).max() < 1e-12
+    red = partial_trace(rho.mat, 2, 2)
+    assert np.abs(red - np.eye(2) / 2).max() < 1e-12
 
 
 def test_xz_spin_povm_poles():
@@ -183,7 +182,7 @@ def test_steer_preserves_average():
     ens = steer(rho, povm)
     from nonlocality.linalg import partial_trace
 
-    reduced = partial_trace(rho.mat, 2, 2, keep="A")
+    reduced = partial_trace(rho.mat, 2, 2)
     assert np.abs(ensemble_average(ens).mat - reduced).max() < 1e-10
 
 

@@ -59,6 +59,16 @@ class Scenario:
     def shape(self) -> tuple:
         return (self.inputs_a, self.inputs_b, max(self.outcomes_a), max(self.outcomes_b))
 
+    @cached_property
+    def inside(self) -> np.ndarray:
+        """Read-only mask of shape `shape`, True on the cells (x, y, a, b) with
+        a and b inside the outcome counts of inputs x and y."""
+        a_in = np.arange(self.shape[2]) < np.array(self.outcomes_a)[:, None]  # (nA, max_a)
+        b_in = np.arange(self.shape[3]) < np.array(self.outcomes_b)[:, None]  # (nB, max_b)
+        mask = a_in[:, None, :, None] & b_in[None, :, None, :]
+        mask.setflags(write=False)
+        return mask
+
     def strategy_count(self) -> int:
         n = 1
         for k in self.outcomes_a:
@@ -100,10 +110,7 @@ class _Table:
         bad = np.argwhere(~np.isfinite(t))
         if bad.size:
             raise ValueError(f"non-finite table entry at (x, y, a, b) = {tuple(bad[0].tolist())}")
-        ka, kb = np.array(sc.outcomes_a), np.array(sc.outcomes_b)
-        a_in = np.arange(sc.shape[2]) < ka[:, None]  # (nA, max_a)
-        b_in = np.arange(sc.shape[3]) < kb[:, None]  # (nB, max_b)
-        inside = a_in[:, None, :, None] & b_in[None, :, None, :]
+        inside = sc.inside
         pad = (np.where(inside, 0.0, t) != 0.0).any(axis=(2, 3))
         fault = pad  # a functional's cells may take any finite value
         if self._NORMALIZED:
@@ -117,7 +124,7 @@ class _Table:
                 raise ValueError(f"structural-zero cells are nonzero at input pair ({x}, {y})")
             if out_of_range[x, y]:
                 raise ValueError(f"probabilities out of range at input pair ({x}, {y})")
-            total = float(t[x, y, : ka[x], : kb[y]].sum())
+            total = float(t[x, y, : sc.outcomes_a[x], : sc.outcomes_b[y]].sum())
             if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise ValueError(f"block ({x}, {y}) sums to {total!r}, expected 1")
         t.setflags(write=False)
@@ -143,7 +150,7 @@ class _Table:
             sc, rows = Scenario.from_dict(d["scenario"]), d[key]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"{kind} dict needs 'scenario' and '{key}' entries: {exc}") from None
-        t = np.zeros(sc.shape)
+        blocks = []
         for x, ka in enumerate(sc.outcomes_a):
             for y, kb in enumerate(sc.outcomes_b):
                 try:
@@ -162,11 +169,15 @@ class _Table:
                         f"{kind} block at input pair ({x}, {y}) is not a {ka} x {kb} table of numbers"
                     )
                 try:
-                    t[x, y, :ka, :kb] = block
+                    blocks.append(np.array(block, dtype=float).ravel())
                 except OverflowError:
                     raise ValueError(
                         f"{kind} block at input pair ({x}, {y}) has an integer too large for a float"
                     ) from None
+        # the padded table is allocated only once every block has passed: the
+        # declared outcome counts alone may ask for more memory than exists
+        t = np.zeros(sc.shape)
+        t[sc.inside] = np.concatenate(blocks)
         return cls(sc, t)
 
 
@@ -265,40 +276,36 @@ def _cells(alice: np.ndarray, bob: np.ndarray) -> tuple:
     return x, y, alice[:, :, None], bob[:, None, :]
 
 
-def _strategy_rows(strategies, scenario: Scenario):
-    """(alice, bob) assignment rows of DeterministicStrategy objects, checked
-    against the scenario."""
-    sides = (("alice", scenario.outcomes_a), ("bob", scenario.outcomes_b))
-    if any(len(getattr(s, side)) != len(counts) for s in strategies for side, counts in sides):
-        raise ValueError("strategy length does not match the scenario")
-    rows = []
-    for side, counts in sides:
-        out = np.array([getattr(s, side) for s in strategies], dtype=int).reshape(-1, len(counts))
-        bad = np.argwhere((out < 0) | (out >= np.array(counts)))
-        if bad.size:
-            i, x = bad[0]
-            raise ValueError(f"{side} output {out[i, x]} out of range for input {x}")
-        rows.append(out)
-    return tuple(rows)
+def _strategy_pairs(scenario: Scenario):
+    """(alice, bob) assignment rows of every strategy in enumeration order."""
+    alice, bob = _strategy_arrays(scenario)
+    return np.repeat(alice, len(bob), axis=0), np.tile(bob, (len(alice), 1))
 
 
 def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Box:
+    sides = (("alice", strategy.alice, scenario.outcomes_a), ("bob", strategy.bob, scenario.outcomes_b))
+    if any(len(out) != len(counts) for _, out, counts in sides):
+        raise ValueError("strategy length does not match the scenario")
+    for side, out, counts in sides:
+        for x, (o, k) in enumerate(zip(out, counts)):
+            if not 0 <= o < k:
+                raise ValueError(f"{side} output {o} out of range for input {x}")
     t = np.zeros(scenario.shape)
-    t[_cells(*_strategy_rows([strategy], scenario))] = 1.0
+    t[_cells(np.array([strategy.alice]), np.array([strategy.bob]))] = 1.0
     return Box(scenario, t)
 
 
 def local_box(scenario: Scenario, weights) -> Box:
     """Convex mixture of deterministic boxes: `weights` is a probability
     vector over the strategies in enumeration order."""
-    alice, bob = _strategy_arrays(scenario)
-    alice, bob = np.repeat(alice, len(bob), axis=0), np.tile(bob, (len(alice), 1))
+    alice, bob = _strategy_pairs(scenario)
     w = np.asarray(weights, dtype=float)
     if len(w) != len(alice):
         raise ValueError("weights and strategies disagree in length")
-    if float(w.min()) < -ENTRY_TOL:
-        raise ValueError(f"negative weight {float(w.min())!r}")
-    if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
+    # written so that a NaN weight fails both checks
+    if not float(w.min()) >= -ENTRY_TOL:
+        raise ValueError(f"weights must be nonnegative numbers, min is {float(w.min())!r}")
+    if not abs(float(w.sum()) - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
     used = w > 0.0
     t = np.zeros(scenario.shape)
@@ -319,11 +326,8 @@ def pr_box() -> Box:
 
 
 def maximally_mixed_box(scenario: Scenario) -> Box:
-    t = np.zeros(scenario.shape)
-    for x, ka in enumerate(scenario.outcomes_a):
-        for y, kb in enumerate(scenario.outcomes_b):
-            t[x, y, :ka, :kb] = 1.0 / (ka * kb)
-    return Box(scenario, t)
+    inside = scenario.inside
+    return Box(scenario, np.where(inside, 1.0 / inside.sum(axis=(2, 3), keepdims=True), 0.0))
 
 
 def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:

@@ -6,10 +6,11 @@ campaigns plus the extremal-family grid, `box` analyzes a box JSON file, and
 `bounds` prints the universal determinism floor. Reports are JSON (default)
 or CSV with fixed columns, byte-identical for identical (command, config,
 seed). Exit codes: 0 when every checked row passes, 1 when some checked row
-fails, 2 on usage or input errors, 3 on an internal failure (a RuntimeError,
-a numpy LinAlgError or an unbounded LP, such as an exhausted simplex budget
-or a failed certificate), reported on stderr as
-`internal error: ...` with no report.
+fails, 2 on usage or input errors (a bad $NONLOCAL_SEED included), 3 on an
+internal failure (a RuntimeError, a MemoryError, a numpy LinAlgError or an
+unbounded LP, such as an exhausted simplex budget, a failed certificate or a
+box too large to pad), reported on stderr as `internal error: ...` with no
+report.
 """
 
 from __future__ import annotations
@@ -350,14 +351,6 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"error: {SEED_ENV_VAR}={raw!r} is not an integer")
-
-
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $NONLOCAL_SEED or 0)")
     parser.add_argument("--out", default=None, help="write the report to this path instead of stdout")
@@ -402,7 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> None:
     if args.seed is None:
-        args.seed = _default_seed()
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
     if getattr(args, "trials", 1) < 1:
         raise ValueError("trials must be at least 1")
     if any(not 2 <= d <= 16 for d in getattr(args, "dims", [2])):
@@ -416,7 +413,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except (RuntimeError, np.linalg.LinAlgError, UnboundedError) as exc:
+    except (RuntimeError, MemoryError, np.linalg.LinAlgError, UnboundedError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:

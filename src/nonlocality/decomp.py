@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, DeterministicStrategy, _cells, _strategy_arrays
+from .boxes import Box, DeterministicStrategy, _cells, _strategy_arrays, _strategy_pairs
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -61,26 +61,28 @@ class SimplexResult:
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Primal simplex with Bland's rule on the tableau [a | I], started from
-    the slack basis.
+    the slack basis, with the reduced costs kept current as one more row.
 
     Raises UnboundedError when an improving column has no blocking row and
     RuntimeError when the iteration budget 10 * (rows + columns), slack
-    columns included, is exhausted. The loop stops only when every reduced
-    cost is at most LP_TOL: that test is the optimality certificate.
+    columns included, is exhausted. Once no kept reduced cost exceeds
+    LP_TOL, they are recomputed from c; each must be at most LP_TOL, else
+    RuntimeError: that test is the optimality certificate.
     """
     m, n = lp.a.shape
-    t = np.hstack([lp.a, np.eye(m)])
-    rhs = lp.b.copy()
+    # the slack basis has zero cost, so its reduced costs are c itself
+    t = np.block([[lp.a, np.eye(m)], [lp.c, np.zeros(m)]])
+    obj = t[m].copy()
+    rhs = np.append(lp.b, 0.0)
     basis = np.arange(n, n + m)
-    obj = np.concatenate([lp.c, np.zeros(m)])
     budget = 10 * (2 * m + n)
     iterations = 0
     while True:
-        improving = obj - obj[basis] @ t > LP_TOL
+        improving = t[m] > LP_TOL
         if not improving.any():
             break
         entering = int(np.argmax(improving))
-        col = t[:, entering]
+        col = t[:m, entering]
         rows = np.flatnonzero(col > LP_TOL)
         if not rows.size:
             raise UnboundedError("improving direction has no blocking constraint")
@@ -101,10 +103,12 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
+    if (obj - obj[basis] @ t[:m] > LP_TOL).any():
+        raise RuntimeError("simplex stopped on a basis whose recomputed reduced costs are not optimal")
     x = np.zeros(n + m)
-    x[basis] = rhs
+    x[basis] = rhs[:m]
     x = np.where(np.abs(x) < LP_TOL, 0.0, x)
-    return SimplexResult(value=float(obj[:n] @ x[:n]), x=x[:n], iterations=iterations)
+    return SimplexResult(value=float(lp.c @ x[:n]), x=x[:n], iterations=iterations)
 
 
 def _require_ns(box: Box, what: str):
@@ -126,7 +130,7 @@ def fod_exact(box: Box):
     sc = box.scenario
     alice, _ = _strategy_arrays(sc)
     g = box.p[np.arange(sc.inputs_a), :, alice, :].min(axis=1)
-    g[:, np.arange(g.shape[2]) >= np.array(sc.outcomes_b)[:, None]] = -np.inf
+    g[:, ~sc.inside[0, :, 0, :]] = -np.inf  # Bob's cells past each outcome count
     values = g.max(axis=2).min(axis=1)
     best = int(np.argmax(values))
     # first alpha with the largest value, then per y the first b reaching it
@@ -166,30 +170,22 @@ def cf_exact(box: Box):
     entrywise, c >= 0, sum c_i <= 1. Returns (value, Decomposition)."""
     _require_ns(box, "classical fraction")
     sc = box.scenario
-    alice, bob = _strategy_arrays(sc)
-    n = len(alice) * len(bob)
-    # one row per cell (x, y, a, b) with a, b inside the outcome counts,
-    # one column per strategy in enumeration order, then the row sum c <= 1
-    rows = []
-    for x, ka in enumerate(sc.outcomes_a):
-        hit_a = alice[:, x] == np.arange(ka)[:, None]
-        for y, kb in enumerate(sc.outcomes_b):
-            hit_b = bob[:, y] == np.arange(kb)[:, None]
-            rows.append((hit_a[:, None, :, None] & hit_b[None, :, None, :]).reshape(ka * kb, n))
-    rows.append(np.ones((1, n)))
-    cells = np.concatenate(
-        [box.block(x, y).ravel() for x in range(sc.inputs_a) for y in range(sc.inputs_b)]
-    )
-    lp = LinearProgram(
-        c=np.ones(n),
-        a=np.vstack(rows),
-        b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),
-    )
+    alice, bob = _strategy_pairs(sc)
+    n = len(alice)
+    inside = sc.inside
+    # one row per cell inside the outcome counts, in (x, y, a, b) order, then
+    # the row sum c <= 1; column s has a one in the row of each cell it sets
+    cells = box.p[inside]
+    row_of = np.cumsum(inside).reshape(inside.shape) - 1
+    a = np.zeros((len(cells) + 1, n))
+    a[row_of[_cells(alice, bob)], np.arange(n)[:, None, None]] = 1.0
+    a[-1] = 1.0
+    lp = LinearProgram(c=np.ones(n), a=a, b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0))
     result = simplex_solve(lp)
     coeffs = np.clip(result.x, 0.0, None)
     total = float(coeffs.sum())
     used = np.flatnonzero(coeffs > 0.0)
-    used_a, used_b = alice[used // len(bob)], bob[used % len(bob)]
+    used_a, used_b = alice[used], bob[used]
     # P - sum_i c_i D_i, subtracted term by term in strategy order (ufunc.at
     # is unbuffered): the residual's last bits depend on this order.
     leftover = np.array(box.p)

@@ -59,6 +59,20 @@ def test_scenario_rejects_non_integer_counts(outcomes_a, outcomes_b):
         Scenario.from_dict({"outcomesA": list(outcomes_a), "outcomesB": list(outcomes_b)})
 
 
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+    st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+)
+def test_scenario_inside_matches_block_slicing(outcomes_a, outcomes_b):
+    sc = Scenario(outcomes_a, outcomes_b)
+    mask = np.zeros(sc.shape, dtype=bool)
+    for x, ka in enumerate(outcomes_a):
+        for y, kb in enumerate(outcomes_b):
+            mask[x, y, :ka, :kb] = True
+    assert sc.inside.dtype == bool and np.array_equal(sc.inside, mask)
+    assert sc.inside is sc.inside and not sc.inside.flags.writeable
+
+
 def test_scenario_accepts_numpy_integer_counts():
     sc = Scenario(np.array([2, 3]), (np.int64(2),))
     assert sc == Scenario((2, 3), (2,))
@@ -201,6 +215,10 @@ def test_local_box_weight_validation():
         local_box(sc, np.full(16, 0.1))
     with pytest.raises(ValueError, match="length"):
         local_box(sc, np.array([1.0]))
+    w = np.zeros(16)
+    w[:2] = math.nan, 1.0
+    with pytest.raises(ValueError, match="nonnegative numbers, min is nan"):
+        local_box(sc, w)
 
 
 def test_pr_box_reaches_algebraic_chsh():

@@ -251,6 +251,7 @@ def test_verify_rti_memory_does_not_grow_with_trials(tmp_path):
         RuntimeError("simplex iteration budget 10 exhausted"),
         np.linalg.LinAlgError("no convergence"),
         UnboundedError("improving direction has no blocking constraint"),
+        MemoryError("Unable to allocate 2.24 GiB for an array"),
     ],
 )
 def test_internal_failure_exits_3(monkeypatch, capsys, error):
@@ -363,6 +364,13 @@ def test_box_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert "at input pair (1, 0) has an integer too large for a float" in capsys.readouterr().err
 
 
+def test_box_declaring_huge_outcome_counts_exits_2(tmp_path, capsys):
+    # every block is checked before the padded table would take 7.28 TiB
+    box = {"scenario": {"outcomesA": [10**6], "outcomesB": [10**6]}, "p": [[[[1.0]]]]}
+    assert main(["box", _write(tmp_path, "huge_counts.json", box)]) == 2
+    assert "at input pair (0, 0) is not a 1000000 x 1000000 table" in capsys.readouterr().err
+
+
 def test_box_non_integer_outcome_counts_exit_2(tmp_path, capsys):
     box = pr_box().to_dict()
     box["scenario"]["outcomesA"] = [2.7, 2]
@@ -435,8 +443,10 @@ def test_seed_from_environment(monkeypatch, capsys):
     rc, report = run_json(capsys, ["bounds", "2", "2", "2", "--seed", "3"])
     assert report["config"]["seed"] == 3
     monkeypatch.setenv("NONLOCAL_SEED", "abc")
-    with pytest.raises(SystemExit):
-        main(["bounds", "2", "2", "2"])
+    assert main(["bounds", "2", "2", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NONLOCAL_SEED='abc' is not an integer\n"
 
 
 def test_same_seed_byte_identical(capsys):

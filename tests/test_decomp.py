@@ -21,6 +21,7 @@ from nonlocality.boxes import (
     pr_box,
 )
 from nonlocality.decomp import (
+    LP_TOL,
     LinearProgram,
     UnboundedError,
     bell_bound_from_fod,
@@ -85,6 +86,40 @@ def test_simplex_beale_terminates():
     np.testing.assert_allclose(res.x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
 
 
+def _simplex_recomputing_reduced_costs(lp):
+    """Bland's-rule loop that recomputes the whole reduced-cost row from c
+    before every pivot: (x, iterations)."""
+    m, n = lp.a.shape
+    t = np.hstack([lp.a, np.eye(m)])
+    rhs = lp.b.copy()
+    basis = np.arange(n, n + m)
+    obj = np.concatenate([lp.c, np.zeros(m)])
+    iterations = 0
+    while True:
+        improving = obj - obj[basis] @ t > LP_TOL
+        if not improving.any():
+            break
+        entering = int(np.argmax(improving))
+        col = t[:, entering]
+        rows = np.flatnonzero(col > LP_TOL)
+        ratios = rhs[rows] / col[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        row = int(tied[np.argmin(basis[tied])])
+        piv = t[row, entering]
+        t[row] /= piv
+        rhs[row] /= piv
+        for i in range(m):
+            if i != row and t[i, entering] != 0.0:
+                f = t[i, entering]
+                t[i] -= f * t[row]
+                rhs[i] -= f * rhs[row]
+        basis[row] = entering
+        iterations += 1
+    x = np.zeros(n + m)
+    x[basis] = rhs
+    return np.where(np.abs(x) < LP_TOL, 0.0, x)[:n], iterations
+
+
 def test_random_lps_match_scipy():
     for seed in range(25):
         rng = np.random.default_rng(seed)
@@ -100,6 +135,9 @@ def test_random_lps_match_scipy():
         assert ref.status == 0
         assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
         assert (mine.x >= 0.0).all() and (a @ mine.x <= b + 1e-9).all()
+        # the reduced costs carried in the tableau pick the same pivots
+        x, iterations = _simplex_recomputing_reduced_costs(LinearProgram(c=c, a=a, b=b))
+        assert mine.iterations == iterations and np.array_equal(mine.x, x)
 
 
 def _signalling_box() -> Box:
@@ -411,3 +449,41 @@ def test_cf_matches_highs_and_reconstructs(box):
     if decomp.residual is not None:
         rebuilt = rebuilt + (1.0 - total) * decomp.residual.p
     np.testing.assert_allclose(rebuilt, box.p, rtol=0.0, atol=1e-8)
+
+
+def _lp_by_input_pairs(box: Box):
+    """The classical-fraction LP's (a, b) assembled one input pair at a time
+    by comparing each strategy's outputs with every outcome."""
+    sc = box.scenario
+    strategies = enumerate_deterministic(sc)
+    alice = np.array([s.alice for s in strategies])
+    bob = np.array([s.bob for s in strategies])
+    rows, cells = [], []
+    for x, ka in enumerate(sc.outcomes_a):
+        hit_a = alice[:, x] == np.arange(ka)[:, None]
+        for y, kb in enumerate(sc.outcomes_b):
+            hit_b = bob[:, y] == np.arange(kb)[:, None]
+            rows.append((hit_a[:, None, :] & hit_b[None, :, :]).reshape(ka * kb, len(strategies)))
+            cells.append(box.block(x, y).ravel())
+    rows.append(np.ones((1, len(strategies))))
+    cells = np.concatenate(cells)
+    return np.vstack(rows), np.append(np.where(cells > 0.0, cells, 0.0), 1.0)
+
+
+@given(ns_boxes)
+def test_cf_lp_matches_per_pair_assembly(box):
+    from nonlocality import decomp
+
+    solved = []
+
+    def recording(lp):
+        solved.append(lp)
+        return simplex_solve(lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomp, "simplex_solve", recording)
+        cf_exact(box)
+    a, b = _lp_by_input_pairs(box)
+    (lp,) = solved
+    assert np.array_equal(lp.a, a) and np.array_equal(lp.b, b)
+    assert np.array_equal(lp.c, np.ones(len(a[0])))

@@ -1,5 +1,6 @@
 """Metamorphic checks: relabelling outputs, permuting inputs, swapping the
-parties and local unitaries must not move what the library reports.
+parties, local unitaries and a global unitary on an RTI instance must not
+move what the library reports.
 
 The transformations are written here on plain arrays, with `np.kron` and
 explicit index loops, so they share no code with the paths they check.
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from nonlocality.bounds import PIPELINE_TOL, fod_floor_pipeline
 from nonlocality.boxes import BellFunctional, Box, Scenario, bell_value, quantum_box
 from nonlocality.decomp import LP_TOL, cf_exact, fod_exact
+from nonlocality.rti import RtiInstance, sample_rti_instance, verify_rti
 from nonlocality.states import DensityMatrix, Povm, sample_density, sample_povm
 
 outcome_lists = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
@@ -133,3 +135,18 @@ def test_local_unitaries_keep_quantum_box_and_pipeline_floor(dim_a, dim_b, outco
     trace_rotated = fod_floor_pipeline(rho_rotated, bob_rotated[0], bob_rotated[1], alice_rotated)
     assert trace.passed and trace_rotated.passed
     assert abs(trace_rotated.c - trace.c) <= PIPELINE_TOL
+
+
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_unitary_conjugation_keeps_rti_slack(dim, l, seed):
+    u = _random_unitary(dim, np.random.default_rng(seed))
+    for commuting in (False, True):
+        instance = sample_rti_instance(dim, l, seed, commuting)
+        rotated = RtiInstance(
+            sigma=DensityMatrix(u @ instance.sigma.mat @ u.conj().T),
+            rhos=tuple(DensityMatrix(u @ r.mat @ u.conj().T) for r in instance.rhos),
+            weights=instance.weights,
+            epsilon=instance.epsilon,
+        )
+        before = verify_rti(instance, commuting).slack
+        assert abs(verify_rti(rotated, commuting).slack - before) <= 1e-10

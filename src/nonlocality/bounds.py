@@ -153,18 +153,20 @@ def confusing_outcome(rho: DensityMatrix, sigma: DensityMatrix, povm: Povm) -> C
     """
     if povm.dim != rho.dim or povm.dim != sigma.dim:
         raise ValueError("measurement and states must share a dimension")
-    return _confusing_outcome(rho, sigma, povm, trace_distance(rho, sigma))
+    return _confusing_outcome(rho.mat, sigma.mat, povm, trace_distance(rho, sigma))
 
 
 def _confusing_outcome(rho, sigma, povm: Povm, distance: float) -> ConfusingOutcome:
-    """`confusing_outcome` for states at a known trace distance."""
+    """`confusing_outcome` for state matrices at a known trace distance: the
+    Born rule for both states and every outcome in one stacked product."""
     eps = (2.0 - distance) / (2.0 * len(povm))
-    for r, element in enumerate(povm.elements):
-        p = float(np.real(np.trace(element @ rho.mat)))
-        q = float(np.real(np.trace(element @ sigma.mat)))
-        if min(p, q) >= eps - 1e-10:
-            return ConfusingOutcome(index=r, epsilon=eps, prob_rho=p, prob_sigma=q)
-    raise RuntimeError("no outcome reached the guaranteed overlap floor")
+    probs = np.real((povm.elements @ np.stack([rho, sigma])[:, None]).trace(axis1=-2, axis2=-1))
+    hits = np.flatnonzero(np.minimum(*probs) >= eps - 1e-10)
+    if not hits.size:
+        raise RuntimeError("no outcome reached the guaranteed overlap floor")
+    r = int(hits[0])
+    p, q = probs[:, r].tolist()
+    return ConfusingOutcome(index=r, epsilon=eps, prob_rho=p, prob_sigma=q)
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,7 @@ def close_pair(e1: Ensemble, e2: Ensemble) -> ClosePair:
     if x >= 2.0:
         raise ValueError("ensemble averages are perfectly distinguishable")
     eps = epsilon_from_average_distance(x, len(e1), len(e2))
-    first = np.stack([s.mat for s in e1.states])
-    second = np.stack([s.mat for s in e2.states])
-    distances = trace_norm(first[:, None] - second[None, :])
+    distances = trace_norm(e1.states[:, None] - e2.states[None, :])
     i, j = np.unravel_index(int(np.argmin(distances)), distances.shape)
     best_d = float(distances[i, j])
     if best_d > 2.0 - eps + PIPELINE_TOL:

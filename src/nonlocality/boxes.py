@@ -8,6 +8,7 @@ zeros. Outcome counts may differ per input.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,12 +71,7 @@ class Scenario:
         return mask
 
     def strategy_count(self) -> int:
-        n = 1
-        for k in self.outcomes_a:
-            n *= k
-        for k in self.outcomes_b:
-            n *= k
-        return n
+        return math.prod(self.outcomes_a + self.outcomes_b)
 
     def to_dict(self) -> dict:
         return {
@@ -277,9 +273,11 @@ def _cells(alice: np.ndarray, bob: np.ndarray) -> tuple:
 
 
 def _strategy_pairs(scenario: Scenario):
-    """(alice, bob) assignment rows of every strategy in enumeration order."""
-    alice, bob = _strategy_arrays(scenario)
-    return np.repeat(alice, len(bob), axis=0), np.tile(bob, (len(alice), 1))
+    """(alice, bob) assignment rows of every strategy in enumeration order:
+    Alice's and Bob's columns of one assignment table over both parties."""
+    _check_budget(scenario)
+    table = assignments(scenario.outcomes_a + scenario.outcomes_b)
+    return table[:, : scenario.inputs_a], table[:, scenario.inputs_a :]
 
 
 def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Box:

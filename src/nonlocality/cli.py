@@ -345,10 +345,14 @@ def cmd_bounds(args) -> int:
 
 
 def _int_list(text: str) -> list:
+    """A nonempty comma-separated list of integers; empty tokens are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _add_common(parser: argparse.ArgumentParser):

@@ -30,6 +30,7 @@ from .states import (
     _complex_normal,
     _gram_state,
     _mixture,
+    _trusted,
     fidelity,
     trace_distance,
 )
@@ -339,14 +340,18 @@ def _block_draw(width: int, rng, diagonal: bool) -> np.ndarray:
 
 
 def _draw_rti(dim: int, l: int, rng, commuting: bool):
-    """Every random draw of one instance, in order: (split, sigma's block
-    draw, [(base block draw, leak, noise block draw)] * l, weights).
+    """Every random draw of one instance: (split, sigma's block draw, base,
+    leak, noise, weights). The member fields base (block draws), leak and
+    noise (full-space draws) are stacked over the l members; the generator
+    draws them member by member, in that order.
 
     `_instance_states` turns the draws into states. Both `sample_rti_instance`
     and `rti_campaign` draw through here, so they see the same instances.
     """
     if dim < 2:
         raise ValueError("need dim >= 2 to separate the reference from the ensemble")
+    if l < 1:
+        raise ValueError("need at least one ensemble member")
     split = int(rng.integers(1, dim))
     sigma = _block_draw(split, rng, commuting)
     members = []
@@ -354,53 +359,53 @@ def _draw_rti(dim: int, l: int, rng, commuting: bool):
         base = _block_draw(dim - split, rng, commuting)
         leak = rng.uniform(0.0, 0.05)
         members.append((base, leak, _block_draw(dim, rng, commuting)))
+    base, leak, noise = (np.array(field) for field in zip(*members))
     weights = rng.random(l) + 0.1
     weights /= weights.sum()
-    return split, sigma, members, weights
+    return split, sigma, base, leak, noise, weights
 
 
-def _block_state(dim: int, lo: int, draw: np.ndarray, diagonal: bool, state) -> np.ndarray:
-    """The state of a `_block_draw` draw, supported on coordinates
-    [lo, lo + width) of a dim-dim space. Draws may carry leading stack axes."""
-    width = draw.shape[-1]
-    stack = draw.shape[:-1] if diagonal else draw.shape[:-2]
-    mat = np.zeros(stack + (dim, dim), dtype=complex)
-    if diagonal:
-        slots = range(lo, lo + width)
-        mat[..., slots, slots] = draw / draw.sum(axis=-1, keepdims=True)
-    else:
-        mat[..., lo : lo + width, lo : lo + width] = state(_gram_state(draw))
-    return state(mat)
+def _instance_states(dim: int, split: int, sigma, base, leak, noise, commuting: bool):
+    """(sigma, rhos, made) built from `_draw_rti` draws, which may carry
+    leading stack axes: sigma and the ensemble sit on complementary blocks,
+    plus a little full-support leakage per member, and rhos holds the
+    members on the axis before the matrix axes. `made` lists every matrix
+    made into a state, unchecked, for the caller to check; the states go on
+    as their Hermitian parts."""
+    made = []
 
+    def state(mat: np.ndarray) -> np.ndarray:
+        made.append(mat)
+        return hermitian_part(mat)
 
-def _instance_states(dim: int, split: int, sigma, members, commuting: bool, state):
-    """(sigma, [rho_i]) built from `_draw_rti` draws; sigma and the ensemble
-    sit on complementary blocks, plus a little full-support leakage per
-    member. Draws may be stacked over leading axes, a leak then of shape
-    (...). Every matrix made into a state passes through `state`, which
-    returns the matrix to go on with: `sample_rti_instance` checks each at
-    once, `rti_campaign` keeps them for one stacked check."""
-    sigma = _block_state(dim, 0, sigma, commuting, state)
-    rhos = []
-    for base, leak, noise in members:
-        base = _block_state(dim, split, base, commuting, state)
-        noise = _block_state(dim, 0, noise, True, state) if commuting else state(_gram_state(noise))
-        leak = np.asarray(leak)[..., None, None]
-        rhos.append(state((1.0 - leak) * base + leak * noise))
-    return sigma, rhos
+    def block_state(lo: int, draw: np.ndarray, diagonal: bool) -> np.ndarray:
+        """The state of a `_block_draw` draw on coordinates [lo, lo + width)."""
+        width = draw.shape[-1]
+        mat = np.zeros(draw.shape[: -1 if diagonal else -2] + (dim, dim), dtype=complex)
+        if diagonal:
+            slots = range(lo, lo + width)
+            mat[..., slots, slots] = draw / draw.sum(axis=-1, keepdims=True)
+        else:
+            mat[..., lo : lo + width, lo : lo + width] = state(_gram_state(draw))
+        return state(mat)
 
-
-def _checked_state(mat: np.ndarray) -> np.ndarray:
-    return DensityMatrix(mat).mat
+    sigma = block_state(0, sigma, commuting)
+    base = block_state(split, base, commuting)
+    noise = block_state(0, noise, True) if commuting else state(_gram_state(noise))
+    leak = leak[..., None, None]
+    return sigma, state((1.0 - leak) * base + leak * noise), made
 
 
 def sample_rti_instance(dim: int, l: int, seed, commuting: bool = False) -> RtiInstance:
     """Random instance with small tight eps: sigma and the ensemble live on
     complementary blocks, plus a little full-support leakage per member."""
-    split, sigma, members, weights = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
-    sigma, rhos = _instance_states(dim, split, sigma, members, commuting, _checked_state)
-    sigma = DensityMatrix._trusted(sigma)
-    rhos = tuple(DensityMatrix._trusted(m) for m in rhos)
+    split, *draws, weights = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
+    sigma, rhos, made = _instance_states(dim, split, *draws, commuting)
+    for mats in made:
+        for mat in mats.reshape((-1,) + mats.shape[-2:]):
+            DensityMatrix(mat)
+    sigma = _trusted(DensityMatrix, mat=sigma)
+    rhos = tuple(_trusted(DensityMatrix, mat=m) for m in rhos)
     eps = RtiInstance.tight_epsilon_of(rhos, sigma)
     return RtiInstance(sigma=sigma, rhos=rhos, weights=weights, epsilon=eps)
 
@@ -448,34 +453,22 @@ def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> l
 def _campaign_slacks(dim: int, l: int, seeds, commuting: bool) -> np.ndarray:
     """`verify_rti(sample_rti_instance(dim, l, s, commuting), commuting).slack`
     for every s in `seeds`, in some order, computed on stacks."""
-    if l < 1:
-        raise ValueError("need at least one ensemble member")
     by_split = {}
     for seed in seeds:
         split, *draws = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
         by_split.setdefault(split, []).append(draws)
 
-    drawn = []
-
-    def keep(mat: np.ndarray) -> np.ndarray:
-        drawn.append(mat)
-        return hermitian_part(mat)
-
-    sigma, rhos, weights = [], [], []
+    sigma, rhos, weights, made = [], [], [], []
     for split, group in by_split.items():
-        sigmas, members, ws = zip(*group)
-        # members[t][i] is (base, leak, noise) of member i in trial t; stack
-        # each field over the trials of the group.
-        stacked_members = [
-            tuple(np.stack(field) for field in zip(*member)) for member in zip(*members)
-        ]
-        states = _instance_states(dim, split, np.stack(sigmas), stacked_members, commuting, keep)
+        *draws, ws = (np.array(field) for field in zip(*group))
+        states = _instance_states(dim, split, *draws, commuting)
         sigma.append(states[0])
-        rhos.append(np.stack(states[1], axis=1))
-        weights.append(np.stack(ws))
+        rhos.append(states[1])
+        made += states[2]
+        weights.append(ws)
     sigma, rhos, weights = np.concatenate(sigma), np.concatenate(rhos), np.concatenate(weights)
     by_shape = {}
-    for mat in drawn:
+    for mat in made:
         by_shape.setdefault(mat.shape[-2:], []).append(mat.reshape((-1,) + mat.shape[-2:]))
     for mats in by_shape.values():
         _check_state_matrix(np.concatenate(mats), 1.0, 1.0, "state")

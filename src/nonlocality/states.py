@@ -13,6 +13,7 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     as_complex_matrix,
+    as_complex_stack,
     partial_trace,
     psd_sqrt,
     require_hermitian,
@@ -24,6 +25,17 @@ TRACE_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-10
 STEER_DROP_TOL = 1e-12
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, which have
+    already passed its checks; array fields are made read-only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _check_state_matrix(mat, lo: float, hi: float, what: str) -> np.ndarray:
@@ -53,13 +65,6 @@ class SubnormalizedState:
         mat = as_complex_matrix(self.mat)
         object.__setattr__(self, "mat", _check_state_matrix(mat, self._MIN_TRACE, 1.0, "state"))
 
-    @classmethod
-    def _trusted(cls, mat: np.ndarray):
-        """Wrap a matrix that has already passed `_check_state_matrix`."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "mat", mat)
-        return state
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -76,26 +81,26 @@ class DensityMatrix(SubnormalizedState):
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Tuple of PSD elements summing to the identity within POVM_SUM_TOL."""
+    """PSD elements summing to the identity within POVM_SUM_TOL, kept as one
+    read-only (k, d, d) stack."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(as_complex_matrix(e) for e in self.elements)
-        if not elems:
-            raise ValueError("POVM needs at least one element")
-        if any(e.shape != elems[0].shape for e in elems):
-            raise ValueError("POVM elements have mixed dimensions")
+        shapes = {np.shape(e) for e in self.elements}
+        if len(shapes) != 1 or len(min(shapes)) != 2:
+            raise ValueError(f"POVM needs matrices of one shape, got shapes {sorted(shapes)}")
         # Elements are PSD with any trace; the identity sum bounds it.
-        checked = _check_state_matrix(np.stack(elems), -np.inf, np.inf, "POVM element")
+        elems = as_complex_stack(self.elements)
+        checked = _check_state_matrix(elems, -np.inf, np.inf, "POVM element")
         defect = float(np.abs(checked.sum(axis=0) - np.eye(len(checked[0]))).max())
         if not defect <= POVM_SUM_TOL:
             raise ValueError(f"POVM does not sum to identity: max deviation = {defect:.3e}")
-        object.__setattr__(self, "elements", tuple(checked))
+        object.__setattr__(self, "elements", checked)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -103,14 +108,16 @@ class Povm:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Weighted list of states; weights form a probability vector.
+    """Weighted states; weights form a probability vector.
 
-    `labels` optionally names each member by the measurement outcome that
-    produced it, so members stay identifiable after sorting or truncation.
+    `states` is given as a sequence of states and kept as the read-only
+    (l, d, d) stack of their matrices. `labels` optionally names each member
+    by the measurement outcome that produced it, so members stay
+    identifiable after sorting or truncation.
     """
 
     weights: np.ndarray
-    states: tuple
+    states: np.ndarray
     labels: tuple = field(default=())
 
     def __post_init__(self):
@@ -129,9 +136,11 @@ class Ensemble:
         labels = tuple(self.labels) if self.labels else tuple(range(len(self.states)))
         if len(labels) != len(self.states):
             raise ValueError("labels and states disagree in length")
+        mats = np.stack([s.mat for s in self.states])
         w.setflags(write=False)
+        mats.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", mats)
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
@@ -139,7 +148,7 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[-1]
 
 
 def pure_state(vec) -> DensityMatrix:
@@ -210,12 +219,12 @@ def _mixture(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def _averages(*ensembles: Ensemble) -> np.ndarray:
     """Read-only stack of the ensembles' averages, checked as unit-trace
     states in one pass."""
-    mixed = [_mixture(e.weights, np.stack([s.mat for s in e.states])) for e in ensembles]
+    mixed = [_mixture(e.weights, e.states) for e in ensembles]
     return _check_state_matrix(np.stack(mixed), 1.0, 1.0, "state")
 
 
 def ensemble_average(ensemble: Ensemble) -> DensityMatrix:
-    return DensityMatrix._trusted(_averages(ensemble)[0])
+    return _trusted(DensityMatrix, mat=_averages(ensemble)[0])
 
 
 def _average_distance(e1: Ensemble, e2: Ensemble) -> float:
@@ -239,7 +248,7 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
         raise ValueError(
             f"dimension mismatch: state is {rho_ab.dim}-dim, POVM side is {dim_b}-dim"
         )
-    lifted = tensor(np.eye(dim_a, dtype=complex), np.stack(povm_b.elements))
+    lifted = tensor(np.eye(dim_a, dtype=complex), povm_b.elements)
     reduced = partial_trace(lifted @ rho_ab.mat, dim_a, dim_b)
     weights = np.real(reduced.trace(axis1=-2, axis2=-1))
     kept = np.flatnonzero(~(weights < STEER_DROP_TOL))
@@ -247,11 +256,8 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
         raise ValueError("all steering outcomes fell below the drop tolerance")
     w = weights[kept]
     checked = _check_state_matrix(reduced[kept] / w[:, None, None], 1.0, 1.0, "state")
-    return Ensemble(
-        weights=w / w.sum(),
-        states=tuple(DensityMatrix._trusted(m) for m in checked),
-        labels=tuple(int(b) for b in kept),
-    )
+    labels = tuple(int(b) for b in kept)
+    return _trusted(Ensemble, weights=w / w.sum(), states=checked, labels=labels)
 
 
 def truncate_ensemble(ensemble: Ensemble, min_weight: float) -> tuple[Ensemble, float]:
@@ -263,18 +269,18 @@ def truncate_ensemble(ensemble: Ensemble, min_weight: float) -> tuple[Ensemble, 
     if not min_weight >= 0:
         raise ValueError("min_weight must be nonnegative")
     order = np.argsort(-ensemble.weights, kind="stable")
-    kept = [i for i in order if ensemble.weights[i] > min_weight]
-    if not kept:
+    heavy = ensemble.weights[order] > min_weight
+    kept = order[heavy]
+    if not kept.size:
         raise ValueError(
             f"no weight exceeds {min_weight!r} (max is {float(ensemble.weights.max())!r})"
         )
-    delta = float(sum(ensemble.weights[i] for i in order if ensemble.weights[i] <= min_weight))
-    w = np.array([ensemble.weights[i] for i in kept]) / (1.0 - delta)
-    truncated = Ensemble(
-        weights=w / w.sum(),
-        states=tuple(ensemble.states[i] for i in kept),
-        labels=tuple(ensemble.labels[i] for i in kept),
-    )
+    # Python's sum adds the dropped weights one at a time in sorted order,
+    # where np.sum would add them pairwise.
+    delta = float(sum(ensemble.weights[order[~heavy]]))
+    w = ensemble.weights[kept] / (1.0 - delta)
+    labels = tuple(ensemble.labels[i] for i in kept)
+    truncated = _trusted(Ensemble, weights=w / w.sum(), states=ensemble.states[kept], labels=labels)
     return truncated, delta
 
 
@@ -302,13 +308,11 @@ def sample_povm(dim: int, outcomes: int, seed) -> Povm:
     if outcomes < 1:
         raise ValueError("need at least one outcome")
     rng = np.random.default_rng(seed)
-    piles = []
-    for _ in range(outcomes):
-        g = _complex_normal((dim, dim), rng)
-        piles.append(g @ g.conj().T)
-    total = sum(piles)
-    w, v = np.linalg.eigh(total)
+    g = np.stack([_complex_normal((dim, dim), rng) for _ in range(outcomes)])
+    piles = g @ g.conj().swapaxes(-1, -2)
+    # Python's sum adds the piles one at a time; np.sum may add them pairwise.
+    w, v = np.linalg.eigh(sum(piles))
     if float(w.min()) <= 0:
         raise ValueError("degenerate sample, POVM normalizer is singular")
     inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return Povm(tuple(inv_root @ a @ inv_root for a in piles))
+    return Povm(inv_root @ piles @ inv_root)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nonlocality.boxes import quantum_box, tsirelson_realization
 from nonlocality.bounds import (
     InequalityRecord,
+    _confusing_outcome,
     binary_bob_bounds,
     close_pair,
     confusing_outcome,
@@ -23,6 +24,7 @@ from nonlocality.bounds import (
     universal_fod_bound,
 )
 from nonlocality.decomp import bell_bound_from_fod, fod_exact
+from nonlocality.linalg import trace_norm
 from nonlocality.states import (
     Ensemble,
     Povm,
@@ -128,6 +130,43 @@ def test_confusing_outcome_floor_always_met(seed, dim, outcomes):
     assert 0 <= co.index < outcomes
 
 
+def _confusing_outcome_loop(rho, sigma, povm, distance):
+    """Element-by-element oracle: (index, epsilon, prob_rho, prob_sigma) of
+    `_confusing_outcome`, or None where it raises."""
+    eps = (2.0 - distance) / (2.0 * len(povm))
+    for r, element in enumerate(povm.elements):
+        p = float(np.real(np.trace(element @ rho)))
+        q = float(np.real(np.trace(element @ sigma)))
+        if min(p, q) >= eps - 1e-10:
+            return r, eps, p, q
+    return None
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.one_of(st.none(), st.floats(0.0, 2.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_confusing_outcome_matches_element_loop(dim, outcomes, distance, seed):
+    # a distance below the true one raises the floor past every outcome
+    rng = np.random.default_rng(seed)
+    rho = sample_density(dim, int(rng.integers(1, dim + 1)), rng)
+    sigma = sample_density(dim, int(rng.integers(1, dim + 1)), rng)
+    povm = sample_povm(dim, outcomes, rng)
+    if distance is None:
+        distance = trace_distance(rho, sigma)
+    want = _confusing_outcome_loop(rho.mat, sigma.mat, povm, distance)
+    if want is None:
+        with pytest.raises(RuntimeError, match="overlap floor"):
+            _confusing_outcome(rho.mat, sigma.mat, povm, distance)
+        return
+    co = _confusing_outcome(rho.mat, sigma.mat, povm, distance)
+    assert type(co.index) is int and type(co.prob_rho) is float and type(co.prob_sigma) is float
+    assert (co.index, co.epsilon) == want[:2]
+    assert np.array([co.prob_rho, co.prob_sigma]).tobytes() == np.array(want[2:]).tobytes()
+
+
 def test_close_pair_identical_singletons():
     e = Ensemble(weights=np.array([1.0]), states=(maximally_mixed(2),))
     pair = close_pair(e, e)
@@ -156,7 +195,7 @@ def _close_pair_loop(e1, e2):
     best, best_d = (0, 0), math.inf
     for i, rho in enumerate(e1.states):
         for j, sigma in enumerate(e2.states):
-            d = trace_distance(rho, sigma)
+            d = trace_norm(rho - sigma)
             if d < best_d:
                 best, best_d = (i, j), d
     return best, best_d

@@ -31,6 +31,7 @@ from nonlocality.boxes import (
     tsirelson_realization,
     validate_ns,
 )
+from nonlocality.boxes import _strategy_pairs
 from nonlocality.states import Povm, pure_state, sample_density, sample_povm, singlet, xz_spin_povm
 
 
@@ -348,6 +349,8 @@ def test_assignments_pair_up_in_enumeration_order(sc):
     alice, bob = assignments(sc.outcomes_a), assignments(sc.outcomes_b)
     paired = [DeterministicStrategy(a, b) for a in alice for b in bob]
     assert paired == enumerate_deterministic(sc)
+    rows = [DeterministicStrategy(a, b) for a, b in zip(*_strategy_pairs(sc))]
+    assert rows == paired
 
 
 def _random_functional(sc: Scenario, rng) -> BellFunctional:

@@ -127,6 +127,14 @@ def test_verify_rti_validation(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--dims", ","), ("--dims", ""), ("--l", ",")])
+def test_verify_rti_rejects_empty_integer_lists(capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify-rti", "--trials", "1", flag, value])
+    assert excinfo.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "extra, golden",
     [

@@ -26,7 +26,7 @@ from nonlocality.rti import (
     sample_rti_instance,
     verify_rti,
 )
-from nonlocality.states import Povm, pure_state, sample_density, sample_povm, steer
+from nonlocality.states import DensityMatrix, Povm, pure_state, sample_density, sample_povm, steer
 
 GOLDEN = Path(__file__).parent / "golden" / "records.json"
 
@@ -45,7 +45,8 @@ def _confusing_outcome():
     rho, alice, bob = tsirelson_realization()
     e1, e2 = steer(rho, bob[0]), steer(rho, bob[1])
     pair = close_pair(e1, e2)
-    return confusing_outcome(e1.states[pair.i], e2.states[pair.j], alice[1])
+    rho, sigma = DensityMatrix(e1.states[pair.i]), DensityMatrix(e2.states[pair.j])
+    return confusing_outcome(rho, sigma, alice[1])
 
 
 def _signalling_ns_report():

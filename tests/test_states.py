@@ -112,6 +112,9 @@ def test_povm_validation():
         Povm((np.diag([0.5, 0.5]), np.diag([0.5, 0.4])))  # sum != I
     with pytest.raises(ValueError):
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))  # negative element
+    for bad in ((), (np.eye(2), np.eye(3)), np.eye(2), np.ones((2, 2, 3))):
+        with pytest.raises(ValueError):  # no, mixed, vector or non-square elements
+            Povm(bad)
     p = Povm((np.diag([0.3, 0.7]), np.diag([0.7, 0.3])))
     assert len(p) == 2 and p.dim == 2
 
@@ -172,8 +175,8 @@ def test_steer_singlet_z():
     assert ens.labels == (0, 1)
     assert np.abs(ens.weights - 0.5).max() < 1e-12
     # perfectly anti-correlated: Bob outcome 0 leaves Alice in |1><1|
-    assert np.abs(ens.states[0].mat - np.diag([0.0, 1.0])).max() < 1e-12
-    assert np.abs(ens.states[1].mat - np.diag([1.0, 0.0])).max() < 1e-12
+    assert np.abs(ens.states[0] - np.diag([0.0, 1.0])).max() < 1e-12
+    assert np.abs(ens.states[1] - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_steer_preserves_average():
@@ -222,11 +225,10 @@ def _assert_steers_like_the_loop(rho_ab, povm_b):
     assert ens.weights.tobytes() == weights.tobytes()
     assert ens.labels == tuple(labels)
     assert all(type(b) is int for b in ens.labels)
-    assert len(ens.states) == len(members)
+    assert ens.states.shape == (len(members), ens.dim, ens.dim)
+    assert not ens.states.flags.writeable and not ens.weights.flags.writeable
     for got, want in zip(ens.states, members):
-        assert type(got) is DensityMatrix
-        assert got.mat.tobytes() == want.mat.tobytes()
-        assert not got.mat.flags.writeable
+        assert got.tobytes() == want.mat.tobytes()
     return ens
 
 
@@ -287,6 +289,57 @@ def test_truncate_ensemble():
     for bad in (-0.1, math.nan, -math.inf):
         with pytest.raises(ValueError, match="min_weight must be nonnegative"):
             truncate_ensemble(e, bad)
+
+
+def _truncate_loop(ensemble, min_weight):
+    """Member-by-member oracle: weights, states, labels and delta of
+    `truncate_ensemble`."""
+    order = np.argsort(-ensemble.weights, kind="stable")
+    kept = [i for i in order if ensemble.weights[i] > min_weight]
+    delta = float(sum(ensemble.weights[i] for i in order if ensemble.weights[i] <= min_weight))
+    w = np.array([ensemble.weights[i] for i in kept]) / (1.0 - delta)
+    states = [ensemble.states[i] for i in kept]
+    return w / w.sum(), states, [ensemble.labels[i] for i in kept], delta
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_truncate_matches_member_loop(raw_weights, cut, seed):
+    # integer weights repeat often, so ties in the sort and at the threshold
+    # are common; the threshold is one of the weights or zero
+    rng = np.random.default_rng(seed)
+    weights = np.array(raw_weights, dtype=float) / sum(raw_weights)
+    members = tuple(sample_density(2, 2, rng) for _ in raw_weights)
+    labels = tuple(int(b) for b in rng.permutation(10)[: len(raw_weights)])
+    ens = Ensemble(weights=weights, states=members, labels=labels)
+    min_weight = 0.0 if cut == 0 else float(np.sort(weights)[min(cut, len(weights)) - 1])
+    if not min_weight < weights.max():
+        with pytest.raises(ValueError, match="no weight exceeds"):
+            truncate_ensemble(ens, min_weight)
+        return
+    truncated, delta = truncate_ensemble(ens, min_weight)
+    want_w, want_states, want_labels, want_delta = _truncate_loop(ens, min_weight)
+    assert truncated.labels == tuple(want_labels)
+    assert truncated.weights.tobytes() == want_w.tobytes()
+    assert truncated.states.tobytes() == np.stack(want_states).tobytes()
+    assert type(delta) is float and np.float64(delta).tobytes() == np.float64(want_delta).tobytes()
+    assert not truncated.states.flags.writeable and not truncated.weights.flags.writeable
+
+
+def test_povm_and_ensemble_stacks_are_read_only():
+    povm = sample_povm(3, 4, 1)
+    assert povm.elements.shape == (4, 3, 3)
+    ens = Ensemble(weights=np.array([0.25, 0.75]), states=(basis_state(0, 3), maximally_mixed(3)))
+    assert ens.states.shape == (2, 3, 3)
+    steered = steer(sample_density(6, 6, 2), sample_povm(3, 2, 3))
+    kept, _ = truncate_ensemble(steered, 0.0)
+    for stack in (povm.elements, ens.states, ens.weights, steered.states, kept.states, kept.weights):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0.0
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 4))

@@ -174,6 +174,15 @@ GOLDEN_REPORTS = {
     "box_chained4_v090.csv": [
         "box", "inputs/chained4_v090_box.json", "--ops", "ns,fod,cf", "--format", "csv"
     ],
+    # the deepest golden LPs: 453 pivots on the 5x5 box, 138 on the wide 6x6 tableau
+    "box_chained5_v086.json": ["box", "inputs/chained5_v086_box.json", "--ops", "ns,fod,cf"],
+    "box_chained5_v086.csv": [
+        "box", "inputs/chained5_v086_box.json", "--ops", "ns,fod,cf", "--format", "csv"
+    ],
+    "box_chained6_v095.json": ["box", "inputs/chained6_v095_box.json", "--ops", "ns,fod,cf"],
+    "box_chained6_v095.csv": [
+        "box", "inputs/chained6_v095_box.json", "--ops", "ns,fod,cf", "--format", "csv"
+    ],
     "box_uneven3_all_ops.json": [
         "box", "inputs/uneven3_box.json", "--ops", "ns,fod,cf,bell",
         "--functional", "inputs/uneven3_functional.json",

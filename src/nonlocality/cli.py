@@ -243,11 +243,15 @@ def cmd_verify_rti(args) -> int:
 
 def _parse_ops(text: str, functional_path: str | None) -> list:
     ops = text.split(",")
-    for name in ops:
+    for i, name in enumerate(ops):
         if name not in ("ns", "fod", "cf", "bell"):
             raise ValueError(f"unknown box operation {name!r}")
+        if name in ops[:i]:
+            raise ValueError(f"box operation {name!r} given more than once")
     if "bell" in ops and functional_path is None:
         raise ValueError("bell needs a functional: --functional PATH")
+    if "bell" not in ops and functional_path is not None:
+        raise ValueError(f"--functional {functional_path!r} is read only by the bell op")
     return ops
 
 
@@ -345,13 +349,17 @@ def cmd_bounds(args) -> int:
 
 
 def _int_list(text: str) -> list:
-    """A nonempty comma-separated list of integers; empty tokens are skipped."""
+    """A nonempty comma-separated list of distinct integers; empty tokens are
+    skipped."""
     try:
         values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{value} given more than once in {text!r}")
     return values
 
 

@@ -71,7 +71,11 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """
     m, n = lp.a.shape
     # the slack basis has zero cost, so its reduced costs are c itself
-    t = np.block([[lp.a, np.eye(m)], [lp.c, np.zeros(m)]])
+    t = np.zeros((m + 1, n + m))
+    t[:m, :n] = lp.a
+    np.fill_diagonal(t[:m, n:], 1.0)
+    t[m, :n] = lp.c
+    tableau_rows = list(t)  # row views made once, not once per row update
     obj = t[m].copy()
     rhs = np.append(lp.b, 0.0)
     basis = np.arange(n, n + m)
@@ -90,15 +94,20 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
         tied = rows[ratios <= ratios.min() + 1e-12]
         row = int(tied[np.argmin(basis[tied])])
-        # Gauss-Jordan elimination makes `entering` basic in `row`
+        # Gauss-Jordan elimination makes `entering` basic in `row`. Each
+        # touched row gets one multiply and one subtract per element, with
+        # its multiplier read before it changes; rows with a zero in the
+        # entering column are never written, so zeros keep their sign.
         piv = t[row, entering]
-        t[row] /= piv
+        pivot_row = tableau_rows[row]
+        pivot_row /= piv
         rhs[row] /= piv
-        for i in np.flatnonzero(t[:, entering]).tolist():
-            if i != row:
-                f = t[i, entering]
-                t[i] -= f * t[row]
-                rhs[i] -= f * rhs[row]
+        touched = np.flatnonzero(t[:, entering])
+        touched = touched[touched != row]
+        f = t[touched, entering]
+        rhs[touched] -= f * rhs[row]
+        for i, fi in zip(touched.tolist(), f.tolist()):
+            tableau_rows[i] -= fi * pivot_row
         basis[row] = entering
         iterations += 1
         if iterations > budget:

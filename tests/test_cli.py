@@ -135,6 +135,17 @@ def test_verify_rti_rejects_empty_integer_lists(capsys, flag, value):
     assert "expected comma-separated integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, repeated", [("--dims", "2,2", 2), ("--l", "1,1", 1), ("--dims", "3,2,3", 3)])
+def test_verify_rti_rejects_repeated_values(capsys, flag, value, repeated):
+    # a repeated cell would run twice under one row name
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify-rti", "--trials", "1", flag, value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag}: {repeated} given more than once in {value!r}" in captured.err
+
+
 @pytest.mark.parametrize(
     "extra, golden",
     [
@@ -329,6 +340,26 @@ def test_box_bad_usage(tmp_path, capsys):
     noschema.write_text(json.dumps({"scenario": pr_box().to_dict()["scenario"]}))
     assert main(["box", str(noschema), "--ops", "ns"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("ops, repeated", [("ns,cf,cf", "cf"), ("bell,bell", "bell"), ("fod,ns,fod", "fod")])
+def test_box_repeated_ops_exit_2(capsys, ops, repeated):
+    # a repeated op would solve or read again and print a second row
+    argv = ["box", str(GOLDEN / "inputs" / "pr_box.json"), "--ops", ops]
+    if "bell" in ops:
+        argv += ["--functional", str(GOLDEN / "inputs" / "chsh_functional.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: box operation {repeated!r} given more than once\n"
+
+
+def test_box_functional_without_bell_exits_2(capsys):
+    functional = str(GOLDEN / "inputs" / "chsh_functional.json")
+    assert main(["box", str(GOLDEN / "inputs" / "pr_box.json"), "--ops", "ns,fod", "--functional", functional]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --functional {functional!r} is read only by the bell op\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -574,7 +605,7 @@ def test_box_fuzz_exits_cleanly_and_passes_only_strict_tables(trees, ops):
                 json.dump(tree, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["box", paths[0], "--ops", ops, "--functional", paths[1]])
+            rc = main(["box", paths[0], "--ops", ops] + ["--functional", paths[1]] * ("bell" in ops))
     assert rc in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     read = [(box_tree, "p")] + [(functional_tree, "s")] * ("bell" in ops)

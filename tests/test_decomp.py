@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +139,100 @@ def test_random_lps_match_scipy():
         # the reduced costs carried in the tableau pick the same pivots
         x, iterations = _simplex_recomputing_reduced_costs(LinearProgram(c=c, a=a, b=b))
         assert mine.iterations == iterations and np.array_equal(mine.x, x)
+
+
+def _simplex_per_row_loop(lp):
+    """The Gauss-Jordan step as one Python iteration per touched row, each
+    reading its multiplier as a numpy scalar and updating its right-hand side
+    on its own: (x or None when unbounded, iterations, tableau, rhs), the last
+    two as the loop left them."""
+    m, n = lp.a.shape
+    t = np.block([[lp.a, np.eye(m)], [lp.c, np.zeros(m)]])
+    rhs = np.append(lp.b, 0.0)
+    basis = np.arange(n, n + m)
+    iterations = 0
+    while True:
+        improving = t[m] > LP_TOL
+        if not improving.any():
+            break
+        entering = int(np.argmax(improving))
+        col = t[:m, entering]
+        rows = np.flatnonzero(col > LP_TOL)
+        if not rows.size:
+            return None, iterations, t, rhs
+        ratios = rhs[rows] / col[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        row = int(tied[np.argmin(basis[tied])])
+        piv = t[row, entering]
+        t[row] /= piv
+        rhs[row] /= piv
+        for i in np.flatnonzero(t[:, entering]).tolist():
+            if i != row:
+                f = t[i, entering]
+                t[i] -= f * t[row]
+                rhs[i] -= f * rhs[row]
+        basis[row] = entering
+        iterations += 1
+    x = np.zeros(n + m)
+    x[basis] = rhs[:m]
+    return np.where(np.abs(x) < LP_TOL, 0.0, x)[:n], iterations, t, rhs
+
+
+def _solve_keeping_state(lp):
+    """simplex_solve's result (None when unbounded) with the tableau and
+    right-hand side it held when it returned or raised."""
+    state = {}
+
+    def on_return(frame, event, arg):
+        if event == "return" and frame.f_code is simplex_solve.__code__:
+            state.update(t=frame.f_locals["t"], rhs=frame.f_locals["rhs"])
+
+    sys.setprofile(on_return)
+    try:
+        result = simplex_solve(lp)
+    except UnboundedError:
+        result = None
+    finally:
+        sys.setprofile(None)
+    return result, state["t"], state["rhs"]
+
+
+def _same_bits(u, v) -> bool:
+    return np.array_equal(u, v) and np.array_equal(np.signbit(u), np.signbit(v))
+
+
+def _assert_matches_per_row_loop(lp):
+    result, t, rhs = _solve_keeping_state(lp)
+    x, iterations, t_ref, rhs_ref = _simplex_per_row_loop(lp)
+    assert _same_bits(t, t_ref) and _same_bits(rhs, rhs_ref)
+    assert (result is None) == (x is None)
+    if result is not None:
+        assert result.iterations == iterations and _same_bits(result.x, x)
+
+
+def _random_lp(m: int, n: int, bounded: bool, coarse: bool, rng) -> LinearProgram:
+    """m mixed-sign <= rows, about 30% of them with a zero right-hand side,
+    plus a row of ones when bounded; coarse entries are multiples of 1/4, so
+    ratio ties and exact cancellations to zero are common."""
+    a = rng.integers(-4, 5, (m, n)) / 4.0 if coarse else rng.uniform(-1.0, 1.0, (m, n))
+    b = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.5, 1.5, m))
+    if bounded:
+        a, b = np.vstack([a, np.ones(n)]), np.append(b, 2.0)
+    return LinearProgram(c=rng.uniform(-0.5, 1.0, n), a=a, b=b)
+
+
+@given(
+    st.builds(
+        _random_lp,
+        st.integers(1, 8),
+        st.integers(1, 10),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1).map(np.random.default_rng),
+    )
+)
+def test_simplex_matches_per_row_loop_bit_for_bit(lp):
+    _assert_matches_per_row_loop(lp)
 
 
 def _signalling_box() -> Box:
@@ -365,6 +460,22 @@ def test_cf_simplex_pivot_counts_are_pinned(monkeypatch, n, visibility, pivots):
     cf_exact(_chained_singlet(n, visibility))
     rows = 4 * n * n + 1
     assert solved == [((rows, 4**n), pivots)]
+
+
+@pytest.mark.parametrize("n, visibility", [(4, 0.9), (5, 0.86)])
+def test_cf_simplex_matches_per_row_loop_bit_for_bit(monkeypatch, n, visibility):
+    from nonlocality import decomp
+
+    solved = []
+
+    def recording(lp):
+        solved.append(lp)
+        return simplex_solve(lp)
+
+    monkeypatch.setattr(decomp, "simplex_solve", recording)
+    cf_exact(_chained_singlet(n, visibility))
+    (lp,) = solved
+    _assert_matches_per_row_loop(lp)
 
 
 def _fod_by_strict_loop(box: Box):

@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> None:
     if args.seed is None:
-        raw = os.environ.get(SEED_ENV_VAR, "0")
+        raw = os.environ.get(SEED_ENV_VAR) or "0"  # set but empty counts as unset
         try:
             args.seed = int(raw)
         except ValueError:

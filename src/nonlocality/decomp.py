@@ -19,6 +19,7 @@ from .boxes import Box, DeterministicStrategy, _cells, _strategy_arrays, _strate
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
+PRICING_BLOCK = 256  # structural columns priced per step of the entering search
 
 
 class UnboundedError(Exception):
@@ -60,64 +61,93 @@ class SimplexResult:
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Primal simplex with Bland's rule on the tableau [a | I], started from
-    the slack basis, with the reduced costs kept current as one more row.
+    """Revised primal simplex with Bland's rule on the columns of [a | I],
+    started from the slack basis. It keeps the basis inverse, the basic
+    values and the basis indices; no tableau is formed.
 
-    Raises UnboundedError when an improving column has no blocking row and
-    RuntimeError when the iteration budget 10 * (rows + columns), slack
-    columns included, is exhausted. Once no kept reduced cost exceeds
-    LP_TOL, they are recomputed from c; each must be at most LP_TOL, else
-    RuntimeError: that test is the optimality certificate.
+    Each pivot takes the duals y = c_B B^-1 and prices the structural columns
+    in column order, PRICING_BLOCK at a time, as c - y @ a, stopping at the
+    first block that holds an improving column; the slack columns, priced as
+    -y, come last. The ratio test and its tie-break are those of the tableau
+    method. Raises UnboundedError when an improving column has no blocking
+    row and RuntimeError when the iteration budget 10 * (rows + columns),
+    slack columns included, is exhausted or the last basis fails
+    `_certify_basis`.
     """
-    m, n = lp.a.shape
-    # the slack basis has zero cost, so its reduced costs are c itself
-    t = np.zeros((m + 1, n + m))
-    t[:m, :n] = lp.a
-    np.fill_diagonal(t[:m, n:], 1.0)
-    t[m, :n] = lp.c
-    tableau_rows = list(t)  # row views made once, not once per row update
-    obj = t[m].copy()
-    rhs = np.append(lp.b, 0.0)
+    a, b, c = lp.a, lp.b, lp.c
+    m, n = a.shape
+    inverse = np.eye(m)
+    x_b = b.copy()
     basis = np.arange(n, n + m)
+    cost_b = np.zeros(m)
     budget = 10 * (2 * m + n)
     iterations = 0
     while True:
-        improving = t[m] > LP_TOL
-        if not improving.any():
+        y = cost_b @ inverse
+        entering = _first_improving(a, c, y)
+        if entering is None:
             break
-        entering = int(np.argmax(improving))
-        col = t[:m, entering]
+        col = inverse @ a[:, entering] if entering < n else inverse[:, entering - n].copy()
         rows = np.flatnonzero(col > LP_TOL)
         if not rows.size:
             raise UnboundedError("improving direction has no blocking constraint")
-        ratios = rhs[rows] / col[rows]
+        ratios = x_b[rows] / col[rows]
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
         tied = rows[ratios <= ratios.min() + 1e-12]
         row = int(tied[np.argmin(basis[tied])])
-        # Gauss-Jordan elimination makes `entering` basic in `row`. Each
-        # touched row gets one multiply and one subtract per element, with
-        # its multiplier read before it changes; rows with a zero in the
-        # entering column are never written, so zeros keep their sign.
-        piv = t[row, entering]
-        pivot_row = tableau_rows[row]
-        pivot_row /= piv
-        rhs[row] /= piv
-        touched = np.flatnonzero(t[:, entering])
-        touched = touched[touched != row]
-        f = t[touched, entering]
-        rhs[touched] -= f * rhs[row]
-        for i, fi in zip(touched.tolist(), f.tolist()):
-            tableau_rows[i] -= fi * pivot_row
+        # one rank-1 update: the pivot row is divided by the pivot, and every
+        # other row loses its multiple of it, as one Gauss-Jordan step would
+        pivot_row = inverse[row] / col[row]
+        step = x_b[row] / col[row]
+        inverse -= np.multiply.outer(col, pivot_row)
+        inverse[row] = pivot_row
+        x_b -= col * step
+        x_b[row] = step
         basis[row] = entering
+        cost_b[row] = c[entering] if entering < n else 0.0
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
-    if (obj - obj[basis] @ t[:m] > LP_TOL).any():
-        raise RuntimeError("simplex stopped on a basis whose recomputed reduced costs are not optimal")
+    _certify_basis(a, b, c, basis, x_b)
     x = np.zeros(n + m)
-    x[basis] = rhs[:m]
+    x[basis] = x_b
     x = np.where(np.abs(x) < LP_TOL, 0.0, x)
-    return SimplexResult(value=float(lp.c @ x[:n]), x=x[:n], iterations=iterations)
+    return SimplexResult(value=float(c @ x[:n]), x=x[:n], iterations=iterations)
+
+
+def _first_improving(a: np.ndarray, c: np.ndarray, y: np.ndarray) -> int | None:
+    """Index in [a | I] of the first column whose reduced cost under the
+    duals y exceeds LP_TOL, or None. A column-major `a` makes each block one
+    contiguous slice."""
+    n = len(c)
+    for start in range(0, n, PRICING_BLOCK):
+        block = slice(start, start + PRICING_BLOCK)
+        improving = c[block] - y @ a[:, block] > LP_TOL
+        if improving.any():
+            return start + int(np.argmax(improving))
+    improving = y < -LP_TOL  # slack reduced costs are -y
+    return n + int(np.argmax(improving)) if improving.any() else None
+
+
+def _certify_basis(a, b, c, basis, x_b) -> float:
+    """Optimality certificate of a final basis of [a | I], from fresh duals:
+    y solves y B = c_B for the basis columns B, every reduced cost c - y @ a
+    and -y must be at most LP_TOL, and B @ x_b must reproduce b within
+    LP_TOL. Returns LP_TOL minus the worst violation; raises RuntimeError
+    when it is negative."""
+    m, n = a.shape
+    structural = basis < n
+    mat = np.zeros((m, m))
+    mat[:, structural] = a[:, basis[structural]]
+    mat[basis[~structural] - n, np.flatnonzero(~structural)] = 1.0
+    y = np.linalg.solve(mat.T, np.append(c, np.zeros(m))[basis])
+    reduced = float(np.concatenate([c - y @ a, -y]).max(initial=-np.inf))
+    if not reduced <= LP_TOL:
+        raise RuntimeError("simplex stopped on a basis whose recomputed reduced costs are not optimal")
+    defect = float(np.abs(mat @ x_b - b).max(initial=0.0))
+    if not defect <= LP_TOL:
+        raise RuntimeError("simplex basic values do not reproduce the right-hand side")
+    return LP_TOL - max(reduced, defect)
 
 
 def _require_ns(box: Box, what: str):
@@ -183,10 +213,11 @@ def cf_exact(box: Box):
     n = len(alice)
     inside = sc.inside
     # one row per cell inside the outcome counts, in (x, y, a, b) order, then
-    # the row sum c <= 1; column s has a one in the row of each cell it sets
+    # the row sum c <= 1; column s has a one in the row of each cell it sets.
+    # Column-major, so the simplex prices contiguous blocks of strategies.
     cells = box.p[inside]
     row_of = np.cumsum(inside).reshape(inside.shape) - 1
-    a = np.zeros((len(cells) + 1, n))
+    a = np.zeros((len(cells) + 1, n), order="F")
     a[row_of[_cells(alice, bob)], np.arange(n)[:, None, None]] = 1.0
     a[-1] = 1.0
     lp = LinearProgram(c=np.ones(n), a=a, b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0))
@@ -195,24 +226,44 @@ def cf_exact(box: Box):
     total = float(coeffs.sum())
     used = np.flatnonzero(coeffs > 0.0)
     used_a, used_b = alice[used], bob[used]
-    # P - sum_i c_i D_i, subtracted term by term in strategy order (ufunc.at
-    # is unbuffered): the residual's last bits depend on this order.
-    leftover = np.array(box.p)
-    np.subtract.at(leftover, _cells(used_a, used_b), coeffs[used][:, None, None])
+    used_cells = _cells(used_a, used_b)
     residual = None
-    defect = leftover
     if total < 1.0 - LP_TOL:
+        leftover = _leftover(box.p, used_cells, coeffs[used])
         residual = Box(sc, np.clip(leftover, 0.0, None) / (1.0 - total))
-        defect = leftover - (1.0 - total) * residual.p
+    _certify_reconstruction(
+        box.p, used_cells, coeffs[used], total, None if residual is None else residual.p
+    )
     decomp = Decomposition(
         strategies=tuple(map(DeterministicStrategy, used_a, used_b)),
         coefficients=coeffs[used],
         total=total,
         residual=residual,
     )
-    if float(np.abs(defect).max()) > RECONSTRUCTION_TOL:
-        raise RuntimeError("decomposition does not reconstruct the box")
     return total, decomp
+
+
+def _leftover(p: np.ndarray, cells: tuple, weights: np.ndarray) -> np.ndarray:
+    """P - sum_i w_i D_i for the strategies whose cells (`boxes._cells`) are
+    given, subtracted term by term in strategy order (ufunc.at is
+    unbuffered): the residual's last bits depend on this order."""
+    leftover = np.array(p)
+    np.subtract.at(leftover, cells, weights[:, None, None])
+    return leftover
+
+
+def _certify_reconstruction(p, cells, weights, total, residual) -> float:
+    """Reconstruction certificate of P = sum_i w_i D_i + (1 - total) X, with X
+    the residual table or None for no residual term. Returns
+    RECONSTRUCTION_TOL minus the largest absolute entry of the difference;
+    raises RuntimeError when it is negative."""
+    defect = _leftover(p, cells, weights)
+    if residual is not None:
+        defect = defect - (1.0 - total) * residual
+    worst = float(np.abs(defect).max())
+    if not worst <= RECONSTRUCTION_TOL:
+        raise RuntimeError("decomposition does not reconstruct the box")
+    return RECONSTRUCTION_TOL - worst
 
 
 def bell_bound_from_fod(beta_algebraic: float, beta_deterministic: float, c: float) -> float:

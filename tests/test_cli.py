@@ -497,6 +497,19 @@ def test_seed_from_environment(monkeypatch, capsys):
     assert captured.err == "error: NONLOCAL_SEED='abc' is not an integer\n"
 
 
+def test_empty_seed_variable_counts_as_unset(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("NONLOCAL_SEED", "")
+    golden = "box_chained5_v086.json"
+    out = tmp_path / golden
+    assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    monkeypatch.setenv("NONLOCAL_SEED", "x")
+    assert main([*GOLDEN_REPORTS[golden], "--out", str(tmp_path / "bad.json")]) == 2
+    assert capsys.readouterr().err == "error: NONLOCAL_SEED='x' is not an integer\n"
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_same_seed_byte_identical(capsys):
     rc1, out1 = run(capsys, ["verify-rti", "--trials", "3", "--seed", "5"])
     rc2, out2 = run(capsys, ["verify-rti", "--trials", "3", "--seed", "5"])

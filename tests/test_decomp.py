@@ -1,8 +1,9 @@
 """Simplex solver unit cases, LP cross-checks, and box decompositions."""
 
 import itertools
+import json
 import math
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from nonlocality.boxes import (
     Box,
     DeterministicStrategy,
     Scenario,
+    _cells,
+    _strategy_pairs,
     chsh_scenario,
     deterministic_box,
     enumerate_deterministic,
@@ -23,13 +26,19 @@ from nonlocality.boxes import (
 )
 from nonlocality.decomp import (
     LP_TOL,
+    RECONSTRUCTION_TOL,
     LinearProgram,
+    SimplexResult,
     UnboundedError,
+    _certify_basis,
+    _certify_reconstruction,
     bell_bound_from_fod,
     cf_exact,
     fod_exact,
     simplex_solve,
 )
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def test_lp_validation():
@@ -131,14 +140,73 @@ def test_random_lps_match_scipy():
         a = np.vstack([rng.uniform(-1.0, 1.0, (m, n)), np.ones(n)])
         b = np.append(np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.5, 1.5, m)), 2.0)
         c = rng.uniform(-0.5, 1.0, n)
-        mine = simplex_solve(LinearProgram(c=c, a=a, b=b))
+        lp = LinearProgram(c=c, a=a, b=b)
+        mine = simplex_solve(lp)
         ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
         assert ref.status == 0
         assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
         assert (mine.x >= 0.0).all() and (a @ mine.x <= b + 1e-9).all()
-        # the reduced costs carried in the tableau pick the same pivots
-        x, iterations = _simplex_recomputing_reduced_costs(LinearProgram(c=c, a=a, b=b))
-        assert mine.iterations == iterations and np.array_equal(mine.x, x)
+        dense = _dense_solve(lp)
+        assert mine.iterations == dense.iterations
+        np.testing.assert_allclose(mine.x, dense.x, rtol=0.0, atol=1e-12)
+        # the reduced costs carried in the oracle's tableau pick the same
+        # pivots as reduced costs recomputed from c before every pivot
+        x, iterations = _simplex_recomputing_reduced_costs(lp)
+        assert dense.iterations == iterations and np.array_equal(dense.x, x)
+
+
+def _dense_simplex(lp):
+    """The dense oracle: Bland's rule on the tableau [a | I] from the slack
+    basis, the reduced costs carried as one more row and updated by the same
+    Gauss-Jordan step, which reads its multipliers once and updates rows
+    through views made once. Returns (x or None when unbounded, iterations,
+    tableau, rhs), the last two as the loop left them."""
+    m, n = lp.a.shape
+    t = np.zeros((m + 1, n + m))
+    t[:m, :n] = lp.a
+    np.fill_diagonal(t[:m, n:], 1.0)
+    t[m, :n] = lp.c
+    tableau_rows = list(t)
+    obj = t[m].copy()
+    rhs = np.append(lp.b, 0.0)
+    basis = np.arange(n, n + m)
+    iterations = 0
+    while True:
+        improving = t[m] > LP_TOL
+        if not improving.any():
+            break
+        entering = int(np.argmax(improving))
+        col = t[:m, entering]
+        rows = np.flatnonzero(col > LP_TOL)
+        if not rows.size:
+            return None, iterations, t, rhs
+        ratios = rhs[rows] / col[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        row = int(tied[np.argmin(basis[tied])])
+        piv = t[row, entering]
+        pivot_row = tableau_rows[row]
+        pivot_row /= piv
+        rhs[row] /= piv
+        touched = np.flatnonzero(t[:, entering])
+        touched = touched[touched != row]
+        f = t[touched, entering]
+        rhs[touched] -= f * rhs[row]
+        for i, fi in zip(touched.tolist(), f.tolist()):
+            tableau_rows[i] -= fi * pivot_row
+        basis[row] = entering
+        iterations += 1
+    assert not (obj - obj[basis] @ t[:m] > LP_TOL).any()
+    x = np.zeros(n + m)
+    x[basis] = rhs[:m]
+    return np.where(np.abs(x) < LP_TOL, 0.0, x)[:n], iterations, t, rhs
+
+
+def _dense_solve(lp) -> SimplexResult:
+    """The dense oracle behind simplex_solve's interface."""
+    x, iterations, _, _ = _dense_simplex(lp)
+    if x is None:
+        raise UnboundedError("improving direction has no blocking constraint")
+    return SimplexResult(value=float(lp.c @ x), x=x, iterations=iterations)
 
 
 def _simplex_per_row_loop(lp):
@@ -178,36 +246,17 @@ def _simplex_per_row_loop(lp):
     return np.where(np.abs(x) < LP_TOL, 0.0, x)[:n], iterations, t, rhs
 
 
-def _solve_keeping_state(lp):
-    """simplex_solve's result (None when unbounded) with the tableau and
-    right-hand side it held when it returned or raised."""
-    state = {}
-
-    def on_return(frame, event, arg):
-        if event == "return" and frame.f_code is simplex_solve.__code__:
-            state.update(t=frame.f_locals["t"], rhs=frame.f_locals["rhs"])
-
-    sys.setprofile(on_return)
-    try:
-        result = simplex_solve(lp)
-    except UnboundedError:
-        result = None
-    finally:
-        sys.setprofile(None)
-    return result, state["t"], state["rhs"]
-
-
 def _same_bits(u, v) -> bool:
     return np.array_equal(u, v) and np.array_equal(np.signbit(u), np.signbit(v))
 
 
-def _assert_matches_per_row_loop(lp):
-    result, t, rhs = _solve_keeping_state(lp)
-    x, iterations, t_ref, rhs_ref = _simplex_per_row_loop(lp)
+def _assert_oracle_matches_per_row_loop(lp):
+    x, iterations, t, rhs = _dense_simplex(lp)
+    x_ref, iterations_ref, t_ref, rhs_ref = _simplex_per_row_loop(lp)
     assert _same_bits(t, t_ref) and _same_bits(rhs, rhs_ref)
-    assert (result is None) == (x is None)
-    if result is not None:
-        assert result.iterations == iterations and _same_bits(result.x, x)
+    assert (x is None) == (x_ref is None) and iterations == iterations_ref
+    if x is not None:
+        assert _same_bits(x, x_ref)
 
 
 def _random_lp(m: int, n: int, bounded: bool, coarse: bool, rng) -> LinearProgram:
@@ -221,18 +270,39 @@ def _random_lp(m: int, n: int, bounded: bool, coarse: bool, rng) -> LinearProgra
     return LinearProgram(c=rng.uniform(-0.5, 1.0, n), a=a, b=b)
 
 
-@given(
-    st.builds(
-        _random_lp,
-        st.integers(1, 8),
-        st.integers(1, 10),
-        st.booleans(),
-        st.booleans(),
-        st.integers(0, 2**32 - 1).map(np.random.default_rng),
-    )
+random_lps = st.builds(
+    _random_lp,
+    st.integers(1, 8),
+    st.integers(1, 10),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1).map(np.random.default_rng),
 )
+
+
+@given(random_lps)
 def test_simplex_matches_per_row_loop_bit_for_bit(lp):
-    _assert_matches_per_row_loop(lp)
+    # the dense oracle's vectorized Gauss-Jordan step against the plain loop
+    _assert_oracle_matches_per_row_loop(lp)
+
+
+@given(random_lps)
+def test_simplex_matches_dense_oracle(lp):
+    ref = linprog(-lp.c, A_ub=lp.a, b_ub=lp.b, bounds=(0, None), method="highs")
+    try:
+        dense = _dense_solve(lp)
+    except UnboundedError:
+        with pytest.raises(UnboundedError):
+            simplex_solve(lp)
+        # x = 0 is feasible, so HiGHS calling the LP unbounded or infeasible
+        # (its presolve does not always tell them apart) means unbounded
+        assert ref.status in (2, 3)
+        return
+    mine = simplex_solve(lp)
+    assert mine.iterations == dense.iterations
+    # without a bounding row coordinates reach the thousands: 1e-12 relative
+    np.testing.assert_allclose(mine.x, dense.x, rtol=1e-12, atol=1e-12)
+    assert ref.status == 0 and mine.value == pytest.approx(-ref.fun, abs=1e-7)
 
 
 def _signalling_box() -> Box:
@@ -475,7 +545,7 @@ def test_cf_simplex_matches_per_row_loop_bit_for_bit(monkeypatch, n, visibility)
     monkeypatch.setattr(decomp, "simplex_solve", recording)
     cf_exact(_chained_singlet(n, visibility))
     (lp,) = solved
-    _assert_matches_per_row_loop(lp)
+    _assert_oracle_matches_per_row_loop(lp)
 
 
 def _fod_by_strict_loop(box: Box):
@@ -538,12 +608,10 @@ def test_fod_matches_strict_strategy_loop(box):
     assert fod_exact(box) == _fod_by_strict_loop(box)
 
 
-@given(ns_boxes)
-def test_cf_matches_highs_and_reconstructs(box):
-    sc = box.scenario
-    strategies = enumerate_deterministic(sc)
-    total, decomp = cf_exact(box)
-    columns = np.array([deterministic_box(s, sc).p.ravel() for s in strategies]).T
+def _highs_cf(box: Box) -> float:
+    """The classical fraction by HiGHS on the LP over every enumerated strategy."""
+    strategies = enumerate_deterministic(box.scenario)
+    columns = np.array([deterministic_box(s, box.scenario).p.ravel() for s in strategies]).T
     ref = linprog(
         -np.ones(len(strategies)),
         A_ub=np.vstack([columns, np.ones(len(strategies))]),
@@ -552,7 +620,15 @@ def test_cf_matches_highs_and_reconstructs(box):
         method="highs",
     )
     assert ref.status == 0
-    assert total == pytest.approx(-ref.fun, abs=1e-7)
+    return -ref.fun
+
+
+@given(ns_boxes)
+def test_cf_matches_highs_and_reconstructs(box):
+    sc = box.scenario
+    strategies = enumerate_deterministic(sc)
+    total, decomp = cf_exact(box)
+    assert total == pytest.approx(_highs_cf(box), abs=1e-7)
     order = [strategies.index(s) for s in decomp.strategies]
     assert order == sorted(order) and (decomp.coefficients > 0.0).all()
     terms = zip(decomp.strategies, decomp.coefficients)
@@ -560,6 +636,122 @@ def test_cf_matches_highs_and_reconstructs(box):
     if decomp.residual is not None:
         rebuilt = rebuilt + (1.0 - total) * decomp.residual.p
     np.testing.assert_allclose(rebuilt, box.p, rtol=0.0, atol=1e-8)
+
+
+def _cf_solved_by(solver, box: Box):
+    """cf_exact(box) with `solver` in place of decomp.simplex_solve:
+    (value, decomposition, pivots of its one LP solve)."""
+    from nonlocality import decomp
+
+    pivots = []
+
+    def recording(lp):
+        result = solver(lp)
+        pivots.append(result.iterations)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomp, "simplex_solve", recording)
+        total, found = cf_exact(box)
+    (count,) = pivots
+    return total, found, count
+
+
+def _assert_cf_agrees_with_dense_oracle(box: Box, weight_tol: float, residual_tol: float):
+    """Same pivot count and the same strategies in the same order as with
+    the dense oracle; value and weights within weight_tol, residual entries
+    within residual_tol. Returns the kernel's value."""
+    total, found, pivots = _cf_solved_by(simplex_solve, box)
+    dense_total, dense, dense_pivots = _cf_solved_by(_dense_solve, box)
+    assert pivots == dense_pivots
+    assert found.strategies == dense.strategies
+    assert abs(total - dense_total) <= weight_tol
+    np.testing.assert_allclose(found.coefficients, dense.coefficients, rtol=0.0, atol=weight_tol)
+    assert (found.residual is None) == (dense.residual is None)
+    if found.residual is not None:
+        np.testing.assert_allclose(found.residual.p, dense.residual.p, rtol=0.0, atol=residual_tol)
+    return total
+
+
+# up to 4x4 inputs with two or three outcomes each, at most 576 strategies
+# so that the dense oracle stays fast
+wide_scenarios = st.builds(
+    Scenario,
+    st.lists(st.integers(2, 3), min_size=1, max_size=4).map(tuple),
+    st.lists(st.integers(2, 3), min_size=1, max_size=4).map(tuple),
+).filter(lambda sc: sc.strategy_count() <= 576)
+
+
+@given(
+    st.builds(
+        _ns_box,
+        wide_scenarios,
+        st.sampled_from(["deterministic", "ties", "local", "pr"]),
+        st.integers(0, 2**32 - 1).map(np.random.default_rng),
+    )
+)
+def test_cf_matches_dense_oracle_on_ns_boxes(box):
+    # Both solvers sit up to about 1e-13 from the exact vertex on boxes with
+    # many tiny weights, so they are held to each other at 1e-12.
+    total = _assert_cf_agrees_with_dense_oracle(box, weight_tol=1e-12, residual_tol=1e-12)
+    assert total == pytest.approx(_highs_cf(box), abs=1e-9)
+
+
+@given(wide_scenarios)
+def test_cf_of_maximally_mixed_boxes_is_one(sc):
+    # The uniform box is the uniform mixture of every deterministic box. Its
+    # LP is the most degenerate one here: Bland's rule stalls for up to about
+    # 2,300 pivots, and the basic values drift by about 1e-12, the width of
+    # the ratio-test tie window. The kernel and the dense oracle can then
+    # break a tie differently and take other pivot paths to the same value,
+    # so this test checks the value; cf_exact's own certificates check the
+    # final basis and the reconstruction.
+    total, found = cf_exact(maximally_mixed_box(sc))
+    assert total == pytest.approx(1.0, abs=1e-9)
+    assert found.residual is None and (found.coefficients > 0.0).all()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_INPUTS.glob("*_box.json")), ids=lambda p: p.stem)
+def test_cf_goldens_agree_with_dense_oracle(path):
+    box = Box.from_dict(json.loads(path.read_text()))
+    _assert_cf_agrees_with_dense_oracle(box, weight_tol=1e-15, residual_tol=1e-14)
+
+
+def test_certify_basis_accepts_the_final_basis_only():
+    # max x1 + x2 with x1 <= 1, x2 <= 2: the optimum has both structurals basic
+    a, b, c = np.eye(2), np.array([1.0, 2.0]), np.ones(2)
+    assert _certify_basis(a, b, c, np.array([0, 1]), np.array([1.0, 2.0])) == LP_TOL
+    # the slack basis is feasible but both structurals still improve
+    with pytest.raises(RuntimeError, match="reduced costs are not optimal"):
+        _certify_basis(a, b, c, np.array([2, 3]), b.copy())
+    # one structural basic: the other still prices in
+    with pytest.raises(RuntimeError, match="reduced costs are not optimal"):
+        _certify_basis(a, b, c, np.array([0, 3]), b.copy())
+    # an optimal basis whose basic values are off by more than LP_TOL
+    with pytest.raises(RuntimeError, match="reproduce the right-hand side"):
+        _certify_basis(a, b, c, np.array([0, 1]), np.array([1.0, 2.0 + 1e-8]))
+    with pytest.raises(RuntimeError, match="reproduce the right-hand side"):
+        _certify_basis(a, b, c, np.array([0, 1]), np.array([1.0, math.nan]))
+
+
+def test_certify_reconstruction_rejects_perturbed_weights():
+    sc = chsh_scenario()
+    alice, bob = _strategy_pairs(sc)
+    w = np.random.default_rng(3).dirichlet(np.ones(len(alice)))
+    p = local_box(sc, w).p
+    cells = _cells(alice, bob)
+    assert 0.0 < _certify_reconstruction(p, cells, w, 1.0, None) <= RECONSTRUCTION_TOL
+    with pytest.raises(RuntimeError, match="does not reconstruct"):
+        _certify_reconstruction(p, cells, w * (1.0 + 1e-6), 1.0, None)
+    # half the strategies, with the other half's mixture as the residual box
+    kept = _cells(alice[:8], bob[:8])
+    total = float(w[:8].sum())
+    residual = local_box(sc, np.append(np.zeros(8), w[8:]) / (1.0 - total)).p
+    assert _certify_reconstruction(p, kept, w[:8], total, residual) > 0.0
+    with pytest.raises(RuntimeError, match="does not reconstruct"):
+        _certify_reconstruction(p, kept, w[:8], total, np.roll(residual, 1, axis=3))
+    with pytest.raises(RuntimeError, match="does not reconstruct"):
+        _certify_reconstruction(p, kept, w[:8], total, np.where(residual > 0.0, math.nan, 0.0))
 
 
 def _lp_by_input_pairs(box: Box):

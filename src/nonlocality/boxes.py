@@ -258,26 +258,32 @@ def assignments(outcomes) -> np.ndarray:
 
 
 def _strategy_arrays(scenario: Scenario):
-    """`assignments` of Alice and of Bob, within the same budget on their
-    product as `enumerate_deterministic`."""
+    """`assignments` of Alice and of Bob, the one listing of strategies,
+    within the same budget on their product as `enumerate_deterministic`."""
     _check_budget(scenario)
     return assignments(scenario.outcomes_a), assignments(scenario.outcomes_b)
 
 
 def _cells(alice: np.ndarray, bob: np.ndarray) -> tuple:
-    """Index arrays (x, y, a, b), broadcasting to (strategies, nA, nB), of the
-    cells that strategies (alice[i], bob[i]) set to 1, strategy-major."""
-    x = np.arange(alice.shape[1])[:, None]
-    y = np.arange(bob.shape[1])[None, :]
-    return x, y, alice[:, :, None], bob[:, None, :]
+    """Index arrays (x, y, a, b) of the cells that strategies (alice, bob) set to 1;
+    leading axes broadcast (alice[:, None] with bob[None, :] is every strategy)."""
+    x = np.arange(alice.shape[-1])[:, None]
+    y = np.arange(bob.shape[-1])
+    return x, y, alice[..., :, None], bob[..., None, :]
 
 
-def _strategy_pairs(scenario: Scenario):
-    """(alice, bob) assignment rows of every strategy in enumeration order:
-    Alice's and Bob's columns of one assignment table over both parties."""
-    _check_budget(scenario)
-    table = assignments(scenario.outcomes_a + scenario.outcomes_b)
-    return table[:, : scenario.inputs_a], table[:, scenario.inputs_a :]
+def _winner_cells(table: np.ndarray, alice, bob) -> list:
+    """The cells of one strategy as floats, x outer and y inner."""
+    return table[_cells(np.array([alice]), np.array([bob]))].ravel().tolist()
+
+
+def _alice_side(table: np.ndarray, scenario: Scenario, reduce):
+    """Alice's assignments and g[i, y, b] = reduce_x table[x, y, alice[i, x], b], -inf
+    past Bob's outcome counts: with Alice fixed, a strategy search separates over y."""
+    alice, _ = _strategy_arrays(scenario)
+    g = reduce(table[np.arange(scenario.inputs_a), :, alice, :], axis=1)
+    g[:, ~scenario.inside[0, :, 0, :]] = -np.inf
+    return alice, g
 
 
 def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Box:
@@ -296,20 +302,21 @@ def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Bo
 def local_box(scenario: Scenario, weights) -> Box:
     """Convex mixture of deterministic boxes: `weights` is a probability
     vector over the strategies in enumeration order."""
-    alice, bob = _strategy_pairs(scenario)
+    alice, bob = _strategy_arrays(scenario)
     w = np.asarray(weights, dtype=float)
-    if len(w) != len(alice):
+    if len(w) != len(alice) * len(bob):
         raise ValueError("weights and strategies disagree in length")
     # written so that a NaN weight fails both checks
     if not float(w.min()) >= -ENTRY_TOL:
         raise ValueError(f"weights must be nonnegative numbers, min is {float(w.min())!r}")
     if not abs(float(w.sum()) - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
-    used = w > 0.0
+    used = np.flatnonzero(w > 0.0)
+    i, j = divmod(used, len(bob))
     t = np.zeros(scenario.shape)
     # unbuffered and in strategy order: each cell sums its weights as a
     # term-by-term loop would
-    np.add.at(t, _cells(alice[used], bob[used]), w[used][:, None, None])
+    np.add.at(t, _cells(alice[i], bob[j]), w[used][:, None, None])
     return Box(scenario, t)
 
 
@@ -390,15 +397,15 @@ def bell_algebraic_max(functional: BellFunctional) -> float:
 
 
 def bell_det_max(functional: BellFunctional) -> float:
-    """Best value over deterministic strategies (the local/classical maximum).
-    Each strategy's value sums its cells with x outer and y inner."""
-    sc = functional.scenario
-    alice, bob = _strategy_arrays(sc)
-    values = np.zeros((len(alice), len(bob)))
-    for x in range(sc.inputs_a):
-        for y in range(sc.inputs_b):
-            values += functional.s[x, y][alice[:, x][:, None], bob[:, y][None, :]]
-    return float(values.max())
+    """Best value over deterministic strategies (the local/classical maximum),
+    max_alpha sum_y max_b sum_x s[x, y, alpha_x, b]: the first best alpha and Bob's
+    first best b per y give a strategy whose cells are re-summed, x outer, y inner."""
+    alice, h = _alice_side(functional.s, functional.scenario, np.sum)
+    best = int(np.argmax(h.max(axis=2).sum(axis=1)))
+    total = 0.0  # a float loop: builtin sum compensates float sums from Python 3.12 on
+    for cell in _winner_cells(functional.s, alice[best], np.argmax(h[best], axis=1)):
+        total += cell
+    return total
 
 
 def chsh_scenario() -> Scenario:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, DeterministicStrategy, _cells, _strategy_arrays, _strategy_pairs
+from .boxes import Box, DeterministicStrategy, _alice_side, _cells, _strategy_arrays, _winner_cells
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -162,25 +162,16 @@ def fod_exact(box: Box):
     """Largest single-deterministic weight: max over strategies of the minimum
     matched cell. Ties keep the lexicographically first strategy.
 
-    Once Alice's assignment alpha is fixed, Bob's outputs are chosen per
-    input: the value is max_alpha min_y max_b g[alpha, y, b] with
-    g[alpha, y, b] = min_x p[x, y, alpha_x, b]."""
+    Once Alice's assignment alpha is fixed, Bob's outputs are chosen per input:
+    the value is max_alpha min_y max_b min_x p[x, y, alpha_x, b]."""
     _require_ns(box, "fraction of determinism")
-    sc = box.scenario
-    alice, _ = _strategy_arrays(sc)
-    g = box.p[np.arange(sc.inputs_a), :, alice, :].min(axis=1)
-    g[:, ~sc.inside[0, :, 0, :]] = -np.inf  # Bob's cells past each outcome count
+    alice, g = _alice_side(box.p, box.scenario, np.min)
     values = g.max(axis=2).min(axis=1)
     best = int(np.argmax(values))
     # first alpha with the largest value, then per y the first b reaching it
     strategy = DeterministicStrategy(alice[best], np.argmax(g[best] >= values[best], axis=1))
     # the winner's cells in enumeration order give the value, sign of zero included
-    value = min(
-        float(box.p[x, y, a, b])
-        for x, a in enumerate(strategy.alice)
-        for y, b in enumerate(strategy.bob)
-    )
-    return value, strategy
+    return min(_winner_cells(box.p, strategy.alice, strategy.bob)), strategy
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,23 +200,25 @@ def cf_exact(box: Box):
     entrywise, c >= 0, sum c_i <= 1. Returns (value, Decomposition)."""
     _require_ns(box, "classical fraction")
     sc = box.scenario
-    alice, bob = _strategy_pairs(sc)
-    n = len(alice)
+    alice, bob = _strategy_arrays(sc)
+    n = len(alice) * len(bob)
     inside = sc.inside
-    # one row per cell inside the outcome counts, in (x, y, a, b) order, then
-    # the row sum c <= 1; column s has a one in the row of each cell it sets.
-    # Column-major, so the simplex prices contiguous blocks of strategies.
+    # one row per cell inside the outcome counts, in (x, y, a, b) order, then the
+    # row sum c <= 1; column i * len(bob) + j, strategy (alice[i], bob[j]), has a one
+    # in the row of each cell it sets, column-major for contiguous pricing blocks.
     cells = box.p[inside]
     row_of = np.cumsum(inside).reshape(inside.shape) - 1
     a = np.zeros((len(cells) + 1, n), order="F")
-    a[row_of[_cells(alice, bob)], np.arange(n)[:, None, None]] = 1.0
+    columns = np.arange(n).reshape(len(alice), len(bob), 1, 1)
+    a[row_of[_cells(alice[:, None], bob[None, :])], columns] = 1.0
     a[-1] = 1.0
     lp = LinearProgram(c=np.ones(n), a=a, b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0))
     result = simplex_solve(lp)
     coeffs = np.clip(result.x, 0.0, None)
     total = float(coeffs.sum())
     used = np.flatnonzero(coeffs > 0.0)
-    used_a, used_b = alice[used], bob[used]
+    i, j = divmod(used, len(bob))
+    used_a, used_b = alice[i], bob[j]
     used_cells = _cells(used_a, used_b)
     residual = None
     if total < 1.0 - LP_TOL:

@@ -31,7 +31,6 @@ from nonlocality.boxes import (
     tsirelson_realization,
     validate_ns,
 )
-from nonlocality.boxes import _strategy_pairs
 from nonlocality.states import Povm, pure_state, sample_density, sample_povm, singlet, xz_spin_povm
 
 
@@ -349,8 +348,6 @@ def test_assignments_pair_up_in_enumeration_order(sc):
     alice, bob = assignments(sc.outcomes_a), assignments(sc.outcomes_b)
     paired = [DeterministicStrategy(a, b) for a in alice for b in bob]
     assert paired == enumerate_deterministic(sc)
-    rows = [DeterministicStrategy(a, b) for a, b in zip(*_strategy_pairs(sc))]
-    assert rows == paired
 
 
 def _random_functional(sc: Scenario, rng) -> BellFunctional:
@@ -372,6 +369,45 @@ def test_bell_det_max_matches_strategy_loop(sc, seed):
                 val += float(f.s[x, y, a, b])
         best = max(best, val)
     assert bell_det_max(f) == best
+
+
+def _strategy_sums(f: BellFunctional) -> list:
+    """Each strategy's value, summed with x outer and y inner, in enumeration order."""
+    sums = []
+    for strat in enumerate_deterministic(f.scenario):
+        val = 0.0
+        for x, a in enumerate(strat.alice):
+            for y, b in enumerate(strat.bob):
+                val += float(f.s[x, y, a, b])
+        sums.append(val)
+    return sums
+
+
+@given(scenarios, st.integers(0, 2**32 - 1))
+def test_bell_det_max_on_decimal_ties_is_some_strategy_sum(sc, seed):
+    # coefficients in multiples of 0.1 tie exactly in the reals, and the
+    # Alice-side search may round a tie differently from the strategy loop
+    rng = np.random.default_rng(seed)
+    s = np.where(sc.inside, rng.integers(-20, 21, size=sc.shape) / 10.0, 0.0)
+    f = BellFunctional(sc, s)
+    sums = _strategy_sums(f)
+    got = bell_det_max(f)
+    assert got in sums
+    assert abs(got - max(sums)) <= sc.inputs_a * sc.inputs_b * 2.0**-52 * float(np.abs(s).sum())
+
+
+def test_bell_det_max_masks_bob_cells_past_the_outcome_counts():
+    # every coefficient is negative, so a structural zero past one of Bob's
+    # outcome counts would beat every real cell if it were not masked
+    sc = Scenario((2, 3), (3, 1, 2))
+    f = BellFunctional(sc, np.where(sc.inside, -1.0 - np.random.default_rng(5).random(sc.shape), 0.0))
+    assert bell_det_max(f) == max(_strategy_sums(f))
+
+
+def test_bell_det_max_on_a_wide_bob_side():
+    sc = Scenario((2, 2), (3,) * 7)
+    f = _random_functional(sc, np.random.default_rng(11))
+    assert bell_det_max(f) == max(_strategy_sums(f))
 
 
 def _mixture_by_loop(sc, weights, strategies):

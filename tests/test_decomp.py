@@ -16,7 +16,6 @@ from nonlocality.boxes import (
     DeterministicStrategy,
     Scenario,
     _cells,
-    _strategy_pairs,
     chsh_scenario,
     deterministic_box,
     enumerate_deterministic,
@@ -736,7 +735,9 @@ def test_certify_basis_accepts_the_final_basis_only():
 
 def test_certify_reconstruction_rejects_perturbed_weights():
     sc = chsh_scenario()
-    alice, bob = _strategy_pairs(sc)
+    strategies = enumerate_deterministic(sc)
+    alice = np.array([s.alice for s in strategies])
+    bob = np.array([s.bob for s in strategies])
     w = np.random.default_rng(3).dirichlet(np.ones(len(alice)))
     p = local_box(sc, w).p
     cells = _cells(alice, bob)

@@ -222,8 +222,9 @@ def cf_exact(box: Box):
     used_cells = _cells(used_a, used_b)
     residual = None
     if total < 1.0 - LP_TOL:
-        leftover = _leftover(box.p, used_cells, coeffs[used])
-        residual = Box(sc, np.clip(leftover, 0.0, None) / (1.0 - total))
+        # each block over its own sum: dividing by 1 - total would magnify rounding
+        leftover = np.clip(_leftover(box.p, used_cells, coeffs[used]), 0.0, None)
+        residual = Box(sc, leftover / leftover.sum(axis=(2, 3), keepdims=True))
     _certify_reconstruction(
         box.p, used_cells, coeffs[used], total, None if residual is None else residual.p
     )

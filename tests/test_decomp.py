@@ -38,6 +38,10 @@ from nonlocality.decomp import (
 )
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+# the CHSH facet box (1 - t) L + t PR at t = 1e-8, with L the uniform mixture
+# of the eight deterministic boxes of CHSH value 2; kept apart from the golden
+# inputs because its residual magnifies rounding by 1 / t
+NEAR_FACET_BOX = Path(__file__).parent / "inputs" / "near_facet_box.json"
 
 
 def test_lp_validation():
@@ -607,8 +611,9 @@ def test_fod_matches_strict_strategy_loop(box):
     assert fod_exact(box) == _fod_by_strict_loop(box)
 
 
-def _highs_cf(box: Box) -> float:
-    """The classical fraction by HiGHS on the LP over every enumerated strategy."""
+def _highs_cf(box: Box, **options) -> float:
+    """The classical fraction by HiGHS on the LP over every enumerated strategy,
+    with `options` passed to HiGHS."""
     strategies = enumerate_deterministic(box.scenario)
     columns = np.array([deterministic_box(s, box.scenario).p.ravel() for s in strategies]).T
     ref = linprog(
@@ -617,6 +622,7 @@ def _highs_cf(box: Box) -> float:
         b_ub=np.append(np.clip(box.p.ravel(), 0.0, None), 1.0),
         bounds=(0, None),
         method="highs",
+        options=options or None,
     )
     assert ref.status == 0
     return -ref.fun
@@ -714,6 +720,23 @@ def test_cf_of_maximally_mixed_boxes_is_one(sc):
 def test_cf_goldens_agree_with_dense_oracle(path):
     box = Box.from_dict(json.loads(path.read_text()))
     _assert_cf_agrees_with_dense_oracle(box, weight_tol=1e-15, residual_tol=1e-14)
+
+
+def test_cf_residual_of_a_box_near_a_facet_is_a_box(tmp_path):
+    from nonlocality.cli import main
+
+    # 1 / (1 - cf) = 1e8 once magnified the rounding of the leftover block
+    # sums past the box check's 1e-9
+    out = tmp_path / "report.json"
+    assert main(["box", str(NEAR_FACET_BOX), "--ops", "ns,fod,cf", "--out", str(out)]) == 0
+    cf = json.loads(out.read_text())["rows"][-1]["computed"]
+    box = Box.from_dict(json.loads(NEAR_FACET_BOX.read_text()))
+    assert cf == pytest.approx(1.0 - 1e-8, abs=1e-9)
+    # HiGHS's default feasibility tolerance, 1e-7, would round cf up to 1
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    assert cf == pytest.approx(_highs_cf(box, **tight), abs=1e-9)
+    total, found = cf_exact(box)
+    assert total == cf and found.residual is not None
 
 
 def test_certify_basis_accepts_the_final_basis_only():

@@ -14,6 +14,7 @@ from .linalg import (
     PSD_TOL,
     as_complex_matrix,
     as_complex_stack,
+    hermitian_part,
     partial_trace,
     psd_sqrt,
     require_hermitian,
@@ -239,8 +240,8 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
     Member b has weight Tr((I (x) N_b) rho) and state Tr_B((I (x) N_b) rho)
     normalized. Outcomes with weight below STEER_DROP_TOL are dropped; the
     surviving outcome indices are recorded in `labels`. Every outcome is
-    computed in one stacked product and partial trace, and the surviving
-    states are checked as one stack.
+    computed in one stacked product and partial trace; the surviving operators
+    are checked as one stack before a small weight can magnify their rounding.
     """
     dim_b = povm_b.dim
     dim_a, rem = divmod(rho_ab.dim, dim_b)
@@ -255,9 +256,10 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
     if not kept.size:
         raise ValueError("all steering outcomes fell below the drop tolerance")
     w = weights[kept]
-    checked = _check_state_matrix(reduced[kept] / w[:, None, None], 1.0, 1.0, "state")
+    _check_state_matrix(reduced[kept], 0.0, 1.0, "state")
+    states = hermitian_part(reduced[kept] / w[:, None, None])
     labels = tuple(int(b) for b in kept)
-    return _trusted(Ensemble, weights=w / w.sum(), states=checked, labels=labels)
+    return _trusted(Ensemble, weights=w / w.sum(), states=states, labels=labels)
 
 
 def truncate_ensemble(ensemble: Ensemble, min_weight: float) -> tuple[Ensemble, float]:

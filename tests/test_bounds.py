@@ -279,6 +279,25 @@ def test_pipeline_random_realizations():
         assert value >= trace.c - 1e-8
 
 
+def test_pipeline_on_nearly_product_states():
+    # sqrt(1 - w) |a0>|0> + sqrt(w) |a1>|1> with w near 1e-8, and Bob's first
+    # measurement near z: a light steered member's rounding, divided by its
+    # weight, once passed PSD_TOL and made `steer` reject the state
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-8.5, -7.5)
+        kets = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a0, a1 = kets / np.linalg.norm(kets, axis=1, keepdims=True)
+        vec = math.sqrt(1.0 - w) * np.kron(a0, [1.0, 0.0]) + math.sqrt(w) * np.kron(a1, [0.0, 1.0])
+        rho = pure_state(vec)
+        bob1, bob2 = xz_spin_povm(rng.uniform(-1e-3, 1e-3)), xz_spin_povm(rng.uniform(0.0, math.pi))
+        alice = [sample_povm(2, 2, rng) for _ in range(2)]
+        trace = fod_floor_pipeline(rho, bob1, bob2, alice)
+        assert trace.passed
+        value, _ = fod_exact(quantum_box(rho, alice, [bob1, bob2]))
+        assert trace.theorem_form - 1e-15 <= trace.c <= value + 1e-8
+
+
 def test_pipeline_validation():
     rho, alice, bob = tsirelson_realization()
     with pytest.raises(ValueError, match="exceed 2"):

@@ -400,7 +400,8 @@ def test_bell_det_max_masks_bob_cells_past_the_outcome_counts():
     # every coefficient is negative, so a structural zero past one of Bob's
     # outcome counts would beat every real cell if it were not masked
     sc = Scenario((2, 3), (3, 1, 2))
-    f = BellFunctional(sc, np.where(sc.inside, -1.0 - np.random.default_rng(5).random(sc.shape), 0.0))
+    cells = -1.0 - np.random.default_rng(5).random(sc.shape)
+    f = BellFunctional(sc, np.where(sc.inside, cells, 0.0))
     assert bell_det_max(f) == max(_strategy_sums(f))
 
 

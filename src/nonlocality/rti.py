@@ -27,7 +27,7 @@ from .states import (
     DensityMatrix,
     SubnormalizedState,
     _check_state_matrix,
-    _complex_normal,
+    _complex_pairs,
     _gram_state,
     _mixture,
     _trusted,
@@ -331,42 +331,73 @@ def fvdg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[InequalityRepo
     return InequalityReport(lhs=1.0 - f, rhs=half), InequalityReport(lhs=half, rhs=upper)
 
 
-def _block_draw(width: int, rng, diagonal: bool) -> np.ndarray:
-    """Raw draw of a random state on `width` coordinates: diagonal weights
-    of shape (width,) or a Ginibre factor of shape (width, width)."""
-    if diagonal:
-        return rng.random(width) + 1e-3
-    return _complex_normal((width, width), rng)
+def _block_size(width: int, commuting: bool) -> int:
+    """Floats one block draw of a state on `width` coordinates takes: its
+    diagonal weights, or the real then imaginary parts of a Ginibre factor."""
+    return width if commuting else 2 * width * width
 
 
 def _draw_rti(dim: int, l: int, rng, commuting: bool):
-    """Every random draw of one instance: (split, sigma's block draw, base,
-    leak, noise, weights). The member fields base (block draws), leak and
-    noise (full-space draws) are stacked over the l members; the generator
-    draws them member by member, in that order.
+    """Every random draw of one instance, as (split, raw): the block split
+    and one flat float buffer, read off the generator in stream order.
 
-    `_instance_states` turns the draws into states. Both `sample_rti_instance`
-    and `rti_campaign` draw through here, so they see the same instances.
+    raw holds sigma's block draw, then per member its block draw (base), one
+    uniform variate (leak) and a full-space draw (noise), then one uniform
+    per weight. A commuting draw is all uniforms; a general one is normals
+    between the uniform slots. `_unpack_rti` turns stacks of buffers into
+    draws and `_instance_states` turns those into states; both
+    `sample_rti_instance` and `rti_campaign` draw through here, so they see
+    the same instances.
     """
     if dim < 2:
         raise ValueError("need dim >= 2 to separate the reference from the ensemble")
     if l < 1:
         raise ValueError("need at least one ensemble member")
     split = int(rng.integers(1, dim))
-    sigma = _block_draw(split, rng, commuting)
-    members = []
-    for _ in range(l):
-        base = _block_draw(dim - split, rng, commuting)
-        leak = rng.uniform(0.0, 0.05)
-        members.append((base, leak, _block_draw(dim, rng, commuting)))
-    base, leak, noise = (np.array(field) for field in zip(*members))
-    weights = rng.random(l) + 0.1
-    weights /= weights.sum()
-    return split, sigma, base, leak, noise, weights
+    head = _block_size(split, commuting)
+    base = _block_size(dim - split, commuting)
+    member = base + 1 + _block_size(dim, commuting)
+    end = head + l * member
+    if commuting:
+        return split, rng.random(end + l)
+    raw = np.empty(end + l)
+    # Each run of normals ends at the next uniform: a leak or the weights.
+    rng.standard_normal(out=raw[: head + base])
+    for leak in range(head + base, end, member):
+        raw[leak] = rng.random()
+        rng.standard_normal(out=raw[leak + 1 : min(leak + member, end)])
+    rng.random(out=raw[end:])
+    return split, raw
+
+
+def _unpack_rti(dim: int, l: int, split: int, raw: np.ndarray, commuting: bool):
+    """(sigma, base, leak, noise, weights) of a (trials, n) stack of
+    `_draw_rti` buffers that share `split`, each with a leading trial axis:
+    block draws are diagonal weights offset by 1e-3 or complex Ginibre
+    factors, leaks are 0.05 u and weights u + 0.1 normalized. The member
+    fields base, leak and noise are stacked over the l members."""
+
+    def blocks(flat: np.ndarray, width: int) -> np.ndarray:
+        if commuting:
+            return flat + 1e-3
+        return _complex_pairs(flat.reshape(flat.shape[:-1] + (2, width, width)))
+
+    head = _block_size(split, commuting)
+    base = _block_size(dim - split, commuting)
+    members = raw[:, head:-l].reshape(len(raw), l, -1)
+    weights = raw[:, -l:] + 0.1
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return (
+        blocks(raw[:, :head], split),
+        blocks(members[..., :base], dim - split),
+        0.05 * members[..., base],
+        blocks(members[..., base + 1 :], dim),
+        weights,
+    )
 
 
 def _instance_states(dim: int, split: int, sigma, base, leak, noise, commuting: bool):
-    """(sigma, rhos, made) built from `_draw_rti` draws, which may carry
+    """(sigma, rhos, made) built from `_unpack_rti` draws, which may carry
     leading stack axes: sigma and the ensemble sit on complementary blocks,
     plus a little full-support leakage per member, and rhos holds the
     members on the axis before the matrix axes. `made` lists every matrix
@@ -379,7 +410,7 @@ def _instance_states(dim: int, split: int, sigma, base, leak, noise, commuting: 
         return hermitian_part(mat)
 
     def block_state(lo: int, draw: np.ndarray, diagonal: bool) -> np.ndarray:
-        """The state of a `_block_draw` draw on coordinates [lo, lo + width)."""
+        """The state of a block draw on coordinates [lo, lo + width)."""
         width = draw.shape[-1]
         mat = np.zeros(draw.shape[: -1 if diagonal else -2] + (dim, dim), dtype=complex)
         if diagonal:
@@ -399,15 +430,16 @@ def _instance_states(dim: int, split: int, sigma, base, leak, noise, commuting: 
 def sample_rti_instance(dim: int, l: int, seed, commuting: bool = False) -> RtiInstance:
     """Random instance with small tight eps: sigma and the ensemble live on
     complementary blocks, plus a little full-support leakage per member."""
-    split, *draws, weights = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
+    split, raw = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
+    *draws, weights = _unpack_rti(dim, l, split, raw[None], commuting)
     sigma, rhos, made = _instance_states(dim, split, *draws, commuting)
     for mats in made:
         for mat in mats.reshape((-1,) + mats.shape[-2:]):
             DensityMatrix(mat)
-    sigma = _trusted(DensityMatrix, mat=sigma)
-    rhos = tuple(_trusted(DensityMatrix, mat=m) for m in rhos)
+    sigma = _trusted(DensityMatrix, mat=sigma[0])
+    rhos = tuple(_trusted(DensityMatrix, mat=m) for m in rhos[0])
     eps = RtiInstance.tight_epsilon_of(rhos, sigma)
-    return RtiInstance(sigma=sigma, rhos=rhos, weights=weights, epsilon=eps)
+    return RtiInstance(sigma=sigma, rhos=rhos, weights=weights[0], epsilon=eps)
 
 
 @dataclass(frozen=True)
@@ -455,12 +487,12 @@ def _campaign_slacks(dim: int, l: int, seeds, commuting: bool) -> np.ndarray:
     for every s in `seeds`, in some order, computed on stacks."""
     by_split = {}
     for seed in seeds:
-        split, *draws = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
-        by_split.setdefault(split, []).append(draws)
+        split, raw = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
+        by_split.setdefault(split, []).append(raw)
 
     sigma, rhos, weights, made = [], [], [], []
     for split, group in by_split.items():
-        *draws, ws = (np.array(field) for field in zip(*group))
+        *draws, ws = _unpack_rti(dim, l, split, np.stack(group), commuting)
         states = _instance_states(dim, split, *draws, commuting)
         sigma.append(states[0])
         rhos.append(states[1])

@@ -295,8 +295,15 @@ def sample_density(dim: int, rank: int, seed) -> DensityMatrix:
 
 
 def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussian array: the real parts are drawn first."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Standard complex Gaussian array of matrices of shape (..., m, n),
+    drawn in one call, matrix by matrix: real part, then imaginary part."""
+    return _complex_pairs(rng.standard_normal(shape[:-2] + (2,) + shape[-2:]))
+
+
+def _complex_pairs(parts: np.ndarray) -> np.ndarray:
+    """Complex (..., m, n) array from parts of shape (..., 2, m, n) that hold
+    each matrix's real part, then its imaginary part."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
 def _gram_state(g: np.ndarray) -> np.ndarray:
@@ -309,8 +316,7 @@ def sample_povm(dim: int, outcomes: int, seed) -> Povm:
     """Random POVM: Ginibre PSD pile S^(-1/2) A_r S^(-1/2) with S the sum."""
     if outcomes < 1:
         raise ValueError("need at least one outcome")
-    rng = np.random.default_rng(seed)
-    g = np.stack([_complex_normal((dim, dim), rng) for _ in range(outcomes)])
+    g = _complex_normal((outcomes, dim, dim), np.random.default_rng(seed))
     piles = g @ g.conj().swapaxes(-1, -2)
     # Python's sum adds the piles one at a time; np.sum may add them pairwise.
     w, v = np.linalg.eigh(sum(piles))

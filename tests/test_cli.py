@@ -149,14 +149,19 @@ def test_verify_rti_rejects_repeated_values(capsys, flag, value, repeated):
 @pytest.mark.parametrize(
     "extra, golden",
     [
-        ([], "verify_rti_trials50_seed7.json"),
-        (["--format", "csv"], "verify_rti_trials50_seed7.csv"),
-        (["--l", "2,3,4"], "verify_rti_trials50_seed7_l234.json"),
+        (["--trials", "50", "--seed", "7"], "verify_rti_trials50_seed7.json"),
+        (["--trials", "50", "--seed", "7", "--format", "csv"], "verify_rti_trials50_seed7.csv"),
+        (["--trials", "50", "--seed", "7", "--l", "2,3,4"], "verify_rti_trials50_seed7_l234.json"),
+        # l = 1, dim 5 and a seed past 2^32
+        (
+            ["--dims", "2,5", "--l", "1,4", "--trials", "300", "--seed", "4294967296"],
+            "verify_rti_dims25_l14_trials300_seed4294967296.json",
+        ),
     ],
 )
 def test_verify_rti_matches_golden_report(tmp_path, extra, golden):
     out = tmp_path / golden
-    assert main(["verify-rti", "--trials", "50", "--seed", "7", *extra, "--out", str(out)]) == 0
+    assert main(["verify-rti", *extra, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 

@@ -611,6 +611,11 @@ def test_fod_matches_strict_strategy_loop(box):
     assert fod_exact(box) == _fod_by_strict_loop(box)
 
 
+# HiGHS's default feasibility tolerance, 1e-7, can round a classical fraction
+# within about 1e-7 of 1 up to 1; comparisons at 1e-9 run HiGHS at these.
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
 def _highs_cf(box: Box, **options) -> float:
     """The classical fraction by HiGHS on the LP over every enumerated strategy,
     with `options` passed to HiGHS."""
@@ -699,7 +704,7 @@ def test_cf_matches_dense_oracle_on_ns_boxes(box):
     # Both solvers sit up to about 1e-13 from the exact vertex on boxes with
     # many tiny weights, so they are held to each other at 1e-12.
     total = _assert_cf_agrees_with_dense_oracle(box, weight_tol=1e-12, residual_tol=1e-12)
-    assert total == pytest.approx(_highs_cf(box), abs=1e-9)
+    assert total == pytest.approx(_highs_cf(box, **HIGHS_TIGHT), abs=1e-9)
 
 
 @given(wide_scenarios)
@@ -732,9 +737,7 @@ def test_cf_residual_of_a_box_near_a_facet_is_a_box(tmp_path):
     cf = json.loads(out.read_text())["rows"][-1]["computed"]
     box = Box.from_dict(json.loads(NEAR_FACET_BOX.read_text()))
     assert cf == pytest.approx(1.0 - 1e-8, abs=1e-9)
-    # HiGHS's default feasibility tolerance, 1e-7, would round cf up to 1
-    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    assert cf == pytest.approx(_highs_cf(box, **tight), abs=1e-9)
+    assert cf == pytest.approx(_highs_cf(box, **HIGHS_TIGHT), abs=1e-9)
     total, found = cf_exact(box)
     assert total == cf and found.residual is not None
 

@@ -201,6 +201,80 @@ def test_campaign_keeps_the_per_instance_state_checks():
         rti_campaign([3], [0], 4, 1)
 
 
+def _draw_rti_oracle(dim, l, rng, commuting):
+    """The draws of one instance made call by call, as the draw step's
+    oracle: (split, sigma's block draw, base, leak, noise, weights), with
+    base, leak and noise stacked over the members."""
+
+    def block(width):
+        if commuting:
+            return rng.random(width) + 1e-3
+        return rng.standard_normal((width, width)) + 1j * rng.standard_normal((width, width))
+
+    split = int(rng.integers(1, dim))
+    sigma = block(split)
+    members = []
+    for _ in range(l):
+        base = block(dim - split)
+        leak = rng.uniform(0.0, 0.05)
+        members.append((base, leak, block(dim)))
+    base, leak, noise = (np.array(field) for field in zip(*members))
+    weights = rng.random(l) + 0.1
+    weights /= weights.sum()
+    return split, sigma, base, leak, noise, weights
+
+
+def _assert_draws_match_oracle(dim, l, commuting, seed, trials):
+    """Draw and unpack `trials` instances, stacked by split as the campaign
+    stacks them, and compare every field with the oracle byte for byte."""
+    seeds = [(seed, dim, l, t) for t in range(trials)]
+    by_split = {}
+    for s in seeds:
+        split, raw = rti._draw_rti(dim, l, np.random.default_rng(s), commuting)
+        by_split.setdefault(split, []).append((s, raw))
+    for split, group in by_split.items():
+        fields = rti._unpack_rti(dim, l, split, np.stack([raw for _, raw in group]), commuting)
+        for row, (s, _) in enumerate(group):
+            want = _draw_rti_oracle(dim, l, np.random.default_rng(s), commuting)
+            assert split == want[0]
+            for got, expected in zip(fields, want[1:]):
+                got = got[row]
+                assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+                assert got.tobytes() == expected.tobytes()
+
+
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(1, 6),
+    st.booleans(),
+    st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 + 3),
+    st.integers(1, 6),
+)
+def test_draw_and_unpack_match_the_call_by_call_oracle(dim, l, commuting, seed, trials):
+    _assert_draws_match_oracle(dim, l, commuting, seed, trials)
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_draw_and_unpack_match_the_oracle_on_every_cell(commuting):
+    for dim in range(2, 9):
+        for l in range(1, 7):
+            for seed in EDGE_SEEDS:
+                _assert_draws_match_oracle(dim, l, commuting, seed, 3)
+
+
+def test_instance_rejects_mismatched_lengths_and_dimensions():
+    sigma = basis_state(0, 2)
+    with pytest.raises(ValueError, match="disagree in length"):
+        RtiInstance(sigma=sigma, rhos=(), weights=np.array([]), epsilon=0.0)
+    with pytest.raises(ValueError, match="disagree in length"):
+        RtiInstance(sigma=sigma, rhos=(basis_state(1, 2),), weights=np.array([0.5, 0.5]), epsilon=0.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        RtiInstance(sigma=sigma, rhos=(basis_state(1, 3),), weights=np.array([1.0]), epsilon=0.0)
+
+
 def test_commuting_check_on_stacks():
     diag = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
     plus = np.stack([np.diag([0.5, 0.5]), np.full((2, 2), 0.5)]).astype(complex)
@@ -288,6 +362,11 @@ def test_classical_sharp_example_validation():
         classical_sharp_example(2, 1.5)  # above 2/l
     with pytest.raises(ValueError):
         classical_sharp_example(0, 0.1)
+
+
+def test_rotfeld_rejects_an_empty_input():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        rotfeld_check([])
 
 
 def test_rotfeld_equality_on_disjoint_supports():

@@ -367,3 +367,21 @@ def test_sample_povm_valid(seed, dim, outcomes):
     assert len(p) == outcomes and p.dim == dim
     total = sum(p.elements)
     assert np.abs(total - np.eye(dim)).max() < 1e-9
+
+
+@given(st.integers(0, 2**64 + 3), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4))
+def test_complex_normal_matches_two_draws_per_matrix(seed, outcomes, rows, cols):
+    """The one-call complex draw reads the stream as two calls per matrix
+    would, real part first, and leaves the generator at the same point."""
+    shape = (rows, cols) if outcomes == 0 else (outcomes, rows, cols)
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = states._complex_normal(shape, rng)
+    want = np.stack(
+        [
+            oracle.standard_normal((rows, cols)) + 1j * oracle.standard_normal((rows, cols))
+            for _ in range(max(outcomes, 1))
+        ]
+    ).reshape(shape)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == oracle.random()

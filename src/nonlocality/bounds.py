@@ -35,6 +35,9 @@ from .states import (
 PIPELINE_TOL = 1e-8
 MU_SEARCH_HI = 50.0
 MU_AGREE_TOL = 1e-8
+# binary_bob_bounds: first grid step, and the step its zooming stops at
+GRID_STEP = 1e-3
+REFINE_STEP = 1e-6
 
 
 def mu_objective(mu):
@@ -369,12 +372,13 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _minimize(fn, arity: int, step: float, refine: float):
+def _minimize(fn, arity: int):
     """Minimize fn(q0) over q0 in [0, 1/2] (arity 1), or fn(p0, q0) over
-    0 <= p0 <= q0 <= 1/2 (arity 2), by grid search at `step`, then zooming to
-    +-2 steps around the best point at a tenth of the step until the step is
-    at most `refine`. Returns the value and the tuple of arguments."""
+    0 <= p0 <= q0 <= 1/2 (arity 2), by grid search at GRID_STEP, then zooming
+    to +-2 steps around the best point at a tenth of the step until the step
+    is at most REFINE_STEP. Returns the value and the tuple of arguments."""
     lo, hi = (0.0,) * arity, (0.5,) * arity
+    step = GRID_STEP
     while True:
         grid = np.meshgrid(*(_grid(a, b, step) for a, b in zip(lo, hi)), indexing="ij")
         vals = fn(*grid)
@@ -382,7 +386,7 @@ def _minimize(fn, arity: int, step: float, refine: float):
             vals = np.where(grid[0] <= grid[1] + 1e-15, vals, np.inf)
         i = np.unravel_index(int(np.argmin(vals)), vals.shape)
         best = tuple(float(g[i]) for g in grid)
-        if not step > refine:
+        if not step > REFINE_STEP:
             return float(vals[i]), best
         lo = tuple(max(0.0, v - 2.0 * step) for v in best)
         hi = tuple(min(0.5, v + 2.0 * step) for v in best)
@@ -421,16 +425,14 @@ class BinaryBobBounds(Record):
     case_minima: dict
 
 
-def binary_bob_bounds(
-    k: int = 2, grid_step: float = 1e-3, refine_step: float = 1e-6
-) -> BinaryBobBounds:
+def binary_bob_bounds(k: int = 2) -> BinaryBobBounds:
     """Worst-case determinism constants for binary-outcome Bob measurements.
 
     Weights are parameterized by p0 <= q0 <= 1/2 (heavier outcomes carry
     1 - p0, 1 - q0). Each of the four close-pair cases yields a floor; the
     deterministic fraction takes one floor per case, the classical fraction
     may stack the two floors that feed distinct deterministic boxes. Grid
-    search at grid_step with local zooming down to refine_step. The realized
+    search at GRID_STEP with local zooming down to REFINE_STEP. The realized
     box floors are the constants divided by 2k.
     """
     if k < 1:
@@ -464,13 +466,13 @@ def binary_bob_bounds(
         _, t3 = _second_terms(p0, q0)
         return np.maximum((1.0 - q0) / 4.0, t3)
 
-    v00, w00 = _minimize(fod_same_pair, 2, grid_step, refine_step)
-    v10, (q10,) = _minimize(cross10_decoupled, 1, grid_step, refine_step)
-    v11, (q11,) = _minimize(cross11_decoupled, 1, grid_step, refine_step)
-    c00, wc00 = _minimize(cf_case00, 2, grid_step, refine_step)
-    c01, wc01 = _minimize(cf_case01, 2, grid_step, refine_step)
-    c10, _ = _minimize(cross10_coupled, 2, grid_step, refine_step)
-    c11, _ = _minimize(cross11_coupled, 2, grid_step, refine_step)
+    v00, w00 = _minimize(fod_same_pair, 2)
+    v10, (q10,) = _minimize(cross10_decoupled, 1)
+    v11, (q11,) = _minimize(cross11_decoupled, 1)
+    c00, wc00 = _minimize(cf_case00, 2)
+    c01, wc01 = _minimize(cf_case01, 2)
+    c10, _ = _minimize(cross10_coupled, 2)
+    c11, _ = _minimize(cross11_coupled, 2)
 
     case_minima = {
         "fod_case00": v00,

@@ -72,7 +72,9 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     method. Raises UnboundedError when an improving column has no blocking
     row and RuntimeError when the iteration budget 10 * (rows + columns),
     slack columns included, is exhausted or the last basis fails
-    `_certify_basis`.
+    `_certify_basis`. The certificate compares absolute residuals with
+    LP_TOL, so it suits data of order 1, as in the classical-fraction LP,
+    whose b is at most 1.
     """
     a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape

@@ -115,6 +115,12 @@ class Ensemble:
     (l, d, d) stack of their matrices. `labels` optionally names each member
     by the measurement outcome that produced it, so members stay
     identifiable after sorting or truncation.
+
+    The members given here were each checked as a state, PSD within PSD_TOL.
+    The ensembles that `steer` returns are built without that check: their
+    members were checked before they were normalized, so a member of weight
+    w may sit up to about PSD_TOL / w below PSD, and passing its matrix to
+    `DensityMatrix` again can fail.
     """
 
     weights: np.ndarray
@@ -242,6 +248,8 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
     surviving outcome indices are recorded in `labels`. Every outcome is
     computed in one stacked product and partial trace; the surviving operators
     are checked as one stack before a small weight can magnify their rounding.
+    So a member of weight w is PSD only within about PSD_TOL / w: a weight of
+    1.4e-8 gave a minimum eigenvalue of -1.07e-9.
     """
     dim_b = povm_b.dim
     dim_a, rem = divmod(rho_ab.dim, dim_b)

@@ -96,7 +96,7 @@ def test_c2_universal_chsh_floor(tmp_path):
 
 def test_c3_binary_bob_constants():
     start = time.perf_counter()
-    binary = binary_bob_bounds(k=2, grid_step=1e-3, refine_step=1e-6)
+    binary = binary_bob_bounds(k=2)
     elapsed = time.perf_counter() - start
     assert abs(binary.fod_constant - 0.10961) <= 5e-4
     assert abs(binary.cf_constant - 0.1123) <= 5e-4

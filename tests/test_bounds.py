@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nonlocality import bounds
 from nonlocality.boxes import quantum_box, tsirelson_realization
 from nonlocality.bounds import (
     InequalityRecord,
@@ -57,6 +58,12 @@ def test_optimize_mu_frozen():
     assert opt.mu == pytest.approx(4.561552812808831, abs=1e-12)
     assert opt.value == pytest.approx(F_STAR, abs=1e-12)
     assert opt.to_dict() == {"mu": opt.mu, "value": opt.value}
+
+
+def test_optimize_mu_raises_when_the_search_disagrees(monkeypatch):
+    monkeypatch.setattr(bounds, "_searched_mu", lambda: 4.0)
+    with pytest.raises(RuntimeError, match="disagrees with search 4.0"):
+        optimize_mu()
 
 
 def test_golden_section_max_parabola():
@@ -113,6 +120,9 @@ def test_confusing_outcome_orthogonal_states():
     co = confusing_outcome(basis_state(0, 2), basis_state(1, 2), xz_spin_povm(0.0))
     assert co.epsilon == pytest.approx(0.0, abs=1e-12)
     assert co.index == 0  # a zero floor is met immediately
+    # claimed to be at distance 0, they would need overlap 1/2 on some outcome
+    with pytest.raises(RuntimeError, match="guaranteed overlap floor"):
+        _confusing_outcome(basis_state(0, 2).mat, basis_state(1, 2).mat, xz_spin_povm(0.0), 0.0)
 
 
 def test_confusing_outcome_dimension_mismatch():
@@ -240,6 +250,15 @@ def test_close_pair_rejects_distinguishable_averages():
         close_pair(e0, e1)
 
 
+def test_close_pair_raises_past_its_floor(monkeypatch):
+    # a claimed floor of 2 leaves room only for a pair at distance 0
+    monkeypatch.setattr(bounds, "epsilon_from_average_distance", lambda x, l1, l2: 2.0)
+    e0 = Ensemble(weights=np.array([1.0]), states=(basis_state(0, 2),))
+    e1 = Ensemble(weights=np.array([1.0]), states=(maximally_mixed(2),))
+    with pytest.raises(RuntimeError, match="guaranteed closeness floor"):
+        close_pair(e0, e1)
+
+
 def test_close_pair_dimension_mismatch():
     e2 = Ensemble(weights=np.array([1.0]), states=(maximally_mixed(2),))
     e3 = Ensemble(weights=np.array([1.0]), states=(maximally_mixed(3),))
@@ -348,7 +367,7 @@ def test_binary_bob_bell_bounds():
 def test_binary_bob_validation_and_serialization():
     with pytest.raises(ValueError):
         binary_bob_bounds(k=0)
-    payload = json.dumps(binary_bob_bounds(grid_step=1e-2, refine_step=1e-4).to_dict())
+    payload = json.dumps(binary_bob_bounds().to_dict())
     assert "cf_constant_coupled" in payload
 
 

@@ -62,7 +62,6 @@ RECORDS = {
     "UniversalBound_324": lambda: universal_fod_bound(3, 2, 4),
     "PipelineTrace_tsirelson": _pipeline,
     "BinaryBobBounds": binary_bob_bounds,
-    "BinaryBobBounds_coarse": lambda: binary_bob_bounds(grid_step=1e-2, refine_step=1e-4),
     "RtiReport_general": lambda: verify_rti(sample_rti_instance(3, 3, seed=11)),
     "RtiReport_commuting": lambda: verify_rti(
         sample_rti_instance(3, 2, seed=5, commuting=True), commuting=True

@@ -129,6 +129,10 @@ def test_ensemble_validation():
         Ensemble(weights=np.array([1.0]), states=s)
     with pytest.raises(ValueError):
         Ensemble(weights=np.array([0.4, 0.6]), states=s, labels=(1,))
+    with pytest.raises(ValueError, match="at least one member"):
+        Ensemble(weights=np.array([]), states=())
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        Ensemble(weights=np.array([0.5, 0.5]), states=(maximally_mixed(2), maximally_mixed(3)))
 
 
 def test_ensemble_rejects_nan_weight():
@@ -359,6 +363,21 @@ def test_samplers_deterministic():
     pa = sample_povm(2, 3, 42)
     pb = sample_povm(2, 3, 42)
     assert all(np.abs(x - y).max() == 0.0 for x, y in zip(pa.elements, pb.elements))
+
+
+def test_samplers_reject_bad_rank_and_outcome_count():
+    for rank in (0, 4):
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 3\]"):
+            sample_density(3, rank, seed=0)
+    with pytest.raises(ValueError, match="at least one outcome"):
+        sample_povm(2, 0, seed=0)
+
+
+def test_sample_povm_rejects_a_singular_normalizer(monkeypatch):
+    # all-zero Ginibre piles sum to the zero matrix
+    monkeypatch.setattr(states, "_complex_normal", lambda shape, rng: np.zeros(shape, dtype=complex))
+    with pytest.raises(ValueError, match="normalizer is singular"):
+        sample_povm(2, 3, seed=0)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 4))

@@ -133,24 +133,16 @@ def test_random_lps_match_scipy():
         assert ref.status == 0
         assert mine.value == pytest.approx(-ref.fun, abs=1e-7)
         assert (mine.x >= 0.0).all() and (a @ mine.x <= b + 1e-9).all()
-        dense = _dense_solve(lp)
+        dense = _dense_simplex(lp)
         assert mine.iterations == dense.iterations
         np.testing.assert_allclose(mine.x, dense.x, rtol=0.0, atol=1e-12)
 
 
-def _dense_solve(lp) -> SimplexResult:
-    """The dense oracle behind simplex_solve's interface."""
-    x, iterations = _dense_simplex(lp)
-    if x is None:
-        raise UnboundedError("improving direction has no blocking constraint")
-    return SimplexResult(value=float(lp.c @ x), x=x, iterations=iterations)
-
-
-def _dense_simplex(lp):
-    """The dense oracle: Bland's rule on the tableau [a | I] from the slack
-    basis, with the reduced costs carried as one more row. Each Gauss-Jordan
-    step updates one touched row per Python iteration. Returns (x or None
-    when unbounded, iterations)."""
+def _dense_simplex(lp) -> SimplexResult:
+    """The dense oracle behind simplex_solve's interface: Bland's rule on the
+    tableau [a | I] from the slack basis, with the reduced costs carried as
+    one more row. Each Gauss-Jordan step updates one touched row per Python
+    iteration."""
     m, n = lp.a.shape
     t = np.block([[lp.a, np.eye(m)], [lp.c, np.zeros(m)]])
     rhs = np.append(lp.b, 0.0)
@@ -164,7 +156,7 @@ def _dense_simplex(lp):
         col = t[:m, entering]
         rows = np.flatnonzero(col > LP_TOL)
         if not rows.size:
-            return None, iterations
+            raise UnboundedError("improving direction has no blocking constraint")
         ratios = rhs[rows] / col[rows]
         tied = rows[ratios <= ratios.min() + 1e-12]
         row = int(tied[np.argmin(basis[tied])])
@@ -180,7 +172,8 @@ def _dense_simplex(lp):
         iterations += 1
     x = np.zeros(n + m)
     x[basis] = rhs[:m]
-    return np.where(np.abs(x) < LP_TOL, 0.0, x)[:n], iterations
+    x = np.where(np.abs(x) < LP_TOL, 0.0, x)[:n]
+    return SimplexResult(value=float(lp.c @ x), x=x, iterations=iterations)
 
 
 def _random_lp(m: int, n: int, bounded: bool, coarse: bool, rng) -> LinearProgram:
@@ -208,7 +201,7 @@ random_lps = st.builds(
 def test_simplex_matches_dense_oracle(lp):
     ref = linprog(-lp.c, A_ub=lp.a, b_ub=lp.b, bounds=(0, None), method="highs")
     try:
-        dense = _dense_solve(lp)
+        dense = _dense_simplex(lp)
     except UnboundedError:
         with pytest.raises(UnboundedError):
             simplex_solve(lp)
@@ -571,7 +564,7 @@ def _assert_cf_agrees_with_dense_oracle(box: Box, weight_tol: float, residual_to
     the dense oracle; value and weights within weight_tol, residual entries
     within residual_tol. Returns the kernel's value."""
     total, found, pivots = _cf_solved_by(simplex_solve, box)
-    dense_total, dense, dense_pivots = _cf_solved_by(_dense_solve, box)
+    dense_total, dense, dense_pivots = _cf_solved_by(_dense_simplex, box)
     assert pivots == dense_pivots
     assert found.strategies == dense.strategies
     assert abs(total - dense_total) <= weight_tol

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boxes import _check_counts, quantum_box
 from .linalg import trace_norm
-from .records import Record
+from .records import SLACK_TOL, InequalityRecord, Record
 from .states import (
     DensityMatrix,
     Ensemble,
@@ -32,7 +32,6 @@ from .states import (
     truncate_ensemble,
 )
 
-PIPELINE_TOL = 1e-8
 MU_SEARCH_HI = 50.0
 MU_AGREE_TOL = 1e-8
 # binary_bob_bounds: first grid step, and the step its zooming stops at
@@ -196,30 +195,11 @@ def close_pair(e1: Ensemble, e2: Ensemble) -> ClosePair:
     distances = trace_norm(e1.states[:, None] - e2.states[None, :])
     i, j = np.unravel_index(int(np.argmin(distances)), distances.shape)
     best_d = float(distances[i, j])
-    if best_d > 2.0 - eps + PIPELINE_TOL:
+    if best_d > 2.0 - eps + SLACK_TOL:
         raise RuntimeError("closest pair misses its guaranteed closeness floor")
     return ClosePair(
         i=int(i), j=int(j), distance=best_d, epsilon=eps, average_distance=x
     )
-
-
-@dataclass(frozen=True)
-class InequalityRecord(Record):
-    """One certified step lhs <= rhs with its numerical slack."""
-
-    _DERIVED = ("slack", "holds")
-
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def holds(self) -> bool:
-        return self.slack >= -PIPELINE_TOL
 
 
 @dataclass(frozen=True, eq=False)

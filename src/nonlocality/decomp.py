@@ -72,9 +72,10 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     method. Raises UnboundedError when an improving column has no blocking
     row and RuntimeError when the iteration budget 10 * (rows + columns),
     slack columns included, is exhausted or the last basis fails
-    `_certify_basis`. The certificate compares absolute residuals with
-    LP_TOL, so it suits data of order 1, as in the classical-fraction LP,
-    whose b is at most 1.
+    `_certify_basis`. The certificate scales each row's residual by
+    max(1, |b_i|), so an LP with large data passes it when it is solved to
+    relative precision; on the classical-fraction LP, whose b is at most 1,
+    the threshold is LP_TOL itself.
     """
     a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape
@@ -134,9 +135,10 @@ def _first_improving(a: np.ndarray, c: np.ndarray, y: np.ndarray) -> int | None:
 def _certify_basis(a, b, c, basis, x_b) -> float:
     """Optimality certificate of a final basis of [a | I], from fresh duals:
     y solves y B = c_B for the basis columns B, every reduced cost c - y @ a
-    and -y must be at most LP_TOL, and B @ x_b must reproduce b within
-    LP_TOL. Returns LP_TOL minus the worst violation; raises RuntimeError
-    when it is negative."""
+    and -y must be at most LP_TOL, each row of B @ x_b must reproduce b_i
+    within LP_TOL * max(1, |b_i|), and every basic value must lie above
+    -LP_TOL. Returns LP_TOL minus the worst violation; raises RuntimeError
+    when a check fails."""
     m, n = a.shape
     structural = basis < n
     mat = np.zeros((m, m))
@@ -146,10 +148,13 @@ def _certify_basis(a, b, c, basis, x_b) -> float:
     reduced = float(np.concatenate([c - y @ a, -y]).max(initial=-np.inf))
     if not reduced <= LP_TOL:
         raise RuntimeError("simplex stopped on a basis whose recomputed reduced costs are not optimal")
-    defect = float(np.abs(mat @ x_b - b).max(initial=0.0))
+    defect = float((np.abs(mat @ x_b - b) / np.maximum(1.0, np.abs(b))).max(initial=0.0))
     if not defect <= LP_TOL:
         raise RuntimeError("simplex basic values do not reproduce the right-hand side")
-    return LP_TOL - max(reduced, defect)
+    lowest = float(x_b.min(initial=np.inf))
+    if not lowest > -LP_TOL:
+        raise RuntimeError("simplex stopped on a basis with a negative basic value")
+    return LP_TOL - max(reduced, defect, -lowest)
 
 
 def _require_ns(box: Box, what: str):
@@ -215,8 +220,8 @@ def cf_exact(box: Box):
     a[row_of[_cells(alice[:, None], bob[None, :])], columns] = 1.0
     a[-1] = 1.0
     lp = LinearProgram(c=np.ones(n), a=a, b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0))
-    result = simplex_solve(lp)
-    coeffs = np.clip(result.x, 0.0, None)
+    # nonnegative: basic values are certified above -LP_TOL and those below LP_TOL zeroed
+    coeffs = simplex_solve(lp).x
     total = float(coeffs.sum())
     used = np.flatnonzero(coeffs > 0.0)
     i, j = divmod(used, len(bob))

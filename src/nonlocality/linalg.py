@@ -69,7 +69,7 @@ def psd_sqrt(a) -> np.ndarray:
     if not lo >= -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue = {lo:.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (root + root.conj().T) / 2
+    return hermitian_part(root)
 
 
 def tensor(a, b) -> np.ndarray:

@@ -1,6 +1,10 @@
-"""The one serializer of the library's frozen result records."""
+"""The one serializer of the library's frozen result records, and the one
+record of a certified inequality."""
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
+
+# Every certified inequality lhs <= rhs holds when rhs - lhs >= -SLACK_TOL.
+SLACK_TOL = 1e-8
 
 
 class Record:
@@ -25,3 +29,22 @@ def _plain(value):
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     return value
+
+
+@dataclass(frozen=True)
+class InequalityRecord(Record):
+    """One certified step lhs <= rhs with its numerical slack."""
+
+    _DERIVED = ("slack", "holds")
+
+    name: str
+    lhs: float
+    rhs: float
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.slack >= -SLACK_TOL)

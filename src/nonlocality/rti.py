@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_part, max_commutator_entry, psd_sqrt, trace_norm
-from .records import Record
+from .records import SLACK_TOL, InequalityRecord, Record
 from .states import (
     DensityMatrix,
     SubnormalizedState,
@@ -37,7 +37,6 @@ from .states import (
 
 CERTIFICATE_TOL = 1e-9
 COMMUTE_TOL = 1e-9
-PASS_SLACK = 1e-8
 # Trials per stacked pass of `rti_campaign`; bounds its memory at any count.
 RTI_CHUNK = 128
 
@@ -126,6 +125,10 @@ class RtiInstance:
 
 @dataclass(frozen=True)
 class RtiReport(Record):
+    """The mixture distance lhs against its lower bound, passing when the
+    slack lhs - bound is at least -SLACK_TOL."""
+
+    _DERIVED = ("passed", "slack")
     _RENAME = {"passed": "pass"}
 
     lhs: float
@@ -134,8 +137,14 @@ class RtiReport(Record):
     epsilon_stored: float
     l: int
     commuting: bool
-    passed: bool
-    slack: float
+
+    @property
+    def slack(self) -> float:
+        return self.lhs - self.bound
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.slack >= -SLACK_TOL)
 
 
 def verify_rti(instance: RtiInstance, commuting: bool = False) -> RtiReport:
@@ -152,7 +161,6 @@ def verify_rti(instance: RtiInstance, commuting: bool = False) -> RtiReport:
     eps = min(max(eps, 0.0), 2.0)
     lhs = trace_norm(instance.mixture() - instance.sigma.mat)
     bound = rti_commuting_bound(instance.l, eps) if commuting else rti_general_bound(instance.l, eps)
-    slack = lhs - bound
     return RtiReport(
         lhs=lhs,
         bound=bound,
@@ -160,8 +168,6 @@ def verify_rti(instance: RtiInstance, commuting: bool = False) -> RtiReport:
         epsilon_stored=instance.epsilon,
         l=instance.l,
         commuting=commuting,
-        passed=bool(slack >= -PASS_SLACK),
-        slack=slack,
     )
 
 
@@ -294,41 +300,25 @@ def classical_sharp_example(l: int, eps: float) -> ClassicalSharpExample:
     return ClassicalSharpExample(h=h, components=components, weights=weights)
 
 
-@dataclass(frozen=True)
-class InequalityReport(Record):
-    """lhs <= rhs, passing when the slack rhs - lhs is at least -PASS_SLACK."""
-
-    _DERIVED = ("slack", "passed")
-    _RENAME = {"passed": "pass"}
-
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.slack >= -PASS_SLACK)
-
-
-def rotfeld_check(psd_mats) -> InequalityReport:
+def rotfeld_check(psd_mats) -> InequalityRecord:
     """Subadditivity of Tr sqrt on PSD matrices: Tr sqrt(sum) <= sum Tr sqrt."""
     mats = list(psd_mats)
     if not mats:
         raise ValueError("need at least one matrix")
     lhs = float(np.real(np.trace(psd_sqrt(sum(mats)))))
     rhs = float(sum(np.real(np.trace(psd_sqrt(m))) for m in mats))
-    return InequalityReport(lhs=lhs, rhs=rhs)
+    return InequalityRecord("Tr sqrt(sum) <= sum of Tr sqrt", lhs, rhs)
 
 
-def fvdg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[InequalityReport, InequalityReport]:
+def fvdg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[InequalityRecord, InequalityRecord]:
     """Fidelity-distance sandwich: 1 - F <= |rho-sigma|/2 <= sqrt(1 - F^2)."""
     f = fidelity(rho, sigma)
     half = trace_distance(rho, sigma) / 2.0
     upper = float(np.sqrt(max(0.0, 1.0 - f * f)))
-    return InequalityReport(lhs=1.0 - f, rhs=half), InequalityReport(lhs=half, rhs=upper)
+    return (
+        InequalityRecord("1 - F <= |rho - sigma| / 2", 1.0 - f, half),
+        InequalityRecord("|rho - sigma| / 2 <= sqrt(1 - F^2)", half, upper),
+    )
 
 
 def _block_size(width: int, commuting: bool) -> int:
@@ -467,7 +457,7 @@ def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> l
             for start in range(0, trials, RTI_CHUNK):
                 chunk = range(start, min(start + RTI_CHUNK, trials))
                 slack = _campaign_slacks(dim, l, [(seed, dim, l, t) for t in chunk], commuting)
-                violations += int(np.count_nonzero(~(slack >= -PASS_SLACK)))
+                violations += int(np.count_nonzero(~(slack >= -SLACK_TOL)))
                 min_slack = min(min_slack, float(slack.min()))
             rows.append(
                 CampaignRow(

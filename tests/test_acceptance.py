@@ -307,7 +307,7 @@ def test_c9_proof_ingredient_inequalities():
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             mats.append(g @ g.conj().T / dim)
         report = rotfeld_check(mats)
-        assert report.passed
+        assert report.holds
         worst_rotfeld = min(worst_rotfeld, report.slack)
     assert worst_rotfeld >= -1e-8
 
@@ -318,7 +318,7 @@ def test_c9_proof_ingredient_inequalities():
         rho = sample_density(dim, int(rng.integers(1, dim + 1)), rng)
         sigma = sample_density(dim, int(rng.integers(1, dim + 1)), rng)
         low, high = fvdg_check(rho, sigma)
-        assert low.passed and high.passed
+        assert low.holds and high.holds
         worst_fvdg = min(worst_fvdg, low.slack, high.slack)
     assert worst_fvdg >= -1e-8
     print(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nonlocality import bounds
 from nonlocality.boxes import quantum_box, tsirelson_realization
 from nonlocality.bounds import (
-    InequalityRecord,
     _confusing_outcome,
     binary_bob_bounds,
     close_pair,
@@ -26,6 +25,7 @@ from nonlocality.bounds import (
 )
 from nonlocality.decomp import bell_bound_from_fod, fod_exact
 from nonlocality.linalg import trace_norm
+from nonlocality.records import InequalityRecord
 from nonlocality.states import (
     Ensemble,
     Povm,

@@ -117,6 +117,19 @@ def test_simplex_budget_stops_klee_minty():
         simplex_solve(_klee_minty(12))
 
 
+def test_simplex_certifies_the_unscaled_klee_minty_cube():
+    # max sum_j 10^(n-j) x_j subject to 2 sum_{j<i} 10^(i-j) x_j + x_i <= 100^(i-1):
+    # b reaches 1e20, and the last row's residual is about 3.3e5 in absolute
+    # terms but 3.3e-15 relative to b, within LP_TOL once scaled by max(1, |b_i|)
+    n = 11
+    i = np.arange(1, n + 1)
+    below = i[:, None] > i[None, :]
+    a = np.where(below, 2.0 * 10.0 ** (i[:, None] - i[None, :]), 0.0) + np.eye(n)
+    res = simplex_solve(LinearProgram(c=10.0 ** (n - i), a=a, b=100.0 ** (i - 1)))
+    assert res.value == pytest.approx(100.0**10, rel=1e-12)
+    np.testing.assert_array_equal(res.x[:-1], 0.0)
+
+
 def test_random_lps_match_scipy():
     for seed in range(25):
         rng = np.random.default_rng(seed)
@@ -649,6 +662,16 @@ def test_certify_basis_accepts_the_final_basis_only():
         _certify_basis(a, b, c, np.array([0, 1]), np.array([1.0, 2.0 + 1e-8]))
     with pytest.raises(RuntimeError, match="reproduce the right-hand side"):
         _certify_basis(a, b, c, np.array([0, 1]), np.array([1.0, math.nan]))
+    # the residual is scaled by max(1, |b_i|): 1e-8 off a b_i of 100 passes
+    margin = _certify_basis(a, 100.0 * b, c, np.array([0, 1]), np.array([100.0, 200.0 + 1e-8]))
+    assert 0.0 < margin < LP_TOL
+    # dual feasible and reproducing b, but x_1 = -1: not a feasible basis
+    a, b = np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0])
+    with pytest.raises(RuntimeError, match="negative basic value"):
+        _certify_basis(a, b, c, np.array([0, 1]), np.array([2.0, -1.0]))
+    # -LP_TOL is not above -LP_TOL
+    with pytest.raises(RuntimeError, match="negative basic value"):
+        _certify_basis(a, b + [1.0 - LP_TOL, 0.0], c, np.array([0, 1]), np.array([2.0, -LP_TOL]))
 
 
 def test_certify_reconstruction_rejects_perturbed_weights():

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nonlocality.bounds import PIPELINE_TOL, fod_floor_pipeline
+from nonlocality.bounds import fod_floor_pipeline
 from nonlocality.boxes import BellFunctional, Box, Scenario, bell_value, quantum_box
 from nonlocality.decomp import LP_TOL, cf_exact, fod_exact
+from nonlocality.records import SLACK_TOL
 from nonlocality.rti import RtiInstance, sample_rti_instance, verify_rti
 from nonlocality.states import DensityMatrix, Povm, sample_density, sample_povm
 
@@ -134,7 +135,7 @@ def test_local_unitaries_keep_quantum_box_and_pipeline_floor(dim_a, dim_b, outco
     trace = fod_floor_pipeline(rho, bob[0], bob[1], alice)
     trace_rotated = fod_floor_pipeline(rho_rotated, bob_rotated[0], bob_rotated[1], alice_rotated)
     assert trace.passed and trace_rotated.passed
-    assert abs(trace_rotated.c - trace.c) <= PIPELINE_TOL
+    assert abs(trace_rotated.c - trace.c) <= SLACK_TOL
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -69,10 +69,10 @@ RECORDS = {
     "CampaignRow": lambda: rti_campaign([2, 3], [2], 20, 7, commuting=True),
     "NsReport_pr": lambda: validate_ns(pr_box()),
     "NsReport_signalling": _signalling_ns_report,
-    "InequalityReport_rotfeld": lambda: rotfeld_check(
+    "InequalityRecord_rotfeld": lambda: rotfeld_check(
         [sample_density(3, 2, seed=1).mat, sample_density(3, 3, seed=2).mat]
     ),
-    "InequalityReport_fvdg": lambda: fvdg_check(
+    "InequalityRecord_fvdg": lambda: fvdg_check(
         sample_density(2, 2, seed=3), pure_state([1.0, 1.0j])
     ),
     "ClosePair": _close_pair,

@@ -371,7 +371,7 @@ def test_rotfeld_rejects_an_empty_input():
 
 def test_rotfeld_equality_on_disjoint_supports():
     report = rotfeld_check([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert report.passed
+    assert report.holds
     assert report.slack == pytest.approx(0.0, abs=1e-12)
 
 
@@ -389,7 +389,7 @@ def test_rotfeld_on_random_psd(seed, dim, count):
 def test_fvdg_equality_cases():
     z0, z1 = basis_state(0, 2), basis_state(1, 2)
     low, high = fvdg_check(z0, z0)
-    assert low.passed and high.passed
+    assert low.holds and high.holds
     assert low.lhs == pytest.approx(0.0) and high.rhs == pytest.approx(0.0, abs=1e-8)
     low, high = fvdg_check(z0, z1)  # orthogonal: both sides equal 1
     assert low.slack == pytest.approx(0.0, abs=1e-8)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -367,7 +368,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and its defaults are immutable, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="nonlocality",
         description="Determinism fractions, reverse triangle inequality, and Bell-value bounds.",
@@ -380,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-rti", help="randomized reverse-triangle-inequality campaigns")
     p.add_argument("--trials", type=int, default=1000, help="trials per (dim, l) cell")
-    p.add_argument("--dims", type=_int_list, default=[2, 3, 4], help="comma-separated dimensions")
-    p.add_argument("--l", type=_int_list, default=[2, 3], help="comma-separated ensemble sizes")
+    p.add_argument("--dims", type=_int_list, default=(2, 3, 4), help="comma-separated dimensions")
+    p.add_argument("--l", type=_int_list, default=(2, 3), help="comma-separated ensemble sizes")
     _add_common(p)
     p.set_defaults(func=cmd_verify_rti)
 

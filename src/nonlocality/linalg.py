@@ -14,7 +14,6 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
-SQRT_RESIDUAL_TOL = 1e-8
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -62,7 +61,6 @@ def psd_sqrt(a) -> np.ndarray:
 
     Raises ValueError when the input is not Hermitian. Eigenvalues in
     [-PSD_TOL, 0) are clamped to zero; anything below -PSD_TOL is rejected.
-    The result B satisfies max|B @ B - A| <= SQRT_RESIDUAL_TOL.
     """
     w, v = np.linalg.eigh(require_hermitian(as_complex_matrix(a)))
     lo = float(w.min())

@@ -432,6 +432,112 @@ def sample_rti_instance(dim: int, l: int, seed, commuting: bool = False) -> RtiI
     return RtiInstance(sigma=sigma, rhos=rhos, weights=weights[0], epsilon=eps)
 
 
+# NumPy's SeedSequence hash constants and PCG64's multiplier, as
+# `_trial_states` replays them; `_certify_trial_state` holds the replay to
+# NumPy itself.
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list:
+    """The little-endian 32-bit words SeedSequence reads off a nonnegative
+    int, [0] for 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hash step on uint32 arrays: XOR in a running constant,
+    advance it by `mult`, multiply by it and fold the high half down. The
+    constant runs on from call to call and depends only on their count."""
+    const = init
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return step
+
+
+def _mixed_pool(entropy: np.ndarray) -> list:
+    """SeedSequence's entropy pool mixed from the (words, trials) uint32
+    array `entropy`: four arrays, the i-th holding pool word i of every
+    trial."""
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ value >> 16
+
+    hashmix = _hashmix(_HASH_INIT_A, _HASH_MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _trial_states(seed: int, dim: int, l: int, trials) -> list:
+    """The PCG64 state of `np.random.default_rng((seed, dim, l, t))` for
+    every t in `trials`, as `bit_generator.state` dicts, derived for all of
+    them in one vectorized pass per entropy length.
+
+    SeedSequence mixes the words of seed, dim, l and t into a pool of four
+    uint32 words, one column per trial here, and hashes the pool out to
+    four uint64 words. PCG64 seeds from them: the first two are the initial
+    state, the last two the stream, and its set-seed step runs on Python
+    ints mod 2^128.
+    """
+    head = _uint32_words(seed) + [dim, l]
+    groups = {}
+    for i, t in enumerate(trials):
+        words = _uint32_words(t)
+        where, entropy = groups.setdefault(len(words), ([], []))
+        where.append(i)
+        entropy.append(head + words)
+    states = [None] * len(trials)
+    for where, entropy in groups.values():
+        pool = _mixed_pool(np.array(entropy, dtype=np.uint32).T)
+        hashmix = _hashmix(_HASH_INIT_B, _HASH_MULT_B)
+        out = np.array([hashmix(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+        seeds = (out[0::2] | out[1::2] << 32).tolist()
+        for i, hi, lo, stream_hi, stream_lo in zip(where, *seeds):
+            inc = ((stream_hi << 64 | stream_lo) << 1 | 1) & _MASK128
+            state = ((hi << 64 | lo) + inc) * _PCG64_MULT + inc & _MASK128
+            states[i] = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+    return states
+
+
+def _certify_trial_state(seed: int, dim: int, l: int, state: dict) -> None:
+    """Raise RuntimeError unless `state`, replayed for trial 0, is the state
+    NumPy seeds `default_rng((seed, dim, l, 0))` with. NumPy rejects a
+    negative seed here with a ValueError."""
+    want = np.random.default_rng((seed, dim, l, 0)).bit_generator.state
+    if state != want:
+        raise RuntimeError(
+            f"seeding replay disagrees with NumPy's default_rng({(seed, dim, l, 0)})"
+        )
+
+
 @dataclass(frozen=True)
 class CampaignRow(Record):
     dim: int
@@ -456,7 +562,7 @@ def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> l
             min_slack = np.inf
             for start in range(0, trials, RTI_CHUNK):
                 chunk = range(start, min(start + RTI_CHUNK, trials))
-                slack = _campaign_slacks(dim, l, [(seed, dim, l, t) for t in chunk], commuting)
+                slack = _campaign_slacks(dim, l, seed, chunk, commuting)
                 violations += int(np.count_nonzero(~(slack >= -SLACK_TOL)))
                 min_slack = min(min_slack, float(slack.min()))
             rows.append(
@@ -472,12 +578,21 @@ def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> l
     return rows
 
 
-def _campaign_slacks(dim: int, l: int, seeds, commuting: bool) -> np.ndarray:
-    """`verify_rti(sample_rti_instance(dim, l, s, commuting), commuting).slack`
-    for every s in `seeds`, in some order, computed on stacks."""
+def _campaign_slacks(dim: int, l: int, seed: int, trials: range, commuting: bool) -> np.ndarray:
+    """`verify_rti(sample_rti_instance(dim, l, (seed, dim, l, t), commuting),
+    commuting).slack` for every t in `trials`, in some order, computed on
+    stacks. The chunk that starts the cell, at trial 0, certifies the
+    seeding replay against NumPy."""
+    states = _trial_states(seed, dim, l, trials)
+    if trials[0] == 0:
+        _certify_trial_state(seed, dim, l, states[0])
+    # One generator replays every trial's stream from its seeded state.
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
     by_split = {}
-    for seed in seeds:
-        split, raw = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
+    for state in states:
+        bits.state = state
+        split, raw = _draw_rti(dim, l, rng, commuting)
         by_split.setdefault(split, []).append(raw)
 
     sigma, rhos, weights, made = [], [], [], []

@@ -159,9 +159,15 @@ class Ensemble:
 
 
 def pure_state(vec) -> DensityMatrix:
+    """|v><v| / <v|v> for a finite vector v whose norm is more than 1e-12
+    times its largest entry's magnitude: any nonzero v whose norm does not
+    underflow."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"non-finite vector entry at index {bad[0]}")
     n = float(np.linalg.norm(v))
-    if n < 1e-12:
+    if not n > 1e-12 * float(np.abs(v).max(initial=0.0)):
         raise ValueError("zero vector")
     v = v / n
     return DensityMatrix(np.outer(v, v.conj()))

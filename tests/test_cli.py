@@ -454,6 +454,13 @@ def test_empty_seed_variable_counts_as_unset(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "bad.json").exists()
 
 
+def test_main_reuses_one_parser_with_immutable_defaults():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    args = parser.parse_args(["verify-rti"])
+    assert (args.dims, args.l) == ((2, 3, 4), (2, 3))
+
+
 def test_same_seed_byte_identical(capsys):
     rc1, out1 = run(capsys, ["verify-rti", "--trials", "3", "--seed", "5"])
     rc2, out2 = run(capsys, ["verify-rti", "--trials", "3", "--seed", "5"])

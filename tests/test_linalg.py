@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nonlocality.linalg import (
-    SQRT_RESIDUAL_TOL,
     as_complex_matrix,
     max_commutator_entry,
     partial_trace,
@@ -19,6 +18,8 @@ from nonlocality.linalg import (
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Largest entry of B @ B - A accepted for B = psd_sqrt(A) on random PSD input.
+SQRT_RESIDUAL_TOL = 1e-8
 
 
 def hermiticity_defect(a):

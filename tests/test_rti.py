@@ -164,8 +164,11 @@ def _oracle_row(dim, l, trials, seed, commuting):
     return violations, float(min(slacks, default=np.inf))
 
 
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
+
+
 @given(
-    st.integers(0, 10_000),
+    st.integers(0, 10_000) | st.sampled_from(EDGE_SEEDS) | st.integers(2**32, 2**70),
     st.integers(2, 5),
     st.integers(1, 4),
     st.booleans(),
@@ -243,9 +246,6 @@ def _assert_draws_match_oracle(dim, l, commuting, seed, trials):
                 assert got.tobytes() == expected.tobytes()
 
 
-EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3)
-
-
 @given(
     st.integers(2, 8),
     st.integers(1, 6),
@@ -263,6 +263,18 @@ def test_draw_and_unpack_match_the_oracle_on_every_cell(commuting):
         for l in range(1, 7):
             for seed in EDGE_SEEDS:
                 _assert_draws_match_oracle(dim, l, commuting, seed, 3)
+
+
+@given(
+    st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**70),
+    st.integers(2, 16),
+    st.integers(1, 8),
+    st.lists(st.integers(0, 2**70), max_size=3),
+)
+def test_trial_states_match_default_rng(seed, dim, l, more_trials):
+    trials = [0, 2**32 - 1, 2**32, *more_trials]
+    for t, state in zip(trials, rti._trial_states(seed, dim, l, trials), strict=True):
+        assert state == np.random.default_rng((seed, dim, l, t)).bit_generator.state
 
 
 def test_instance_rejects_mismatched_lengths_and_dimensions():

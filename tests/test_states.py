@@ -80,8 +80,13 @@ def test_pure_and_basis_states():
     rho = pure_state(KET_PLUS)
     assert np.abs(rho.mat - 0.5 * np.ones((2, 2))).max() < 1e-12
     assert np.abs(basis_state(1, 3).mat - np.diag([0.0, 1.0, 0.0])).max() == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero vector"):
         pure_state(np.zeros(2))
+    # the zero-vector test scales with the largest entry, not an absolute floor
+    assert np.abs(pure_state([1e-13, 0.0]).mat - np.diag([1.0, 0.0])).max() == 0.0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite vector entry at index 1"):
+            pure_state([1.0, bad])
 
 
 def test_maximally_mixed():

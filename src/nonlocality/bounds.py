@@ -34,9 +34,7 @@ from .states import (
 
 MU_SEARCH_HI = 50.0
 MU_AGREE_TOL = 1e-8
-# binary_bob_bounds: first grid step, and the step its zooming stops at
-GRID_STEP = 1e-3
-REFINE_STEP = 1e-6
+WITNESS_TOL = 1e-15
 
 
 def mu_objective(mu):
@@ -131,7 +129,9 @@ def universal_fod_bound(k: int, l1: int, l2: int) -> UniversalBound:
     fmax = optimize_mu().value
     l = max(l1, l2)
     theorem = fmax / (2.0 * k * l * l1 * l2)
-    proof = fmax / (2.0 * k * l**3)
+    # a float product overflows to inf, a zero floor; the int l**3 could
+    # outgrow the float range and raise OverflowError
+    proof = fmax / (2.0 * k * l * l * l)
     return UniversalBound(k=k, l1=l1, l2=l2, theorem_form=theorem, proof_form=proof)
 
 
@@ -347,38 +347,69 @@ def fod_floor_pipeline(
     )
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(1, int(round((hi - lo) / step))) + 1
-    return np.linspace(lo, hi, n)
-
-
-def _minimize(fn, arity: int):
-    """Minimize fn(q0) over q0 in [0, 1/2] (arity 1), or fn(p0, q0) over
-    0 <= p0 <= q0 <= 1/2 (arity 2), by grid search at GRID_STEP, then zooming
-    to +-2 steps around the best point at a tenth of the step until the step
-    is at most REFINE_STEP. Returns the value and the tuple of arguments."""
-    lo, hi = (0.0,) * arity, (0.5,) * arity
-    step = GRID_STEP
-    while True:
-        grid = np.meshgrid(*(_grid(a, b, step) for a, b in zip(lo, hi)), indexing="ij")
-        vals = fn(*grid)
-        if arity == 2:
-            vals = np.where(grid[0] <= grid[1] + 1e-15, vals, np.inf)
-        i = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        best = tuple(float(g[i]) for g in grid)
-        if not step > REFINE_STEP:
-            return float(vals[i]), best
-        lo = tuple(max(0.0, v - 2.0 * step) for v in best)
-        hi = tuple(min(0.5, v + 2.0 * step) for v in best)
-        step /= 10.0
-
-
 def _second_terms(p0, q0):
     """Cross-pair floors 2 q1 (1 - q0/p1) and 2 q0 (1 - q1/p1); both
     nonnegative on p0 <= q0 <= 1/2 where p1 = 1 - p0 >= 1/2."""
     p1 = 1.0 - p0
     q1 = 1.0 - q0
     return 2.0 * q1 * (1.0 - q0 / p1), 2.0 * q0 * (1.0 - q1 / p1)
+
+
+def _fod_same_pair(p0, q0):
+    t2, _ = _second_terms(p0, q0)
+    return np.maximum(p0 / 4.0, t2)
+
+
+def _cf_case00(p0, q0):
+    t2, t3 = _second_terms(p0, q0)
+    return np.maximum(p0 / 4.0 + t2, t3)
+
+
+def _cf_case01(p0, q0):
+    t2, t3 = _second_terms(p0, q0)
+    return np.maximum(t2, p0 / 4.0 + t3)
+
+
+def _cross10_decoupled(q0):
+    q1 = 1.0 - q0
+    return np.maximum(2.0 * q1 * (1.0 - 2.0 * q0), q0 / 4.0)
+
+
+def _cross11_decoupled(q0):
+    q1 = 1.0 - q0
+    return np.maximum(q1 / 4.0, 2.0 * q0 * np.maximum(0.0, 1.0 - 2.0 * q1))
+
+
+def _cross10_coupled(p0, q0):
+    t2, _ = _second_terms(p0, q0)
+    return np.maximum(t2, q0 / 4.0)
+
+
+def _cross11_coupled(p0, q0):
+    _, t3 = _second_terms(p0, q0)
+    return np.maximum((1.0 - q0) / 4.0, t3)
+
+
+# p0 = (5 - sqrt 17)/2 solves p^2 - 5p + 2 = 0, where p0/4 meets the cross
+# term at q0 = 1/2; q0 = (25 - sqrt 113)/32 solves 16q^2 - 25q + 8 = 0, where
+# the decoupled cross term meets q0/4
+_P_SAME = (5.0 - math.sqrt(17.0)) / 2.0
+_Q_CROSS = (25.0 - math.sqrt(113.0)) / 32.0
+
+# case -> (objective over (p0, q0) or q0 alone, its minimum over
+# 0 <= p0 <= q0 <= 1/2, the arguments attaining it)
+_BINARY_BOB_CASES = {
+    "fod_case00": (_fod_same_pair, _P_SAME / 4.0, (_P_SAME, 0.5)),
+    "fod_case01": (_fod_same_pair, _P_SAME / 4.0, (_P_SAME, 0.5)),
+    "fod_case10": (_cross10_decoupled, _Q_CROSS / 4.0, (_Q_CROSS,)),
+    "fod_case11": (_cross11_decoupled, 0.125, (0.5,)),
+    "cf_case00": (_cf_case00, 0.125, (0.5, 0.5)),
+    "cf_case01": (_cf_case01, 2.0 / 17.0, (8.0 / 17.0, 8.0 / 17.0)),
+    "cf_case10": (_cross10_decoupled, _Q_CROSS / 4.0, (_Q_CROSS,)),
+    "cf_case11": (_cross11_decoupled, 0.125, (0.5,)),
+    "cf_case10_coupled": (_cross10_coupled, 2.0 / 17.0, (8.0 / 17.0, 8.0 / 17.0)),
+    "cf_case11_coupled": (_cross11_coupled, 0.125, (0.5, 0.5)),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,73 +442,36 @@ def binary_bob_bounds(k: int = 2) -> BinaryBobBounds:
     Weights are parameterized by p0 <= q0 <= 1/2 (heavier outcomes carry
     1 - p0, 1 - q0). Each of the four close-pair cases yields a floor; the
     deterministic fraction takes one floor per case, the classical fraction
-    may stack the two floors that feed distinct deterministic boxes. Grid
-    search at GRID_STEP with local zooming down to REFINE_STEP. The realized
+    may stack the two floors that feed distinct deterministic boxes. Every
+    case minimum is in closed form: (5 - sqrt 17)/8, (25 - sqrt 113)/128,
+    2/17 or 1/8. Each case's objective is evaluated at its witness and must
+    meet its closed form within WITNESS_TOL, else RuntimeError. The realized
     box floors are the constants divided by 2k.
     """
-    if k < 1:
-        raise ValueError("Alice outcome count must be at least 1")
+    _check_counts((k,))
+    for case, (objective, minimum, args) in _BINARY_BOB_CASES.items():
+        value = float(objective(*args))
+        if not abs(value - minimum) <= WITNESS_TOL:
+            raise RuntimeError(
+                f"{case}: objective {value!r} at {args!r} misses its closed form {minimum!r}"
+            )
 
-    def fod_same_pair(p0, q0):
-        t2, _ = _second_terms(p0, q0)
-        return np.maximum(p0 / 4.0, t2)
+    def worst(names):
+        """Smallest minimum among `names`, the first on ties, and its (p0, q0)."""
+        _, minimum, args = _BINARY_BOB_CASES[min(names, key=lambda n: _BINARY_BOB_CASES[n][1])]
+        return minimum, args if len(args) == 2 else args * 2
 
-    def cf_case00(p0, q0):
-        t2, t3 = _second_terms(p0, q0)
-        return np.maximum(p0 / 4.0 + t2, t3)
-
-    def cf_case01(p0, q0):
-        t2, t3 = _second_terms(p0, q0)
-        return np.maximum(t2, p0 / 4.0 + t3)
-
-    def cross10_decoupled(q0):
-        q1 = 1.0 - q0
-        return np.maximum(2.0 * q1 * (1.0 - 2.0 * q0), q0 / 4.0)
-
-    def cross11_decoupled(q0):
-        q1 = 1.0 - q0
-        return np.maximum(q1 / 4.0, 2.0 * q0 * np.maximum(0.0, 1.0 - 2.0 * q1))
-
-    def cross10_coupled(p0, q0):
-        t2, _ = _second_terms(p0, q0)
-        return np.maximum(t2, q0 / 4.0)
-
-    def cross11_coupled(p0, q0):
-        _, t3 = _second_terms(p0, q0)
-        return np.maximum((1.0 - q0) / 4.0, t3)
-
-    v00, w00 = _minimize(fod_same_pair, 2)
-    v10, (q10,) = _minimize(cross10_decoupled, 1)
-    v11, (q11,) = _minimize(cross11_decoupled, 1)
-    c00, wc00 = _minimize(cf_case00, 2)
-    c01, wc01 = _minimize(cf_case01, 2)
-    c10, _ = _minimize(cross10_coupled, 2)
-    c11, _ = _minimize(cross11_coupled, 2)
-
-    case_minima = {
-        "fod_case00": v00,
-        "fod_case01": v00,
-        "fod_case10": v10,
-        "fod_case11": v11,
-        "cf_case00": c00,
-        "cf_case01": c01,
-        "cf_case10": v10,
-        "cf_case11": v11,
-        "cf_case10_coupled": c10,
-        "cf_case11_coupled": c11,
-    }
-    fod_cases = [(v00, w00), (v10, (q10, q10)), (v11, (q11, q11))]
-    fod_constant, fod_arg = min(fod_cases, key=lambda t: t[0])
-    cf_cases = [(c00, wc00), (c01, wc01), (v10, (q10, q10)), (v11, (q11, q11))]
-    cf_constant, cf_arg = min(cf_cases, key=lambda t: t[0])
+    fod_constant, fod_arg = worst(("fod_case00", "fod_case10", "fod_case11"))
+    cf_constant, cf_arg = worst(("cf_case00", "cf_case01", "cf_case10", "cf_case11"))
+    coupled, _ = worst(("cf_case00", "cf_case01", "cf_case10_coupled", "cf_case11_coupled"))
     return BinaryBobBounds(
         k=k,
         fod_constant=fod_constant,
         cf_constant=cf_constant,
-        cf_constant_coupled=min(c00, c01, c10, c11),
+        cf_constant_coupled=coupled,
         fod_bound=fod_constant / (2.0 * k),
         cf_bound=cf_constant / (2.0 * k),
         fod_witness=fod_arg,
         cf_witness=cf_arg,
-        case_minima=case_minima,
+        case_minima={name: case[1] for name, case in _BINARY_BOB_CASES.items()},
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,12 +26,15 @@ ENUMERATION_BUDGET = 10**6
 
 
 def _check_counts(counts) -> None:
-    """Every count is an integer (not a bool or float) of at least 1."""
+    """Every count is an integer (not a bool or float) of at least 1 that a
+    float can hold."""
     for count in counts:
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise ValueError(f"outcome counts must be integers, got {count!r}")
         if count < 1:
             raise ValueError("outcome counts must be at least 1")
+        if count > sys.float_info.max:
+            raise ValueError(f"outcome counts must be at most {sys.float_info.max!r}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from nonlocality.bounds import (
     optimize_mu,
     universal_fod_bound,
 )
+from nonlocality.cli import main
 from nonlocality.decomp import bell_bound_from_fod, fod_exact
 from nonlocality.linalg import trace_norm
 from nonlocality.records import InequalityRecord
@@ -330,38 +331,116 @@ def test_pipeline_validation():
         fod_floor_pipeline(rho, bob[0], Povm((np.eye(3, dtype=complex),)), alice)
 
 
+# the grid oracle: first step, and the step its zooming stops at
+GRID_STEP = 1e-3
+REFINE_STEP = 1e-6
+
+FOD_SAME = (5.0 - math.sqrt(17.0)) / 8.0
+CROSS_DECOUPLED = (25.0 - math.sqrt(113.0)) / 128.0
+CROSS_COUPLED = 2.0 / 17.0
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    n = max(1, int(round((hi - lo) / step))) + 1
+    return np.linspace(lo, hi, n)
+
+
+def _minimize(fn, arity: int):
+    """Minimize fn(q0) over q0 in [0, 1/2] (arity 1), or fn(p0, q0) over
+    0 <= p0 <= q0 <= 1/2 (arity 2), by grid search at GRID_STEP, then zooming
+    to +-2 steps around the best point at a tenth of the step until the step
+    is at most REFINE_STEP. Returns the value and the tuple of arguments."""
+    lo, hi = (0.0,) * arity, (0.5,) * arity
+    step = GRID_STEP
+    while True:
+        grid = np.meshgrid(*(_grid(a, b, step) for a, b in zip(lo, hi)), indexing="ij")
+        vals = fn(*grid)
+        if arity == 2:
+            vals = np.where(grid[0] <= grid[1] + 1e-15, vals, np.inf)
+        i = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        best = tuple(float(g[i]) for g in grid)
+        if not step > REFINE_STEP:
+            return float(vals[i]), best
+        lo = tuple(max(0.0, v - 2.0 * step) for v in best)
+        hi = tuple(min(0.5, v + 2.0 * step) for v in best)
+        step /= 10.0
+
+
+@pytest.mark.parametrize("case", sorted(bounds._BINARY_BOB_CASES))
+def test_binary_bob_closed_forms_match_the_grid_oracle(case):
+    objective, minimum, args = bounds._BINARY_BOB_CASES[case]
+    searched, _ = _minimize(objective, len(args))
+    # attained at the witness, so no grid point may beat it by more than rounding
+    assert minimum <= searched + 1e-15
+    assert searched - minimum <= 1e-7
+    assert float(objective(*args)) == pytest.approx(minimum, abs=bounds.WITNESS_TOL)
+    assert all(0.0 <= a <= 0.5 for a in args) and args == tuple(sorted(args))
+
+
 def test_binary_bob_constants_frozen():
     b = binary_bob_bounds()
     assert b.k == 2
-    assert b.fod_constant == pytest.approx((5.0 - math.sqrt(17.0)) / 8.0, abs=1e-7)
-    assert b.cf_constant == pytest.approx((25.0 - math.sqrt(113.0)) / 128.0, abs=1e-7)
-    assert b.cf_constant_coupled == pytest.approx(2.0 / 17.0, abs=1e-7)
-    assert b.fod_bound == pytest.approx(b.fod_constant / 4.0)
-    assert b.cf_bound == pytest.approx(b.cf_constant / 4.0)
-    assert b.fod_witness[0] == pytest.approx((5.0 - math.sqrt(17.0)) / 2.0, abs=1e-4)
-    assert b.fod_witness[1] == pytest.approx(0.5, abs=1e-4)
-    assert b.cf_witness[0] == pytest.approx((25.0 - math.sqrt(113.0)) / 32.0, abs=1e-4)
-    assert b.cf_witness[1] == pytest.approx(b.cf_witness[0], abs=1e-6)
+    assert b.fod_constant == FOD_SAME
+    assert b.cf_constant == CROSS_DECOUPLED
+    assert b.cf_constant_coupled == CROSS_COUPLED
+    assert b.fod_bound == FOD_SAME / 4.0
+    assert b.cf_bound == CROSS_DECOUPLED / 4.0
+    assert b.fod_witness == ((5.0 - math.sqrt(17.0)) / 2.0, 0.5)
+    q0 = (25.0 - math.sqrt(113.0)) / 32.0
+    assert b.cf_witness == (q0, q0)
 
 
 def test_binary_bob_case_minima():
-    cases = binary_bob_bounds().case_minima
-    assert cases["fod_case00"] == cases["fod_case01"]
-    assert cases["fod_case00"] == pytest.approx((5.0 - math.sqrt(17.0)) / 8.0, abs=1e-7)
-    assert cases["fod_case10"] == pytest.approx((25.0 - math.sqrt(113.0)) / 128.0, abs=1e-7)
-    assert cases["fod_case11"] == pytest.approx(0.125, abs=1e-7)
-    assert cases["cf_case00"] == pytest.approx(0.125, abs=1e-7)
-    assert cases["cf_case01"] == pytest.approx(2.0 / 17.0, abs=1e-7)
-    assert cases["cf_case10"] == cases["fod_case10"]
-    assert cases["cf_case11"] == cases["fod_case11"]
-    assert cases["cf_case10_coupled"] == pytest.approx(2.0 / 17.0, abs=1e-7)
-    assert cases["cf_case11_coupled"] == pytest.approx(0.125, abs=1e-7)
+    assert binary_bob_bounds().case_minima == {
+        "fod_case00": FOD_SAME,
+        "fod_case01": FOD_SAME,
+        "fod_case10": CROSS_DECOUPLED,
+        "fod_case11": 0.125,
+        "cf_case00": 0.125,
+        "cf_case01": CROSS_COUPLED,
+        "cf_case10": CROSS_DECOUPLED,
+        "cf_case11": 0.125,
+        "cf_case10_coupled": CROSS_COUPLED,
+        "cf_case11_coupled": 0.125,
+    }
+    witnesses = {case: args for case, (_, _, args) in bounds._BINARY_BOB_CASES.items()}
+    p_same = (5.0 - math.sqrt(17.0)) / 2.0
+    q_cross = (25.0 - math.sqrt(113.0)) / 32.0
+    assert witnesses == {
+        "fod_case00": (p_same, 0.5),
+        "fod_case01": (p_same, 0.5),
+        "fod_case10": (q_cross,),
+        "fod_case11": (0.5,),
+        "cf_case00": (0.5, 0.5),
+        "cf_case01": (8.0 / 17.0, 8.0 / 17.0),
+        "cf_case10": (q_cross,),
+        "cf_case11": (0.5,),
+        "cf_case10_coupled": (8.0 / 17.0, 8.0 / 17.0),
+        "cf_case11_coupled": (0.5, 0.5),
+    }
+
+
+def test_binary_bob_bounds_raises_when_a_witness_misses_its_closed_form(monkeypatch, capsys):
+    cases = dict(bounds._BINARY_BOB_CASES)
+    objective, minimum, args = cases["cf_case01"]
+    cases["cf_case01"] = (objective, minimum - 1e-14, args)
+    monkeypatch.setattr(bounds, "_BINARY_BOB_CASES", cases)
+    with pytest.raises(RuntimeError, match="cf_case01: objective .* misses its closed form"):
+        binary_bob_bounds()
+    assert main(["reproduce"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError: cf_case01")
 
 
 def test_binary_bob_bell_bounds():
     b = binary_bob_bounds()
     assert bell_bound_from_fod(4.0, 2.0, b.fod_bound) == pytest.approx(3.9452, abs=1e-3)
     assert bell_bound_from_fod(4.0, 2.0, b.cf_bound) == pytest.approx(3.9439, abs=1e-3)
+
+
+@pytest.mark.parametrize("k", [math.nan, 2.5, True, 0, 10**400])
+def test_binary_bob_rejects_bad_outcome_counts(k):
+    with pytest.raises(ValueError, match="outcome counts"):
+        binary_bob_bounds(k)
 
 
 def test_binary_bob_validation_and_serialization():

@@ -411,6 +411,26 @@ def test_bounds_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_bounds_count_beyond_float_range_exits_2(capsys, position):
+    # an input error, not the OverflowError (exit 3) of converting it to a float
+    argv = ["bounds", "2", "2", "2"]
+    argv[position] = str(10**400)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: outcome counts must be at most {sys.float_info.max!r}\n"
+
+
+def test_bounds_count_whose_cube_passes_float_range(capsys):
+    # l**3 = 1e309 is no float, but the floor is still computed: it underflows to 0
+    rc, report = run_json(capsys, ["bounds", "2", str(10**103), "2"])
+    assert rc == 0
+    by_name = {row["name"]: row for row in report["rows"]}
+    assert by_name["proof_form"]["computed"] == 0.0
+    assert by_name["proof_form_le_theorem_form"]["pass"] is True
+
+
 @pytest.mark.parametrize("beta_alg, beta_det", [("nan", "2"), ("inf", "2"), ("4", "nan"), ("4", "-inf")])
 def test_bounds_rejects_non_finite_betas(capsys, beta_alg, beta_det):
     rc, out = run(capsys, ["bounds", "2", "2", "2", f"--beta-alg={beta_alg}", f"--beta-det={beta_det}"])

@@ -11,11 +11,8 @@ coefficient. Optimizing the truncation threshold gives the universal constant.
 
 from __future__ import annotations
 
-import decimal
-import functools
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 
@@ -32,41 +29,15 @@ from .states import (
     truncate_ensemble,
 )
 
-MU_SEARCH_HI = 50.0
-MU_AGREE_TOL = 1e-8
 WITNESS_TOL = 1e-15
 
 
 def mu_objective(mu):
     """Per-member floor factor ((mu - 2) / (mu - 1))^2 / mu of the truncation
-    threshold 1 / (l mu); positive only for mu > 2. Takes a float or a
-    Decimal and returns the same type."""
+    threshold 1 / (l mu); positive only for mu > 2."""
     if mu <= 1:
         raise ValueError(f"objective needs mu > 1, got {mu!r}")
     return ((mu - 2) / (mu - 1)) ** 2 / mu
-
-
-def golden_section_max(fn, lo, hi, tol=1e-12):
-    """Argmax of a unimodal function on [lo, hi] by golden-section search,
-    in the arithmetic of `lo`: float, or Decimal at the context precision."""
-    if not lo < hi:
-        raise ValueError("empty search interval")
-    five = type(lo)(5)
-    inv_phi = ((five.sqrt() if isinstance(five, Decimal) else math.sqrt(five)) - 1) / 2
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2
 
 
 @dataclass(frozen=True)
@@ -75,26 +46,14 @@ class MuOptimum(Record):
     value: float
 
 
-@functools.cache
-def _searched_mu() -> float:
-    """Argmax of the truncation objective over (2, 50] in 40-digit decimal
-    arithmetic; float64 is too flat near the maximum to localize the argmax
-    beyond ~1e-7."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        lo, hi = Decimal("2.000000001"), Decimal(MU_SEARCH_HI)
-        return float(golden_section_max(mu_objective, lo, hi, Decimal("1e-12")))
-
-
 def optimize_mu() -> MuOptimum:
-    """Maximizer of mu_objective: mu = (5 + sqrt(17)) / 2, cross-checked
-    against a golden-section search; raises RuntimeError on disagreement."""
+    """Maximizer of mu_objective over mu > 2: mu0 = (5 + sqrt(17)) / 2.
+
+    d/dmu ln f = 2/(mu - 2) - 2/(mu - 1) - 1/mu
+    = -(mu^2 - 5 mu + 2) / (mu (mu - 1) (mu - 2)), positive on (2, mu0) and
+    negative past it, so mu0 is the larger root of mu^2 - 5 mu + 2 = 0, whose
+    smaller root is _P_SAME."""
     mu = (5.0 + math.sqrt(17.0)) / 2.0
-    searched = _searched_mu()
-    if abs(searched - mu) > MU_AGREE_TOL:
-        raise RuntimeError(
-            f"closed-form maximizer {mu!r} disagrees with search {searched!r}"
-        )
     return MuOptimum(mu=mu, value=mu_objective(mu))
 
 

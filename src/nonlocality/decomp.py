@@ -227,14 +227,13 @@ def cf_exact(box: Box):
     i, j = divmod(used, len(bob))
     used_a, used_b = alice[i], bob[j]
     used_cells = _cells(used_a, used_b)
+    leftover = _leftover(box.p, used_cells, coeffs[used])
     residual = None
     if total < 1.0 - LP_TOL:
         # each block over its own sum: dividing by 1 - total would magnify rounding
-        leftover = np.clip(_leftover(box.p, used_cells, coeffs[used]), 0.0, None)
-        residual = Box(sc, leftover / leftover.sum(axis=(2, 3), keepdims=True))
-    _certify_reconstruction(
-        box.p, used_cells, coeffs[used], total, None if residual is None else residual.p
-    )
+        kept = np.clip(leftover, 0.0, None)
+        residual = Box(sc, kept / kept.sum(axis=(2, 3), keepdims=True))
+    _certify_reconstruction(leftover, total, None if residual is None else residual.p)
     decomp = Decomposition(
         strategies=tuple(map(DeterministicStrategy, used_a, used_b)),
         coefficients=coeffs[used],
@@ -253,14 +252,13 @@ def _leftover(p: np.ndarray, cells: tuple, weights: np.ndarray) -> np.ndarray:
     return leftover
 
 
-def _certify_reconstruction(p, cells, weights, total, residual) -> float:
-    """Reconstruction certificate of P = sum_i w_i D_i + (1 - total) X, with X
-    the residual table or None for no residual term. Returns
-    RECONSTRUCTION_TOL minus the largest absolute entry of the difference;
-    raises RuntimeError when it is negative."""
-    defect = _leftover(p, cells, weights)
-    if residual is not None:
-        defect = defect - (1.0 - total) * residual
+def _certify_reconstruction(leftover, total, residual) -> float:
+    """Reconstruction certificate of P = sum_i w_i D_i + (1 - total) X, given
+    the leftover P - sum_i w_i D_i (`_leftover`), with X the residual table
+    or None for no residual term. Returns RECONSTRUCTION_TOL minus the
+    largest absolute entry of the difference; raises RuntimeError when it is
+    negative."""
+    defect = leftover if residual is None else leftover - (1.0 - total) * residual
     worst = float(np.abs(defect).max())
     if not worst <= RECONSTRUCTION_TOL:
         raise RuntimeError("decomposition does not reconstruct the box")

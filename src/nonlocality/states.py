@@ -6,6 +6,7 @@ ranges over [0, 2] for unit-trace states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,17 +160,19 @@ class Ensemble:
 
 
 def pure_state(vec) -> DensityMatrix:
-    """|v><v| / <v|v> for a finite vector v whose norm is more than 1e-12
-    times its largest entry's magnitude: any nonzero v whose norm does not
-    underflow."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+    """|v><v| / <v|v> for a finite nonzero vector v. v is first scaled by the
+    power of two, exact, that brings its largest real or imaginary part into
+    [1/2, 1), so its norm neither underflows nor overflows."""
+    v = np.array(vec, dtype=complex).reshape(-1)
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise ValueError(f"non-finite vector entry at index {bad[0]}")
-    n = float(np.linalg.norm(v))
-    if not n > 1e-12 * float(np.abs(v).max(initial=0.0)):
+    parts = v.view(float)
+    top = float(np.abs(parts).max(initial=0.0))
+    if not top > 0.0:
         raise ValueError("zero vector")
-    v = v / n
+    np.ldexp(parts, -math.frexp(top)[1], out=parts)
+    v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
 
 

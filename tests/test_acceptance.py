@@ -12,7 +12,6 @@ import pytest
 from scipy.optimize import linprog
 
 from nonlocality.bounds import (
-    _searched_mu,
     binary_bob_bounds,
     close_pair,
     confusing_outcome,
@@ -54,6 +53,8 @@ from nonlocality.states import (
     truncate_ensemble,
 )
 
+from test_bounds import certify_mu0
+
 MASTER_SEED = 20260814
 MU_STAR = (5.0 + math.sqrt(17.0)) / 2.0
 
@@ -61,15 +62,14 @@ MU_STAR = (5.0 + math.sqrt(17.0)) / 2.0
 def test_c1_truncation_scale_optimum():
     start = time.perf_counter()
     opt = optimize_mu()
-    searched = _searched_mu()
+    certify_mu0(opt.mu, opt.value)
     elapsed = time.perf_counter() - start
     assert abs(opt.mu - MU_STAR) <= 1e-10
     assert abs(opt.value - 0.1134) <= 1e-4
-    assert abs(searched - opt.mu) <= 1e-8
     assert elapsed < 1.0
     print(
         f"PASS 1/9 truncation-scale optimum: mu={opt.mu:.12f} f={opt.value:.8f} "
-        f"search agreement {abs(searched - opt.mu):.2e} ({elapsed:.3f}s)"
+        f"certified by exact values and a 1e-3 grid ({elapsed:.3f}s)"
     )
 
 

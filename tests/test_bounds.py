@@ -3,6 +3,7 @@ and the binary-Bob worst-case constants."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from nonlocality.bounds import (
     confusing_outcome,
     epsilon_from_average_distance,
     fod_floor_pipeline,
-    golden_section_max,
     mu_objective,
     optimize_mu,
     universal_fod_bound,
@@ -61,17 +61,27 @@ def test_optimize_mu_frozen():
     assert opt.to_dict() == {"mu": opt.mu, "value": opt.value}
 
 
-def test_optimize_mu_raises_when_the_search_disagrees(monkeypatch):
-    monkeypatch.setattr(bounds, "_searched_mu", lambda: 4.0)
-    with pytest.raises(RuntimeError, match="disagrees with search 4.0"):
-        optimize_mu()
+def certify_mu0(mu: float, value: float) -> None:
+    """Search-free oracle for the truncation optimum: exact rational values
+    of the objective fall off on both sides of mu, a float grid over (2, 50]
+    peaks within one step of it, and mu pairs with binary_bob's _P_SAME as
+    the two roots of mu^2 - 5 mu + 2."""
+    exact = Fraction(mu)
+    peak = mu_objective(exact)
+    for step in (Fraction(1, 10**9), Fraction(1, 10**14)):
+        assert mu_objective(exact - step) < peak
+        assert mu_objective(exact + step) < peak
+    grid = 2.0 + 1e-3 * np.arange(1, 48_001)
+    values = np.array([mu_objective(g) for g in grid.tolist()])
+    assert values.max() <= value
+    assert abs(grid[np.argmax(values)] - mu) <= 1e-3
+    assert mu + bounds._P_SAME == 5.0
+    assert mu * bounds._P_SAME == 2.0
 
 
-def test_golden_section_max_parabola():
-    arg = golden_section_max(lambda x: -((x - 1.3) ** 2), 0.0, 2.0)
-    assert arg == pytest.approx(1.3, abs=1e-6)
-    with pytest.raises(ValueError):
-        golden_section_max(lambda x: x, 1.0, 1.0)
+def test_optimize_mu_is_the_objective_maximum():
+    opt = optimize_mu()
+    certify_mu0(opt.mu, opt.value)
 
 
 def test_epsilon_from_average_distance():

@@ -31,6 +31,7 @@ from nonlocality.decomp import (
     UnboundedError,
     _certify_basis,
     _certify_reconstruction,
+    _leftover,
     bell_bound_from_fod,
     cf_exact,
     fod_exact,
@@ -682,18 +683,19 @@ def test_certify_reconstruction_rejects_perturbed_weights():
     w = np.random.default_rng(3).dirichlet(np.ones(len(alice)))
     p = local_box(sc, w).p
     cells = _cells(alice, bob)
-    assert 0.0 < _certify_reconstruction(p, cells, w, 1.0, None) <= RECONSTRUCTION_TOL
+    assert 0.0 < _certify_reconstruction(_leftover(p, cells, w), 1.0, None) <= RECONSTRUCTION_TOL
     with pytest.raises(RuntimeError, match="does not reconstruct"):
-        _certify_reconstruction(p, cells, w * (1.0 + 1e-6), 1.0, None)
+        _certify_reconstruction(_leftover(p, cells, w * (1.0 + 1e-6)), 1.0, None)
     # half the strategies, with the other half's mixture as the residual box
     kept = _cells(alice[:8], bob[:8])
     total = float(w[:8].sum())
     residual = local_box(sc, np.append(np.zeros(8), w[8:]) / (1.0 - total)).p
-    assert _certify_reconstruction(p, kept, w[:8], total, residual) > 0.0
+    leftover = _leftover(p, kept, w[:8])
+    assert _certify_reconstruction(leftover, total, residual) > 0.0
     with pytest.raises(RuntimeError, match="does not reconstruct"):
-        _certify_reconstruction(p, kept, w[:8], total, np.roll(residual, 1, axis=3))
+        _certify_reconstruction(leftover, total, np.roll(residual, 1, axis=3))
     with pytest.raises(RuntimeError, match="does not reconstruct"):
-        _certify_reconstruction(p, kept, w[:8], total, np.where(residual > 0.0, math.nan, 0.0))
+        _certify_reconstruction(leftover, total, np.where(residual > 0.0, math.nan, 0.0))
 
 
 def _lp_by_input_pairs(box: Box):

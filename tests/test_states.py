@@ -89,6 +89,21 @@ def test_pure_and_basis_states():
             pure_state([1.0, bad])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "vec, expected",
+    [
+        # the norm underflows to zero, to a subnormal, or overflows
+        ([1e-200, 1e-200], [[0.5, 0.5], [0.5, 0.5]]),
+        ([1e-160, 1e-160j], [[0.5, -0.5j], [0.5j, 0.5]]),
+        ([1e155, 1e155], [[0.5, 0.5], [0.5, 0.5]]),
+        ([1e200, 1e200], [[0.5, 0.5], [0.5, 0.5]]),
+    ],
+)
+def test_pure_state_at_the_ends_of_the_float_range(vec, expected):
+    assert np.abs(pure_state(vec).mat - np.array(expected)).max() <= 1e-15
+
+
 def test_maximally_mixed():
     rho = maximally_mixed(4)
     assert np.abs(rho.mat - np.eye(4) / 4).max() == 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import _check_counts, quantum_box
+from .boxes import quantum_box
 from .linalg import trace_norm
 from .records import SLACK_TOL, InequalityRecord, Record
 from .states import (
@@ -24,6 +24,7 @@ from .states import (
     Ensemble,
     Povm,
     _average_distance,
+    _check_counts,
     steer,
     trace_distance,
     truncate_ensemble,
@@ -35,8 +36,8 @@ WITNESS_TOL = 1e-15
 def mu_objective(mu):
     """Per-member floor factor ((mu - 2) / (mu - 1))^2 / mu of the truncation
     threshold 1 / (l mu); positive only for mu > 2."""
-    if mu <= 1:
-        raise ValueError(f"objective needs mu > 1, got {mu!r}")
+    if not 1 < mu < math.inf:
+        raise ValueError(f"objective needs a finite mu > 1, got {mu!r}")
     return ((mu - 2) / (mu - 1)) ** 2 / mu
 
 
@@ -60,12 +61,11 @@ def optimize_mu() -> MuOptimum:
 def epsilon_from_average_distance(x: float, l1: int, l2: int) -> float:
     """Closeness floor for some cross pair of two ensembles whose averages are
     at trace distance x: epsilon = ((2 - x) / 2)^2 / (l1 l2), and the closest
-    pair then satisfies distance <= 2 - epsilon."""
+    pair then satisfies distance <= 2 - epsilon; l1 l2 past the float range gives 0."""
     if not 0.0 <= x < 2.0:
         raise ValueError(f"average distance must lie in [0, 2), got {x!r}")
-    if l1 < 1 or l2 < 1:
-        raise ValueError("ensemble sizes must be at least 1")
-    return ((2.0 - x) / 2.0) ** 2 / (l1 * l2)
+    _check_counts((l1, l2), "ensemble sizes")
+    return ((2.0 - x) / 2.0) ** 2 / (float(l1) * l2)
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,8 @@ def fod_floor_pipeline(
     alice = list(alice_povms)
     if mu is None:
         mu = optimize_mu().mu
-    elif not math.isfinite(mu):
-        raise ValueError(f"truncation scale must be finite, got {mu!r}")
-    elif mu <= 2.0:
-        raise ValueError(f"truncation scale must exceed 2, got {mu!r}")
+    elif not 2.0 < mu < math.inf:
+        raise ValueError(f"truncation scale must be finite and exceed 2, got {mu!r}")
 
     box = quantum_box(rho_ab, alice, [bob_povm_1, bob_povm_2])
     k = max(len(p) for p in alice)

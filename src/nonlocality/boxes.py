@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,24 +16,12 @@ import numpy as np
 
 from .linalg import tensor
 from .records import Record
-from .states import DensityMatrix, xz_spin_povm, singlet
+from .states import DensityMatrix, _check_counts, _check_weights, singlet, xz_spin_povm
 
 ENTRY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
 NS_TOL = 1e-9
 ENUMERATION_BUDGET = 10**6
-
-
-def _check_counts(counts) -> None:
-    """Every count is an integer (not a bool or float) of at least 1 that a
-    float can hold."""
-    for count in counts:
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"outcome counts must be integers, got {count!r}")
-        if count < 1:
-            raise ValueError("outcome counts must be at least 1")
-        if count > sys.float_info.max:
-            raise ValueError(f"outcome counts must be at most {sys.float_info.max!r}")
 
 
 @dataclass(frozen=True)
@@ -233,8 +220,11 @@ class DeterministicStrategy:
     bob: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(int(a) for a in self.alice))
-        object.__setattr__(self, "bob", tuple(int(b) for b in self.bob))
+        for side in ("alice", "bob"):
+            outputs = tuple(getattr(self, side))
+            if any(isinstance(o, bool) or not isinstance(o, (int, np.integer)) for o in outputs):
+                raise ValueError(f"{side} outputs must be integers, got {outputs!r}")
+            object.__setattr__(self, side, tuple(int(o) for o in outputs))
 
 
 def _check_budget(scenario: Scenario) -> None:
@@ -307,14 +297,7 @@ def local_box(scenario: Scenario, weights) -> Box:
     """Convex mixture of deterministic boxes: `weights` is a probability
     vector over the strategies in enumeration order."""
     alice, bob = _strategy_arrays(scenario)
-    w = np.asarray(weights, dtype=float)
-    if len(w) != len(alice) * len(bob):
-        raise ValueError("weights and strategies disagree in length")
-    # written so that a NaN weight fails both checks
-    if not float(w.min()) >= -ENTRY_TOL:
-        raise ValueError(f"weights must be nonnegative numbers, min is {float(w.min())!r}")
-    if not abs(float(w.sum()) - 1.0) <= NORMALIZATION_TOL:
-        raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
+    w = _check_weights(weights, (len(alice) * len(bob),))
     used = np.flatnonzero(w > 0.0)
     i, j = divmod(used, len(bob))
     t = np.zeros(scenario.shape)
@@ -343,15 +326,14 @@ def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
     """Born-rule box p(a,b|x,y) = Tr((M^x_a (x) N^y_b) rho)."""
     alice = list(alice_povms)
     bob = list(bob_povms)
-    if not alice or not bob:
-        raise ValueError("each party needs at least one measurement")
+    # one input per measurement: the scenario rejects a party without one
+    sc = Scenario(tuple(len(p) for p in alice), tuple(len(p) for p in bob))
     da = alice[0].dim
     db = bob[0].dim
     if any(p.dim != da for p in alice) or any(p.dim != db for p in bob):
         raise ValueError("measurements of one party must share a dimension")
     if da * db != rho.dim:
         raise ValueError(f"state is {rho.dim}-dim, measurements give {da * db}")
-    sc = Scenario(tuple(len(p) for p in alice), tuple(len(p) for p in bob))
     _, _, ka, kb = sc.shape
     # (x, a) and (y, b) stacks of elements, zero past each outcome count, so
     # that one (nA, nB, ka, kb, d, d) stack holds every M^x_a (x) N^y_b and

@@ -418,8 +418,6 @@ def _validate(args) -> None:
         raise ValueError("trials must be at least 1")
     if any(not 2 <= d <= 16 for d in getattr(args, "dims", [2])):
         raise ValueError("dims must lie in [2, 16]")
-    if any(l < 1 for l in getattr(args, "l", [1])):
-        raise ValueError("ensemble sizes must be at least 1")
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,9 @@ from .records import SLACK_TOL, InequalityRecord, Record
 from .states import (
     DensityMatrix,
     SubnormalizedState,
+    _check_counts,
     _check_state_matrix,
+    _check_weights,
     _complex_pairs,
     _gram_state,
     _mixture,
@@ -54,9 +56,8 @@ def rti_commuting_bound(l: int, eps: float) -> float:
 
 
 def _check_bound_args(l: int, eps) -> None:
-    """l >= 1 and every eps (a float or an array) in [0, 2]; NaN fails."""
-    if l < 1:
-        raise ValueError("need at least one ensemble member")
+    """l is a count and every eps (a float or an array) in [0, 2]; NaN fails."""
+    _check_counts((l,), "ensemble sizes")
     if not np.all((0.0 <= eps) & (eps <= 2.0)):
         raise ValueError(f"eps must lie in [0, 2], got {eps!r}")
 
@@ -66,14 +67,9 @@ def _first_where(values, bad: np.ndarray) -> float:
     return float(np.broadcast_to(values, bad.shape)[bad][0])
 
 
-def _check_certificate(weights, epsilon, tight) -> None:
-    """The checks `RtiInstance` makes, on one instance or elementwise on a
-    stack: weights of shape (..., l) form probability vectors, epsilon lies
-    in [0, 2], and no epsilon is more than CERTIFICATE_TOL below its tight
-    value. NaN fails every check."""
-    w = np.asarray(weights, dtype=float)
-    if not (w.min() >= -1e-12 and np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-10):
-        raise ValueError("weights must form a probability vector")
+def _check_certificate(epsilon, tight) -> None:
+    """Every epsilon, one or a stack, lies in [0, 2] and at most
+    CERTIFICATE_TOL below its tight value, as `RtiInstance` checks; NaN fails."""
     eps = np.asarray(epsilon, dtype=float)
     bad = ~((0.0 <= eps) & (eps <= 2.0 + 1e-12))
     if bad.any():
@@ -100,15 +96,11 @@ class RtiInstance:
     epsilon: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
         rhos = tuple(self.rhos)
-        if len(rhos) < 1 or w.ndim != 1 or len(w) != len(rhos):
-            raise ValueError("weights and states disagree in length")
+        object.__setattr__(self, "weights", _check_weights(self.weights, (len(rhos),)))
         if any(r.dim != self.sigma.dim for r in rhos):
             raise ValueError("dimension mismatch between ensemble and reference")
-        _check_certificate(w, self.epsilon, self.tight_epsilon_of(rhos, self.sigma))
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        _check_certificate(self.epsilon, self.tight_epsilon_of(rhos, self.sigma))
         object.__setattr__(self, "rhos", rhos)
 
     @staticmethod
@@ -289,8 +281,7 @@ class ClassicalSharpExample:
 
 
 def classical_sharp_example(l: int, eps: float) -> ClassicalSharpExample:
-    if l < 1:
-        raise ValueError("need at least one component")
+    _check_counts((l,), "ensemble sizes")
     if not (0.0 <= eps <= 2.0 / l):
         raise ValueError(f"eps must lie in [0, 2/l] = [0, {2.0 / l}], got {eps!r}")
     h = np.full(l + 1, eps / 2.0)
@@ -337,12 +328,8 @@ def _draw_rti(dim: int, l: int, rng, commuting: bool):
     between the uniform slots. `_unpack_rti` turns stacks of buffers into
     draws and `_instance_states` turns those into states; both
     `sample_rti_instance` and `rti_campaign` draw through here, so they see
-    the same instances.
+    the same instances. `_check_sizes` has checked dim and l.
     """
-    if dim < 2:
-        raise ValueError("need dim >= 2 to separate the reference from the ensemble")
-    if l < 1:
-        raise ValueError("need at least one ensemble member")
     split = int(rng.integers(1, dim))
     head = _block_size(split, commuting)
     base = _block_size(dim - split, commuting)
@@ -417,9 +404,18 @@ def _instance_states(dim: int, split: int, sigma, base, leak, noise, commuting: 
     return sigma, state((1.0 - leak) * base + leak * noise), made
 
 
+def _check_sizes(dims, ls) -> None:
+    """Every dim is a count of at least 2, every l a count."""
+    _check_counts(dims, "dimensions")
+    if not all(dim >= 2 for dim in dims):
+        raise ValueError("need dim >= 2 to separate the reference from the ensemble")
+    _check_counts(ls, "ensemble sizes")
+
+
 def sample_rti_instance(dim: int, l: int, seed, commuting: bool = False) -> RtiInstance:
     """Random instance with small tight eps: sigma and the ensemble live on
     complementary blocks, plus a little full-support leakage per member."""
+    _check_sizes((dim,), (l,))
     split, raw = _draw_rti(dim, l, np.random.default_rng(seed), commuting)
     *draws, weights = _unpack_rti(dim, l, split, raw[None], commuting)
     sigma, rhos, made = _instance_states(dim, split, *draws, commuting)
@@ -555,6 +551,8 @@ def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> l
     Each instance is the one `sample_rti_instance` draws for its seed and gets
     every check it and `verify_rti` make, run on stacks of RTI_CHUNK trials.
     """
+    dims, ls = tuple(dims), tuple(ls)
+    _check_sizes(dims, ls)
     rows = []
     for dim in dims:
         for l in ls:
@@ -613,7 +611,8 @@ def _campaign_slacks(dim: int, l: int, seed: int, trials: range, commuting: bool
     # The sampler stores the tight certificate, so the stored and tight
     # epsilon agree and verify_rti keeps it.
     tight = 2.0 - trace_norm(rhos - sigma[:, None]).min(axis=1)
-    _check_certificate(weights, tight, tight)
+    _check_weights(weights, (len(weights), l))
+    _check_certificate(tight, tight)
     if commuting:
         _check_commuting([rhos[:, i] for i in range(l)] + [sigma])
     eps = np.clip(tight, 0.0, 2.0)

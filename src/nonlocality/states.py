@@ -7,6 +7,7 @@ ranges over [0, 2] for unit-trace states.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,35 @@ TRACE_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-10
 STEER_DROP_TOL = 1e-12
+
+
+def _check_counts(counts, what: str = "outcome counts") -> None:
+    """Every count is an integer (not a bool or float) of at least 1 that a
+    float can hold; `what` names the counts in errors."""
+    for count in counts:
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{what} must be at least 1")
+        if count > sys.float_info.max:
+            raise ValueError(f"{what} must be at most {sys.float_info.max!r}")
+
+
+def _check_weights(weights, shape: tuple) -> np.ndarray:
+    """A read-only float copy of `weights`, checked to have the nonempty `shape`
+    and to hold probability vectors on its last axis: entries at least
+    -WEIGHT_SUM_TOL, sums within WEIGHT_SUM_TOL of 1. NaN fails."""
+    w = np.array(weights, dtype=float)
+    if w.shape != shape or not w.size:
+        raise ValueError(f"weights and members disagree in length: shape {w.shape}, expected {shape}")
+    if not float(w.min()) >= -WEIGHT_SUM_TOL:
+        raise ValueError(f"probability weights must be nonnegative numbers, min is {float(w.min())!r}")
+    sums = w.sum(axis=-1).reshape(-1)
+    bad = sums[~(np.abs(sums - 1.0) <= WEIGHT_SUM_TOL)]
+    if bad.size:
+        raise ValueError(f"probability weights sum to {float(bad[0])!r}, expected 1")
+    w.setflags(write=False)
+    return w
 
 
 def _trusted(cls, **fields):
@@ -129,15 +159,9 @@ class Ensemble:
     labels: tuple = field(default=())
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(self.states):
-            raise ValueError("weights and states disagree in length")
         if len(self.states) == 0:
             raise ValueError("ensemble needs at least one member")
-        if not float(w.min()) >= -WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must be nonnegative numbers, min is {float(w.min())!r}")
-        if not abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
+        object.__setattr__(self, "weights", _check_weights(self.weights, (len(self.states),)))
         dim = self.states[0].dim
         if any(s.dim != dim for s in self.states):
             raise ValueError("ensemble states have mixed dimensions")
@@ -145,9 +169,7 @@ class Ensemble:
         if len(labels) != len(self.states):
             raise ValueError("labels and states disagree in length")
         mats = np.stack([s.mat for s in self.states])
-        w.setflags(write=False)
         mats.setflags(write=False)
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", mats)
         object.__setattr__(self, "labels", labels)
 
@@ -305,7 +327,8 @@ def truncate_ensemble(ensemble: Ensemble, min_weight: float) -> tuple[Ensemble, 
 
 def sample_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Ginibre-induced random state: G G^dag normalized, G of shape (dim, rank)."""
-    if not (1 <= rank <= dim):
+    _check_counts((dim, rank), "dimension and rank")
+    if not rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     g = _complex_normal((dim, rank), np.random.default_rng(seed))
     return DensityMatrix(_gram_state(g))
@@ -331,8 +354,7 @@ def _gram_state(g: np.ndarray) -> np.ndarray:
 
 def sample_povm(dim: int, outcomes: int, seed) -> Povm:
     """Random POVM: Ginibre PSD pile S^(-1/2) A_r S^(-1/2) with S the sum."""
-    if outcomes < 1:
-        raise ValueError("need at least one outcome")
+    _check_counts((dim, outcomes), "dimension and outcome count")
     g = _complex_normal((outcomes, dim, dim), np.random.default_rng(seed))
     piles = g @ g.conj().swapaxes(-1, -2)
     # Python's sum adds the piles one at a time; np.sum may add them pairwise.

@@ -200,7 +200,7 @@ def test_campaign_keeps_the_per_instance_state_checks():
             rti_campaign([3], [2], 4, 1)
     with pytest.raises(ValueError, match="dim >= 2"):
         rti_campaign([1], [2], 4, 1)
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="ensemble sizes must be at least 1"):
         rti_campaign([3], [0], 4, 1)
 
 

@@ -387,9 +387,9 @@ def test_samplers_deterministic():
 
 def test_samplers_reject_bad_rank_and_outcome_count():
     for rank in (0, 4):
-        with pytest.raises(ValueError, match=r"rank must be in \[1, 3\]"):
+        with pytest.raises(ValueError, match="rank must be"):
             sample_density(3, rank, seed=0)
-    with pytest.raises(ValueError, match="at least one outcome"):
+    with pytest.raises(ValueError, match="outcome count must be at least 1"):
         sample_povm(2, 0, seed=0)
 
 

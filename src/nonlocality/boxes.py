@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import tensor
 from .records import Record
-from .states import DensityMatrix, _check_counts, _check_weights, singlet, xz_spin_povm
+from .states import DensityMatrix, _check_counts, _check_weights, _trusted, singlet, xz_spin_povm
 
 ENTRY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
@@ -87,7 +87,9 @@ class _Table:
     """Dense table on a scenario: the one body of `Box` and `BellFunctional`.
     A subclass names its table field `_FIELD` and itself `_KIND` in errors;
     `_NORMALIZED` makes every block a probability distribution. Cells must
-    be finite, and zero past each input's outcome counts."""
+    be finite, and zero past each input's outcome counts. A functional's
+    largest magnitude times its cell count must be finite too, so that no
+    sum of its cells, weighted by probabilities, overflows."""
 
     def __post_init__(self):
         sc = self.scenario
@@ -99,8 +101,16 @@ class _Table:
             raise ValueError(f"non-finite table entry at (x, y, a, b) = {tuple(bad[0].tolist())}")
         inside = sc.inside
         pad = (np.where(inside, 0.0, t) != 0.0).any(axis=(2, 3))
-        fault = pad  # a functional's cells may take any finite value
-        if self._NORMALIZED:
+        fault = pad
+        if not self._NORMALIZED:
+            # a functional's cells may take any finite value whose sums stay
+            # finite; a Python-float product past the range is inf, unwarned
+            top = float(np.abs(t).max())
+            if not math.isfinite(top * t.size):
+                raise ValueError(
+                    f"{self._KIND} is too large: {t.size} cells of magnitude up to {top!r} overflow a sum"
+                )
+        else:
             # a block with zero padding has no padding cell out of range
             out_of_range = ((t < -ENTRY_TOL) | (t > 1.0 + ENTRY_TOL)).any(axis=(2, 3))
             totals = np.where(inside & ~out_of_range[:, :, None, None], t, 0.0).sum(axis=(2, 3))
@@ -170,7 +180,14 @@ class _Table:
 
 @dataclass(frozen=True, eq=False)
 class Box(_Table):
-    """Normalized conditional distribution table."""
+    """Normalized conditional distribution table.
+
+    The constructor and `from_dict` check it: finite cells in [-ENTRY_TOL,
+    1 + ENTRY_TOL], structural zeros, and blocks summing to 1 within
+    NORMALIZATION_TOL. Two boxes are derived and built without that check:
+    `quantum_box`'s, whose bound is given there, and `cf_exact`'s residual,
+    whose cells lie in [0, 1] and whose blocks sum to 1 up to rounding.
+    """
 
     _FIELD, _KIND, _NORMALIZED = "p", "box", True
 
@@ -323,7 +340,17 @@ def maximally_mixed_box(scenario: Scenario) -> Box:
 
 
 def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
-    """Born-rule box p(a,b|x,y) = Tr((M^x_a (x) N^y_b) rho)."""
+    """Born-rule box p(a,b|x,y) = Tr((M^x_a (x) N^y_b) rho), negative cells
+    raised to 0.
+
+    The table is derived from the checked state and POVMs and is not checked
+    again. To first order in the tolerances, each block sums to 1 only within
+    TRACE_TOL + (dA + dB) POVM_SUM_TOL + (dA dB + kA + kB) PSD_TOL, with kA
+    and kB the block's outcome counts: the POVM sums deviate from the
+    identity by up to d POVM_SUM_TOL in operator norm, and raising negative
+    cells adds their magnitude. That can exceed NORMALIZATION_TOL, so
+    `Box.from_dict(box.to_dict())` can reject a box this returns.
+    """
     alice = list(alice_povms)
     bob = list(bob_povms)
     # one input per measurement: the scenario rejects a party without one
@@ -345,7 +372,7 @@ def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
             stack[i, : len(povm)] = povm.elements
     lifted = tensor(stack_a[:, None, :, None], stack_b[None, :, None, :])
     probs = np.real((lifted @ rho.mat).trace(axis1=-2, axis2=-1))
-    return Box(sc, np.where(probs > 0.0, probs, 0.0))
+    return _trusted(Box, scenario=sc, p=np.where(probs > 0.0, probs, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box, DeterministicStrategy, _alice_side, _cells, _strategy_arrays, _winner_cells
+from .states import _trusted
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -219,7 +220,7 @@ def cf_exact(box: Box):
     columns = np.arange(n).reshape(len(alice), len(bob), 1, 1)
     a[row_of[_cells(alice[:, None], bob[None, :])], columns] = 1.0
     a[-1] = 1.0
-    lp = LinearProgram(c=np.ones(n), a=a, b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0))
+    lp = _trusted(LinearProgram, c=np.ones(n), a=a, b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0))
     # nonnegative: basic values are certified above -LP_TOL and those below LP_TOL zeroed
     coeffs = simplex_solve(lp).x
     total = float(coeffs.sum())
@@ -232,7 +233,7 @@ def cf_exact(box: Box):
     if total < 1.0 - LP_TOL:
         # each block over its own sum: dividing by 1 - total would magnify rounding
         kept = np.clip(leftover, 0.0, None)
-        residual = Box(sc, kept / kept.sum(axis=(2, 3), keepdims=True))
+        residual = _trusted(Box, scenario=sc, p=kept / kept.sum(axis=(2, 3), keepdims=True))
     _certify_reconstruction(leftover, total, None if residual is None else residual.p)
     decomp = Decomposition(
         strategies=tuple(map(DeterministicStrategy, used_a, used_b)),
@@ -277,4 +278,9 @@ def bell_bound_from_fod(beta_algebraic: float, beta_deterministic: float, c: flo
         raise ValueError(f"fraction must lie in [0, 1], got {c!r}")
     if beta_deterministic > beta_algebraic + 1e-12:
         raise ValueError("deterministic maximum cannot exceed the algebraic maximum")
-    return beta_algebraic - c * (beta_algebraic - beta_deterministic)
+    ceiling = beta_algebraic - c * (beta_algebraic - beta_deterministic)
+    if not math.isfinite(ceiling):
+        raise ValueError(
+            f"Bell-value ceiling overflows: maxima {(beta_algebraic, beta_deterministic)!r} are too far apart"
+        )
+    return ceiling

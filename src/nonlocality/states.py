@@ -60,8 +60,10 @@ def _check_weights(weights, shape: tuple) -> np.ndarray:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass `cls` holding `fields`, which have
-    already passed its checks; array fields are made read-only."""
+    """An instance of the frozen dataclass `cls` holding `fields`, built
+    without its checks: the fields are derived from checked inputs, and the
+    caller's docstring gives the bound they hold. Array fields are made
+    read-only."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -148,10 +150,10 @@ class Ensemble:
     identifiable after sorting or truncation.
 
     The members given here were each checked as a state, PSD within PSD_TOL.
-    The ensembles that `steer` returns are built without that check: their
-    members were checked before they were normalized, so a member of weight
-    w may sit up to about PSD_TOL / w below PSD, and passing its matrix to
-    `DensityMatrix` again can fail.
+    The ensembles that `steer` and `truncate_ensemble` return are derived and
+    built without any check: a member of `steer` with weight w_b is PSD only
+    within about (Tr N_b + 1) PSD_TOL / w_b (see `steer`), so passing its
+    matrix to `DensityMatrix` again can fail.
     """
 
     weights: np.ndarray
@@ -254,21 +256,25 @@ def _mixture(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _averages(*ensembles: Ensemble) -> np.ndarray:
-    """Read-only stack of the ensembles' averages, checked as unit-trace
-    states in one pass."""
-    mixed = [_mixture(e.weights, e.states) for e in ensembles]
-    return _check_state_matrix(np.stack(mixed), 1.0, 1.0, "state")
-
-
 def ensemble_average(ensemble: Ensemble) -> DensityMatrix:
-    return _trusted(DensityMatrix, mat=_averages(ensemble)[0])
+    """sum_i w_i rho_i, derived from the ensemble's checked weights and
+    members and not checked again.
+
+    For an ensemble given checked members, the average is PSD within about
+    PSD_TOL + l WEIGHT_SUM_TOL and its trace is within about TRACE_TOL +
+    WEIGHT_SUM_TOL of 1. For one that `steer` returns from a d_B-dim Bob
+    side, it is the steered reduced state over the kept weight: PSD within
+    about d_B (PSD_TOL + POVM_SUM_TOL) plus the dropped weight. After
+    `truncate_ensemble` keeps outcomes b of total weight W, it is PSD within
+    about sum_b (Tr N_b + 1) PSD_TOL / W. Both have unit trace up to
+    rounding. Each bound can exceed what `DensityMatrix` accepts.
+    """
+    return _trusted(DensityMatrix, mat=_mixture(ensemble.weights, ensemble.states))
 
 
 def _average_distance(e1: Ensemble, e2: Ensemble) -> float:
-    """`trace_distance` of the two ensemble averages, checked together."""
-    first, second = _averages(e1, e2)
-    return trace_norm(first - second)
+    """`trace_distance` of the two ensemble averages."""
+    return trace_norm(_mixture(e1.weights, e1.states) - _mixture(e2.weights, e2.states))
 
 
 def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
@@ -277,10 +283,14 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
     Member b has weight Tr((I (x) N_b) rho) and state Tr_B((I (x) N_b) rho)
     normalized. Outcomes with weight below STEER_DROP_TOL are dropped; the
     surviving outcome indices are recorded in `labels`. Every outcome is
-    computed in one stacked product and partial trace; the surviving operators
-    are checked as one stack before a small weight can magnify their rounding.
-    So a member of weight w is PSD only within about PSD_TOL / w: a weight of
-    1.4e-8 gave a minimum eigenvalue of -1.07e-9.
+    computed in one stacked product and partial trace.
+
+    The ensemble is derived from the checked state and POVM and is not
+    checked again. To first order in the tolerances, the operator
+    Tr_B((I (x) N_b) rho) is PSD within (Tr N_b + 1) PSD_TOL, so member b,
+    that operator over its weight w_b, is PSD within (Tr N_b + 1) PSD_TOL /
+    w_b: a weight of 1.4e-8 gave a minimum eigenvalue of -1.07e-9. The
+    weights are a probability vector up to rounding.
     """
     dim_b = povm_b.dim
     dim_a, rem = divmod(rho_ab.dim, dim_b)
@@ -295,7 +305,6 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
     if not kept.size:
         raise ValueError("all steering outcomes fell below the drop tolerance")
     w = weights[kept]
-    _check_state_matrix(reduced[kept], 0.0, 1.0, "state")
     states = hermitian_part(reduced[kept] / w[:, None, None])
     labels = tuple(int(b) for b in kept)
     return _trusted(Ensemble, weights=w / w.sum(), states=states, labels=labels)

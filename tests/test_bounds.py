@@ -4,14 +4,15 @@ and the binary-Bob worst-case constants."""
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nonlocality import bounds
-from nonlocality.boxes import quantum_box, tsirelson_realization
+from nonlocality import bounds, decomp
+from nonlocality.boxes import Box, quantum_box, tsirelson_realization
 from nonlocality.bounds import (
     _confusing_outcome,
     binary_bob_bounds,
@@ -24,18 +25,20 @@ from nonlocality.bounds import (
     universal_fod_bound,
 )
 from nonlocality.cli import main
-from nonlocality.decomp import bell_bound_from_fod, fod_exact
-from nonlocality.linalg import trace_norm
+from nonlocality.decomp import LinearProgram, bell_bound_from_fod, cf_exact, fod_exact
+from nonlocality.linalg import partial_trace, tensor, trace_norm
 from nonlocality.records import InequalityRecord
 from nonlocality.states import (
     Ensemble,
     Povm,
+    _check_state_matrix,
     basis_state,
     ensemble_average,
     maximally_mixed,
     pure_state,
     sample_density,
     sample_povm,
+    steer,
     trace_distance,
     xz_spin_povm,
 )
@@ -326,6 +329,48 @@ def test_pipeline_on_nearly_product_states():
         assert trace.passed
         value, _ = fod_exact(quantum_box(rho, alice, [bob1, bob2]))
         assert trace.theorem_form - 1e-15 <= trace.c <= value + 1e-8
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(2, 3),
+    st.integers(2, 3),
+    st.integers(2, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_outcome, seed):
+    # `steer`, `ensemble_average`, `quantum_box` and `cf_exact` build their
+    # results unchecked; on ordinary realizations those results still pass
+    # every check they skip, at the plain tolerances
+    rng = np.random.default_rng(seed)
+    rho = sample_density(dim_a * dim_b, int(rng.integers(1, dim_a * dim_b + 1)), rng)
+    alice = [sample_povm(dim_a, k_a, rng) for _ in range(2)]
+    bob = [sample_povm(dim_b, k_b, rng) for _ in range(2)]
+    if zero_outcome:
+        bob[1] = Povm((*bob[1].elements, np.zeros((dim_b, dim_b))))
+    for povm in bob:
+        # steer's operators before normalization, computed as it computes them
+        lifted = tensor(np.eye(dim_a, dtype=complex), povm.elements)
+        _check_state_matrix(partial_trace(lifted @ rho.mat, dim_a, dim_b), 0.0, 1.0, "state")
+        ensemble = steer(rho, povm)
+        _check_state_matrix(ensemble_average(ensemble).mat, 1.0, 1.0, "state")
+    # the zero outcome is dropped from the second ensemble
+    assert k_b not in ensemble.labels
+    box = quantum_box(rho, alice, bob)
+    Box(box.scenario, box.p)
+    solve, solved = decomp.simplex_solve, []
+
+    def recording(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    with mock.patch.object(decomp, "simplex_solve", recording):
+        _, decomposition = cf_exact(box)
+    (lp,) = solved
+    LinearProgram(lp.c, lp.a, lp.b)
+    if decomposition.residual is not None:
+        Box(box.scenario, decomposition.residual.p)
 
 
 def test_pipeline_validation():

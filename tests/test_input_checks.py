@@ -1,20 +1,38 @@
 """The two boundary checks every entry point shares: counts (ensemble sizes,
-outcome counts, dimensions, ranks) and probability weights."""
+outcome counts, dimensions, ranks) and probability weights; the rule that
+input a boundary check accepts is never rejected inside; and the checks that
+keep non-finite numbers out of every report."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nonlocality import rti
 from nonlocality.bounds import (
+    PipelineTrace,
     binary_bob_bounds,
     epsilon_from_average_distance,
+    fod_floor_pipeline,
     mu_objective,
     universal_fod_bound,
 )
-from nonlocality.boxes import DeterministicStrategy, Scenario, chsh_scenario, deterministic_box, local_box
+from nonlocality.boxes import (
+    BellFunctional,
+    Box,
+    DeterministicStrategy,
+    Scenario,
+    chsh_functional,
+    chsh_scenario,
+    deterministic_box,
+    local_box,
+    pr_box,
+    quantum_box,
+)
 from nonlocality.cli import main
+from nonlocality.decomp import bell_bound_from_fod
 from nonlocality.rti import (
     RtiInstance,
     classical_sharp_example,
@@ -25,11 +43,15 @@ from nonlocality.rti import (
 )
 from nonlocality.states import (
     WEIGHT_SUM_TOL,
+    DensityMatrix,
     Ensemble,
+    Povm,
     _check_weights,
     basis_state,
+    maximally_mixed,
     sample_density,
     sample_povm,
+    xz_spin_povm,
 )
 
 BAD_COUNTS = [math.nan, 2.5, True, 0, 10**400]
@@ -215,3 +237,102 @@ def test_deterministic_strategy_rejects_non_integer_outputs():
     assert strategy == DeterministicStrategy((1, 0), (0, 1))
     assert all(type(o) is int for o in strategy.alice + strategy.bob)
     assert deterministic_box(strategy, chsh_scenario()).p[1, 1, 0, 1] == 1.0
+
+
+def test_campaign_rejects_bad_trials_and_seeds():
+    cases = [
+        ({"trials": -3}, "trials must be nonnegative, got -3"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": np.True_}, "seed must be an integer"),
+    ]
+    for bad, message in cases:
+        args = {"trials": 1, "seed": 0, **bad}
+        with pytest.raises(ValueError, match=message):
+            rti_campaign([3], [2], **args)
+    # no trials is an empty row, and numpy integers count as integers
+    (row,) = rti_campaign([3], [2], 0, 0)
+    assert (row.trials, row.violations, row.min_slack) == (0, 0, math.inf)
+    assert rti_campaign([3], [2], np.int64(2), np.int32(5)) == rti_campaign([3], [2], 2, 5)
+
+
+# Input that a boundary check accepts is never rejected inside. The states
+# and POVMs below pass `DensityMatrix` and `Povm` at their tolerances; the
+# steered operators, their averages and the Born-rule box derived from them
+# sit a multiple of those tolerances off, which is no reason to reject them.
+
+QUBIT_QUTRIT_EDGE = np.diag([-9e-11] * 3 + [1 / 3 + 9e-11] * 3)  # min eigenvalue -9e-11
+
+
+def _qutrit_basis(scale: float = 1.0) -> Povm:
+    return Povm(tuple(np.diag(row) * scale for row in np.eye(3)))
+
+
+def test_edge_state_averages_are_not_rechecked():
+    # the reduced state on the qubit has minimum eigenvalue 3 * -9e-11
+    rho = DensityMatrix(QUBIT_QUTRIT_EDGE)
+    bob = _qutrit_basis()
+    trace = fod_floor_pipeline(rho, bob, bob, [xz_spin_povm(0.0), xz_spin_povm(math.pi / 2)])
+    assert isinstance(trace, PipelineTrace) and trace.passed
+
+
+def test_edge_state_steered_operators_are_not_rechecked():
+    # Tr_B((I (x) N_0) rho) has minimum eigenvalue Tr N_0 * -9e-11 = -1.8e-10
+    rho = DensityMatrix(QUBIT_QUTRIT_EDGE)
+    bob = Povm((np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
+    trace = fod_floor_pipeline(rho, bob, bob, [xz_spin_povm(0.0), xz_spin_povm(math.pi / 2)])
+    assert isinstance(trace, PipelineTrace) and trace.passed
+
+
+def test_edge_povm_box_is_not_rechecked():
+    # each POVM sums to (1 + 9e-10) I, so each block of the box sums to (1 + 9e-10)^2
+    povm = _qutrit_basis(1.0 + 9e-10)
+    rho = maximally_mixed(9)
+    trace = fod_floor_pipeline(rho, povm, povm, [povm, povm])
+    assert isinstance(trace, PipelineTrace) and trace.passed
+    # the box is returned as derived; a boundary check of it still rejects it
+    box = quantum_box(rho, [povm, povm], [povm, povm])
+    with pytest.raises(ValueError, match="block \\(0, 0\\) sums to"):
+        Box.from_dict(box.to_dict())
+
+
+def test_bell_ceiling_must_be_finite():
+    with pytest.raises(ValueError, match="ceiling overflows"):
+        bell_bound_from_fod(1e308, -1e308, 0.5)
+    assert bell_bound_from_fod(1e307, -1e307, 0.5) == 0.0
+
+
+def _huge_functional(cell: float) -> dict:
+    return {"scenario": chsh_scenario().to_dict(), "s": [[[[cell] * 2] * 2] * 2] * 2}
+
+
+def test_functional_cells_must_sum_finitely():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="16 cells of magnitude up to -?1e\\+308 overflow a sum"):
+            BellFunctional.from_dict(_huge_functional(1e308))
+        with pytest.raises(ValueError, match="overflow a sum"):
+            BellFunctional(chsh_scenario(), chsh_functional().s * -2e307)
+        # 16 cells of 1e307 stay below the float range
+        f = BellFunctional.from_dict(_huge_functional(1e307))
+    assert f.algebraic_max == 4e307
+
+
+def test_cli_rejects_an_overflowing_bell_ceiling(capsys):
+    assert main(["bounds", "2", "2", "2", "--beta-alg", "1e308", "--beta-det=-1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ceiling overflows" in captured.err
+
+
+def test_cli_rejects_an_overflowing_functional(tmp_path, capsys):
+    box_path, functional_path = tmp_path / "box.json", tmp_path / "functional.json"
+    box_path.write_text(json.dumps(pr_box().to_dict()))
+    functional_path.write_text(json.dumps(_huge_functional(1e308)))
+    argv = ["box", str(box_path), "--ops", "bell", "--functional", str(functional_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow a sum" in captured.err

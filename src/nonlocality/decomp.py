@@ -267,8 +267,11 @@ def _certify_reconstruction(leftover, total, residual) -> float:
 
 
 def bell_bound_from_fod(beta_algebraic: float, beta_deterministic: float, c: float) -> float:
-    """Bell-value ceiling beta_alg - c (beta_alg - beta_det) implied by a
-    deterministic fraction c."""
+    """Bell-value ceiling (1 - c) beta_alg + c beta_det, that is
+    beta_alg - c (beta_alg - beta_det), implied by a deterministic fraction
+    c. For c in [0, 1] this is a convex combination of the two maxima, so it
+    overflows only through c's 1e-12 of slack above 1 or through rounding
+    within an ulp of the float maximum."""
     if not all(math.isfinite(v) for v in (beta_algebraic, beta_deterministic, c)):
         raise ValueError(
             "Bell maxima and fraction must be finite, got "
@@ -278,9 +281,10 @@ def bell_bound_from_fod(beta_algebraic: float, beta_deterministic: float, c: flo
         raise ValueError(f"fraction must lie in [0, 1], got {c!r}")
     if beta_deterministic > beta_algebraic + 1e-12:
         raise ValueError("deterministic maximum cannot exceed the algebraic maximum")
-    ceiling = beta_algebraic - c * (beta_algebraic - beta_deterministic)
+    ceiling = (1.0 - c) * beta_algebraic + c * beta_deterministic
     if not math.isfinite(ceiling):
         raise ValueError(
-            f"Bell-value ceiling overflows: maxima {(beta_algebraic, beta_deterministic)!r} are too far apart"
+            f"Bell-value ceiling overflows: maxima {(beta_algebraic, beta_deterministic)!r} "
+            f"at fraction {c!r} give a ceiling beyond the float range"
         )
     return ceiling

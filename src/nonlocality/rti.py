@@ -550,14 +550,16 @@ def rti_campaign(dims, ls, trials: int, seed: int, commuting: bool = False) -> l
 
     Each instance is the one `sample_rti_instance` draws for its seed and gets
     every check it and `verify_rti` make, run on stacks of RTI_CHUNK trials.
-    `trials` is an integer of at least 0 and `seed` an integer; neither may
-    be a bool.
+    `trials` and `seed` are integers of at least 0; neither may be a bool. A
+    negative seed is rejected with NumPy's own message, before any cell.
     """
     for name, value in (("trials", trials), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials!r}")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     trials, seed = int(trials), int(seed)  # the seeding replay masks Python ints
     dims, ls = tuple(dims), tuple(ls)
     _check_sizes(dims, ls)

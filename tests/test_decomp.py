@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -43,6 +43,9 @@ GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 # of the eight deterministic boxes of CHSH value 2; kept apart from the golden
 # inputs because its residual magnifies rounding by 1 / t
 NEAR_FACET_BOX = Path(__file__).parent / "inputs" / "near_facet_box.json"
+# HiGHS's default feasibility tolerance, 1e-7, can round a classical fraction
+# within about 1e-7 of 1 up to 1; comparisons at 1e-9 run HiGHS at these.
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def test_lp_validation():
@@ -212,17 +215,27 @@ random_lps = st.builds(
 
 
 @given(random_lps)
+# HiGHS's status on this LP is 4, "Unknown", though it is unbounded
+@example(_random_lp(5, 5, False, False, np.random.default_rng(87)))
 def test_simplex_matches_dense_oracle(lp):
-    ref = linprog(-lp.c, A_ub=lp.a, b_ub=lp.b, bounds=(0, None), method="highs")
     try:
         dense = _dense_simplex(lp)
     except UnboundedError:
         with pytest.raises(UnboundedError):
             simplex_solve(lp)
-        # x = 0 is feasible, so HiGHS calling the LP unbounded or infeasible
-        # (its presolve does not always tell them apart) means unbounded
-        assert ref.status in (2, 3)
+        # x = 0 is feasible, so a ray d >= 0 with a d <= 0 and c d > 0 proves
+        # the LP unbounded; HiGHS finds one without being asked to classify
+        ray = linprog(
+            -lp.c,
+            A_ub=lp.a,
+            b_ub=np.zeros(len(lp.b)),
+            bounds=(0, 1),
+            method="highs",
+            options=HIGHS_TIGHT,
+        )
+        assert ray.status == 0 and -ray.fun > 0
         return
+    ref = linprog(-lp.c, A_ub=lp.a, b_ub=lp.b, bounds=(0, None), method="highs")
     mine = simplex_solve(lp)
     assert mine.iterations == dense.iterations
     # without a bounding row coordinates reach the thousands: 1e-12 relative
@@ -515,11 +528,6 @@ ns_boxes = st.builds(
 @given(ns_boxes)
 def test_fod_matches_strict_strategy_loop(box):
     assert fod_exact(box) == _fod_by_strict_loop(box)
-
-
-# HiGHS's default feasibility tolerance, 1e-7, can round a classical fraction
-# within about 1e-7 of 1 up to 1; comparisons at 1e-9 run HiGHS at these.
-HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _highs_cf(box: Box, **options) -> float:

@@ -5,6 +5,7 @@ keep non-finite numbers out of every report."""
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -247,6 +248,7 @@ def test_campaign_rejects_bad_trials_and_seeds():
         ({"seed": True}, "seed must be an integer, got True"),
         ({"seed": 2.5}, "seed must be an integer, got 2.5"),
         ({"seed": np.True_}, "seed must be an integer"),
+        ({"trials": 0, "seed": -1}, "expected non-negative integer"),
     ]
     for bad, message in cases:
         args = {"trials": 1, "seed": 0, **bad}
@@ -298,10 +300,24 @@ def test_edge_povm_box_is_not_rechecked():
         Box.from_dict(box.to_dict())
 
 
+def test_single_outcome_povm_is_not_rechecked():
+    # S has condition number 4.8e6, so S^(-1/2) S S^(-1/2) sits about 1e-10
+    # off Hermitian before its Hermitian part is taken
+    p = sample_povm(4, 1, (3073, 4, 1))
+    assert p.elements.shape == (1, 4, 4)
+    Povm(tuple(p.elements))
+
+
 def test_bell_ceiling_must_be_finite():
-    with pytest.raises(ValueError, match="ceiling overflows"):
-        bell_bound_from_fod(1e308, -1e308, 0.5)
+    # (1 - c) beta_alg + c beta_det: opposite maxima near the float maximum
+    # no longer overflow in their difference
+    assert bell_bound_from_fod(1e308, -1e308, 0.0) == 1e308
+    assert bell_bound_from_fod(1e308, -1e308, 0.5) == 0.0
     assert bell_bound_from_fod(1e307, -1e307, 0.5) == 0.0
+    top = sys.float_info.max
+    assert bell_bound_from_fod(top, top, 1.0) == top
+    with pytest.raises(ValueError, match="ceiling overflows"):
+        bell_bound_from_fod(top, top, 1 + 5e-13)
 
 
 def _huge_functional(cell: float) -> dict:
@@ -320,11 +336,13 @@ def test_functional_cells_must_sum_finitely():
     assert f.algebraic_max == 4e307
 
 
-def test_cli_rejects_an_overflowing_bell_ceiling(capsys):
-    assert main(["bounds", "2", "2", "2", "--beta-alg", "1e308", "--beta-det=-1e308"]) == 2
+def test_cli_prints_the_ceiling_of_opposite_huge_maxima(capsys):
+    assert main(["bounds", "2", "2", "2", "--beta-alg", "1e308", "--beta-det=-1e308"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "ceiling overflows" in captured.err
+    assert captured.err == ""
+    rows = {row["name"]: row["computed"] for row in json.loads(captured.out)["rows"]}
+    c = universal_fod_bound(2, 2, 2).theorem_form
+    assert rows["bell_bound"] == (1 - c) * 1e308 + c * -1e308
 
 
 def test_cli_rejects_an_overflowing_functional(tmp_path, capsys):

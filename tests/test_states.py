@@ -374,6 +374,8 @@ def test_sample_density_valid(seed, dim, rank):
     assert eigs.min() > -1e-12
     assert float(eigs.sum()) == pytest.approx(1.0)
     assert int((eigs > 1e-10).sum()) <= rank
+    # the sampler skips the constructor's checks; they stay the oracle
+    assert DensityMatrix(rho.mat).mat.tobytes() == rho.mat.tobytes()
 
 
 def test_samplers_deterministic():
@@ -400,12 +402,20 @@ def test_sample_povm_rejects_a_singular_normalizer(monkeypatch):
         sample_povm(2, 3, seed=0)
 
 
-@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 4))
+def test_sample_povm_keeps_the_identity_sum_check(monkeypatch):
+    monkeypatch.setattr(states, "hermitian_part", lambda a: 2 * a)
+    with pytest.raises(ValueError, match="POVM does not sum to identity"):
+        sample_povm(2, 3, seed=0)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 4))
 def test_sample_povm_valid(seed, dim, outcomes):
     p = sample_povm(dim, outcomes, seed)
     assert len(p) == outcomes and p.dim == dim
     total = sum(p.elements)
     assert np.abs(total - np.eye(dim)).max() < 1e-9
+    # the sampler skips the constructor's checks; they stay the oracle
+    assert Povm(tuple(p.elements)).elements.tobytes() == p.elements.tobytes()
 
 
 @given(st.integers(0, 2**64 + 3), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4))

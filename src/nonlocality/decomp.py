@@ -20,7 +20,6 @@ from .states import _trusted
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
-PRICING_BLOCK = 256  # structural columns priced per step of the entering search
 
 
 class UnboundedError(Exception):
@@ -53,6 +52,32 @@ class LinearProgram:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
+        """Reduced costs c - y @ a of the structural columns under the duals y."""
+        return self.c - y @ self.a
+
+
+@dataclass(frozen=True, eq=False)
+class _StrategyLP(LinearProgram):
+    """The classical-fraction LP of `cf_exact`, priced through its factors.
+    Column i * len(bob) + j is the strategy (alice[i], bob[j]); its ones sit
+    in the cell rows where `alice_rows[i]`, one-hot over Alice's (x, a), and
+    `bob_rows[j]`, one-hot over Bob's (y, b), are both 1, and in the last
+    row, the sum row. `slots[r]` is the flat position of cell row r in the
+    (x, a) x (y, b) grid. Built with `_trusted`: c is all ones."""
+
+    alice_rows: np.ndarray
+    bob_rows: np.ndarray
+    slots: np.ndarray
+
+    def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
+        """1 - y_sum - U Y V^T, flattened in column order, with Y the cell
+        duals laid out on the (x, a) x (y, b) grid, 0 on padded cells."""
+        cols_a, cols_b = self.alice_rows.shape[1], self.bob_rows.shape[1]
+        grid = np.zeros(cols_a * cols_b)
+        grid[self.slots] = y[:-1]
+        return (1.0 - y[-1]) - (self.alice_rows @ grid.reshape(cols_a, cols_b) @ self.bob_rows.T).ravel()
+
 
 @dataclass(frozen=True, eq=False)
 class SimplexResult:
@@ -63,50 +88,49 @@ class SimplexResult:
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Revised primal simplex with Bland's rule on the columns of [a | I],
-    started from the slack basis. It keeps the basis inverse, the basic
-    values and the basis indices; no tableau is formed.
+    started from the slack basis. It keeps the basis inverse and the basic
+    values side by side as one array [B^-1 | x_B], and the basis indices; no
+    tableau is formed.
 
-    Each pivot takes the duals y = c_B B^-1 and prices the structural columns
-    in column order, PRICING_BLOCK at a time, as c - y @ a, stopping at the
-    first block that holds an improving column; the slack columns, priced as
-    -y, come last. The ratio test and its tie-break are those of the tableau
-    method. Raises UnboundedError when an improving column has no blocking
-    row and RuntimeError when the iteration budget 10 * (rows + columns),
-    slack columns included, is exhausted or the last basis fails
-    `_certify_basis`. The certificate scales each row's residual by
-    max(1, |b_i|), so an LP with large data passes it when it is solved to
-    relative precision; on the classical-fraction LP, whose b is at most 1,
-    the threshold is LP_TOL itself.
+    Each pivot takes the duals y = c_B B^-1 and prices every structural
+    column at once through `lp._reduced_costs(y)`; the slack columns, priced
+    as -y, come last, and the first reduced cost above LP_TOL enters. The
+    ratio test and its tie-break are those of the tableau method, and one
+    rank-1 step updates B^-1 and x_B together. Raises UnboundedError when an
+    improving column has no blocking row and RuntimeError when the
+    iteration budget 10 * (rows + columns), slack columns included, is
+    exhausted or the last basis fails `_certify_basis`, which prices every
+    column densely from fresh duals. The certificate scales each row's
+    residual by max(1, |b_i|), so an LP with large data passes it when it is
+    solved to relative precision; on the classical-fraction LP, whose b is
+    at most 1, the threshold is LP_TOL itself.
     """
     a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape
-    inverse = np.eye(m)
-    x_b = b.copy()
+    table = np.hstack([np.eye(m), b[:, None]])
+    inverse, x_b = table[:, :m], table[:, m]
     basis = np.arange(n, n + m)
     cost_b = np.zeros(m)
     budget = 10 * (2 * m + n)
     iterations = 0
     while True:
         y = cost_b @ inverse
-        entering = _first_improving(a, c, y)
+        entering = _first_improving(lp._reduced_costs(y), y)
         if entering is None:
             break
         col = inverse @ a[:, entering] if entering < n else inverse[:, entering - n].copy()
-        rows = np.flatnonzero(col > LP_TOL)
+        (rows,) = (col > LP_TOL).nonzero()
         if not rows.size:
             raise UnboundedError("improving direction has no blocking constraint")
         ratios = x_b[rows] / col[rows]
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
         tied = rows[ratios <= ratios.min() + 1e-12]
-        row = int(tied[np.argmin(basis[tied])])
-        # one rank-1 update: the pivot row is divided by the pivot, and every
+        row = int(tied[basis[tied].argmin()])
+        # one rank-1 step: the pivot row is divided by the pivot, and every
         # other row loses its multiple of it, as one Gauss-Jordan step would
-        pivot_row = inverse[row] / col[row]
-        step = x_b[row] / col[row]
-        inverse -= np.multiply.outer(col, pivot_row)
-        inverse[row] = pivot_row
-        x_b -= col * step
-        x_b[row] = step
+        pivot_row = table[row] / col[row]
+        table -= np.multiply.outer(col, pivot_row)
+        table[row] = pivot_row
         basis[row] = entering
         cost_b[row] = c[entering] if entering < n else 0.0
         iterations += 1
@@ -119,18 +143,14 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     return SimplexResult(value=float(c @ x[:n]), x=x[:n], iterations=iterations)
 
 
-def _first_improving(a: np.ndarray, c: np.ndarray, y: np.ndarray) -> int | None:
-    """Index in [a | I] of the first column whose reduced cost under the
-    duals y exceeds LP_TOL, or None. A column-major `a` makes each block one
-    contiguous slice."""
-    n = len(c)
-    for start in range(0, n, PRICING_BLOCK):
-        block = slice(start, start + PRICING_BLOCK)
-        improving = c[block] - y @ a[:, block] > LP_TOL
-        if improving.any():
-            return start + int(np.argmax(improving))
+def _first_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
+    """Index in [a | I] of the first column whose reduced cost exceeds
+    LP_TOL, given the structural reduced costs and the duals y, or None."""
+    improving = reduced > LP_TOL
+    if improving.any():
+        return int(improving.argmax())
     improving = y < -LP_TOL  # slack reduced costs are -y
-    return n + int(np.argmax(improving)) if improving.any() else None
+    return len(reduced) + int(improving.argmax()) if improving.any() else None
 
 
 def _certify_basis(a, b, c, basis, x_b) -> float:
@@ -210,17 +230,26 @@ def cf_exact(box: Box):
     sc = box.scenario
     alice, bob = _strategy_arrays(sc)
     n = len(alice) * len(bob)
-    inside = sc.inside
+    _, inputs_b, max_a, max_b = sc.shape
+    alice_rows, bob_rows = _one_hot(alice, max_a), _one_hot(bob, max_b)
     # one row per cell inside the outcome counts, in (x, y, a, b) order, then the
     # row sum c <= 1; column i * len(bob) + j, strategy (alice[i], bob[j]), has a one
-    # in the row of each cell it sets, column-major for contiguous pricing blocks.
-    cells = box.p[inside]
-    row_of = np.cumsum(inside).reshape(inside.shape) - 1
-    a = np.zeros((len(cells) + 1, n), order="F")
-    columns = np.arange(n).reshape(len(alice), len(bob), 1, 1)
-    a[row_of[_cells(alice[:, None], bob[None, :])], columns] = 1.0
-    a[-1] = 1.0
-    lp = _trusted(LinearProgram, c=np.ones(n), a=a, b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0))
+    # in the row of each cell it sets: the product of its two one-hot entries
+    x, y, out_a, out_b = np.nonzero(sc.inside)
+    slot_a, slot_b = x * max_a + out_a, y * max_b + out_b
+    cells = box.p[x, y, out_a, out_b]
+    at = np.empty((len(alice), len(bob), len(cells) + 1))
+    np.multiply(alice_rows[:, None, slot_a], bob_rows[None, :, slot_b], out=at[..., :-1])
+    at[..., -1] = 1.0
+    lp = _trusted(
+        _StrategyLP,
+        c=np.ones(n),
+        a=at.reshape(n, -1).T,  # column-major: a strategy's column is contiguous
+        b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),
+        alice_rows=alice_rows,
+        bob_rows=bob_rows,
+        slots=slot_a * (inputs_b * max_b) + slot_b,
+    )
     # nonnegative: basic values are certified above -LP_TOL and those below LP_TOL zeroed
     coeffs = simplex_solve(lp).x
     total = float(coeffs.sum())
@@ -242,6 +271,14 @@ def cf_exact(box: Box):
         residual=residual,
     )
     return total, decomp
+
+
+def _one_hot(assigned: np.ndarray, outcomes: int) -> np.ndarray:
+    """Row k is 1 at x * outcomes + assigned[k, x] for each input x, else 0."""
+    count, inputs = assigned.shape
+    rows = np.zeros((count, inputs * outcomes))
+    rows[np.arange(count)[:, None], np.arange(inputs) * outcomes + assigned] = 1.0
+    return rows
 
 
 def _leftover(p: np.ndarray, cells: tuple, weights: np.ndarray) -> np.ndarray:

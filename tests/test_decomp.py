@@ -37,6 +37,7 @@ from nonlocality.decomp import (
     fod_exact,
     simplex_solve,
 )
+from test_factored_pricing import chained_singlet
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 # the CHSH facet box (1 - t) L + t PR at t = 1e-8, with L the uniform mixture
@@ -440,18 +441,7 @@ def test_bell_bound_from_fod():
             bell_bound_from_fod(*bad)
 
 
-def _chained_singlet(n: int, visibility: float) -> Box:
-    """Singlet at the chained-Bell angles x pi/n and (y + 1/2) pi/n, mixed
-    with white noise; n binary inputs per side."""
-    theta = np.arange(n) * np.pi / n
-    phi = (np.arange(n) + 0.5) * np.pi / n
-    corr = -np.cos(theta[:, None] - phi[None, :])
-    parity = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    p = visibility * (1.0 + parity * corr[:, :, None, None]) / 4.0 + (1.0 - visibility) / 4.0
-    return Box(Scenario((2,) * n, (2,) * n), p)
-
-
-@pytest.mark.parametrize("n, visibility, pivots", [(4, 0.9, 38), (5, 0.86, 453)])
+@pytest.mark.parametrize("n, visibility, pivots", [(4, 0.9, 38), (5, 0.86, 453), (6, 0.95, 138)])
 def test_cf_simplex_pivot_counts_are_pinned(monkeypatch, n, visibility, pivots):
     # Bland's rule fixes the pivot sequence; any change to the entering or
     # leaving choice, or to the tableau arithmetic, moves these counts.
@@ -465,7 +455,7 @@ def test_cf_simplex_pivot_counts_are_pinned(monkeypatch, n, visibility, pivots):
         return result
 
     monkeypatch.setattr(decomp, "simplex_solve", recording)
-    cf_exact(_chained_singlet(n, visibility))
+    cf_exact(chained_singlet(n, visibility))
     rows = 4 * n * n + 1
     assert solved == [((rows, 4**n), pivots)]
 

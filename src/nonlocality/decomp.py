@@ -56,15 +56,21 @@ class LinearProgram:
         """Reduced costs c - y @ a of the structural columns under the duals y."""
         return self.c - y @ self.a
 
+    def _entering(self, reduced: np.ndarray, y: np.ndarray, stalled: bool) -> int | None:
+        """The entering column of [a | I] by Bland's rule, whether or not
+        the simplex is stalled."""
+        return _first_improving(reduced, y)
+
 
 @dataclass(frozen=True, eq=False)
 class _StrategyLP(LinearProgram):
-    """The classical-fraction LP of `cf_exact`, priced through its factors.
-    Column i * len(bob) + j is the strategy (alice[i], bob[j]); its ones sit
-    in the cell rows where `alice_rows[i]`, one-hot over Alice's (x, a), and
-    `bob_rows[j]`, one-hot over Bob's (y, b), are both 1, and in the last
-    row, the sum row. `slots[r]` is the flat position of cell row r in the
-    (x, a) x (y, b) grid. Built with `_trusted`: c is all ones."""
+    """The classical-fraction LP of `cf_exact`, priced through its factors
+    and entered by the largest reduced cost. Column i * len(bob) + j is the
+    strategy (alice[i], bob[j]); its ones sit in the cell rows where
+    `alice_rows[i]`, one-hot over Alice's (x, a), and `bob_rows[j]`, one-hot
+    over Bob's (y, b), are both 1, and in the last row, the sum row.
+    `slots[r]` is the flat position of cell row r in the (x, a) x (y, b)
+    grid. Built with `_trusted`: c is all ones."""
 
     alice_rows: np.ndarray
     bob_rows: np.ndarray
@@ -78,6 +84,12 @@ class _StrategyLP(LinearProgram):
         grid[self.slots] = y[:-1]
         return (1.0 - y[-1]) - (self.alice_rows @ grid.reshape(cols_a, cols_b) @ self.bob_rows.T).ravel()
 
+    def _entering(self, reduced: np.ndarray, y: np.ndarray, stalled: bool) -> int | None:
+        """The column with the largest reduced cost, or Bland's rule while
+        the simplex is stalled: Bland's rule cannot cycle, and it keeps
+        choosing until a pivot moves x_B."""
+        return _first_improving(reduced, y) if stalled else _largest_improving(reduced, y)
+
 
 @dataclass(frozen=True, eq=False)
 class SimplexResult:
@@ -87,16 +99,22 @@ class SimplexResult:
 
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
-    """Revised primal simplex with Bland's rule on the columns of [a | I],
-    started from the slack basis. It keeps the basis inverse and the basic
-    values side by side as one array [B^-1 | x_B], and the basis indices; no
-    tableau is formed.
+    """Revised primal simplex on the columns of [a | I], started from the
+    slack basis. It keeps the basis inverse and the basic values side by side
+    as one array [B^-1 | x_B], and the basis indices; no tableau is formed.
 
     Each pivot takes the duals y = c_B B^-1 and prices every structural
-    column at once through `lp._reduced_costs(y)`; the slack columns, priced
-    as -y, come last, and the first reduced cost above LP_TOL enters. The
-    ratio test and its tie-break are those of the tableau method, and one
-    rank-1 step updates B^-1 and x_B together. Raises UnboundedError when an
+    column at once through `lp._reduced_costs(y)`; the slack columns are
+    priced as -y. The LP then picks the entering column through
+    `lp._entering`: a plain `LinearProgram` by Bland's rule, the first
+    reduced cost above LP_TOL with the slack columns last; the
+    classical-fraction LP by the largest reduced cost. A pivot whose step
+    x_B[row] / col[row] is at most LP_TOL is a zero step; after m (the row
+    count) zero steps in a row the LP is told it is stalled and falls back
+    on Bland's rule until a pivot moves x_B; Bland's rule cannot cycle, so
+    the simplex terminates under either rule. The ratio
+    test and its tie-break are those of the tableau method, and one rank-1
+    step updates B^-1 and x_B together. Raises UnboundedError when an
     improving column has no blocking row and RuntimeError when the
     iteration budget 10 * (rows + columns), slack columns included, is
     exhausted or the last basis fails `_certify_basis`, which prices every
@@ -113,9 +131,10 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     cost_b = np.zeros(m)
     budget = 10 * (2 * m + n)
     iterations = 0
+    zero_steps = 0  # consecutive pivots whose step is at most LP_TOL
     while True:
         y = cost_b @ inverse
-        entering = _first_improving(lp._reduced_costs(y), y)
+        entering = lp._entering(lp._reduced_costs(y), y, zero_steps >= m)
         if entering is None:
             break
         col = inverse @ a[:, entering] if entering < n else inverse[:, entering - n].copy()
@@ -123,8 +142,9 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         if not rows.size:
             raise UnboundedError("improving direction has no blocking constraint")
         ratios = x_b[rows] / col[rows]
+        step = ratios.min()
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
-        tied = rows[ratios <= ratios.min() + 1e-12]
+        tied = rows[ratios <= step + 1e-12]
         row = int(tied[basis[tied].argmin()])
         # one rank-1 step: the pivot row is divided by the pivot, and every
         # other row loses its multiple of it, as one Gauss-Jordan step would
@@ -133,6 +153,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         table[row] = pivot_row
         basis[row] = entering
         cost_b[row] = c[entering] if entering < n else 0.0
+        zero_steps = zero_steps + 1 if step <= LP_TOL else 0
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
@@ -151,6 +172,19 @@ def _first_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
         return int(improving.argmax())
     improving = y < -LP_TOL  # slack reduced costs are -y
     return len(reduced) + int(improving.argmax()) if improving.any() else None
+
+
+def _largest_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
+    """Index in [a | I] of the first column whose reduced cost is within
+    1e-12 of the largest, slack columns (priced as -y) included, or None
+    when no reduced cost exceeds LP_TOL. The window keeps the last bits of
+    the pricing from changing the pick between tied columns."""
+    top = max(reduced.max(initial=-np.inf), -y.min(initial=np.inf))
+    if not top > LP_TOL:
+        return None
+    near = reduced >= top - 1e-12
+    first = int(near.argmax())
+    return first if near[first] else len(reduced) + int((-y >= top - 1e-12).argmax())
 
 
 def _certify_basis(a, b, c, basis, x_b) -> float:

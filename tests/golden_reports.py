@@ -46,7 +46,7 @@ GOLDEN_REPORTS = {
     "box_chained4_v090.csv": [
         "box", "inputs/chained4_v090_box.json", "--ops", "ns,fod,cf", "--format", "csv"
     ],
-    # the deepest golden LPs: 453 pivots on the 5x5 box, 138 on the wide 6x6 tableau
+    # the deepest golden LPs: 102 pivots on the 5x5 box, 32 on the wide 6x6 tableau
     "box_chained5_v086.json": ["box", "inputs/chained5_v086_box.json", "--ops", "ns,fod,cf"],
     "box_chained5_v086.csv": [
         "box", "inputs/chained5_v086_box.json", "--ops", "ns,fod,cf", "--format", "csv"

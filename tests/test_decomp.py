@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from nonlocality import decomp
 from nonlocality.boxes import (
     Box,
     DeterministicStrategy,
@@ -37,6 +38,7 @@ from nonlocality.decomp import (
     fod_exact,
     simplex_solve,
 )
+from test_entering_rule import LargestRuleLP
 from test_factored_pricing import chained_singlet
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -122,6 +124,18 @@ def test_simplex_budget_stops_klee_minty():
         simplex_solve(_klee_minty(12))
 
 
+def test_the_largest_rule_is_exponential_on_klee_minty():
+    # why a plain LinearProgram keeps Bland's rule: entering by the largest
+    # reduced cost visits all 2^n vertices, and from n = 8 on that runs past
+    # the budget of 10 * (2 rows + columns) pivots
+    for n in range(2, 8):
+        lp = _klee_minty(n)
+        assert simplex_solve(LargestRuleLP(lp.c, lp.a, lp.b)).iterations == 2**n - 1
+    lp = _klee_minty(8)
+    with pytest.raises(RuntimeError, match="budget 240 exhausted"):
+        simplex_solve(LargestRuleLP(lp.c, lp.a, lp.b))
+
+
 def test_simplex_certifies_the_unscaled_klee_minty_cube():
     # max sum_j 10^(n-j) x_j subject to 2 sum_{j<i} 10^(i-j) x_j + x_i <= 100^(i-1):
     # b reaches 1e20, and the last row's residual is about 3.3e5 in absolute
@@ -157,19 +171,26 @@ def test_random_lps_match_scipy():
 
 
 def _dense_simplex(lp) -> SimplexResult:
-    """The dense oracle behind simplex_solve's interface: Bland's rule on the
-    tableau [a | I] from the slack basis, with the reduced costs carried as
-    one more row. Each Gauss-Jordan step updates one touched row per Python
-    iteration."""
+    """The dense oracle behind simplex_solve's interface: the tableau [a | I]
+    from the slack basis, with the reduced costs carried as one more row.
+    Each Gauss-Jordan step updates one touched row per Python iteration.
+    The entering column follows the LP's own rule on that row: Bland's rule
+    for a plain LinearProgram; for the classical-fraction LP the first
+    column within 1e-12 of the largest reduced cost, except that after m
+    pivots in a row whose step is at most LP_TOL Bland's rule chooses until
+    a step exceeds it."""
     m, n = lp.a.shape
     t = np.block([[lp.a, np.eye(m)], [lp.c, np.zeros(m)]])
     rhs = np.append(lp.b, 0.0)
     basis = np.arange(n, n + m)
-    iterations = 0
+    largest = isinstance(lp, decomp._StrategyLP)
+    iterations = zero_steps = 0
     while True:
         improving = t[m] > LP_TOL
         if not improving.any():
             break
+        if largest and zero_steps < m:
+            improving = t[m] >= t[m].max() - 1e-12
         entering = int(np.argmax(improving))
         col = t[:m, entering]
         rows = np.flatnonzero(col > LP_TOL)
@@ -178,6 +199,7 @@ def _dense_simplex(lp) -> SimplexResult:
         ratios = rhs[rows] / col[rows]
         tied = rows[ratios <= ratios.min() + 1e-12]
         row = int(tied[np.argmin(basis[tied])])
+        zero_steps = zero_steps + 1 if ratios.min() <= LP_TOL else 0
         piv = t[row, entering]
         t[row] /= piv
         rhs[row] /= piv
@@ -441,12 +463,12 @@ def test_bell_bound_from_fod():
             bell_bound_from_fod(*bad)
 
 
-@pytest.mark.parametrize("n, visibility, pivots", [(4, 0.9, 38), (5, 0.86, 453), (6, 0.95, 138)])
+@pytest.mark.parametrize("n, visibility, pivots", [(4, 0.9, 22), (5, 0.86, 102), (6, 0.95, 32)])
 def test_cf_simplex_pivot_counts_are_pinned(monkeypatch, n, visibility, pivots):
-    # Bland's rule fixes the pivot sequence; any change to the entering or
-    # leaving choice, or to the tableau arithmetic, moves these counts.
-    from nonlocality import decomp
-
+    # The largest-reduced-cost rule, its tie window and its Bland fallback fix
+    # the pivot sequence; any change to the entering or leaving choice, or to
+    # the tableau arithmetic, moves these counts. Bland's rule alone took 38,
+    # 453 and 138.
     solved = []
 
     def recording(lp, *args, **kwargs):
@@ -555,8 +577,6 @@ def test_cf_matches_highs_and_reconstructs(box):
 def _cf_solved_by(solver, box: Box):
     """cf_exact(box) with `solver` in place of decomp.simplex_solve:
     (value, decomposition, pivots of its one LP solve)."""
-    from nonlocality import decomp
-
     pivots = []
 
     def recording(lp):
@@ -614,14 +634,16 @@ def test_cf_matches_dense_oracle_on_ns_boxes(box):
 @given(wide_scenarios)
 def test_cf_of_maximally_mixed_boxes_is_one(sc):
     # The uniform box is the uniform mixture of every deterministic box. Its
-    # LP is the most degenerate one here: Bland's rule stalls for up to about
-    # 2,300 pivots, and the basic values drift by about 1e-12, the width of
-    # the ratio-test tie window. The kernel and the dense oracle can then
-    # break a tie differently and take other pivot paths to the same value,
-    # so this test checks the value; cf_exact's own certificates check the
-    # final basis and the reconstruction.
-    total, found = cf_exact(maximally_mixed_box(sc))
+    # LP is the most degenerate one here: every cell row binds at the
+    # optimum. Bland's rule alone stalled there for up to about 2,300 pivots,
+    # and its basic values drifted by about 1e-12, the width of the
+    # ratio-test tie window, so the kernel and the dense oracle could take
+    # different pivot paths. The largest reduced cost takes at most 127
+    # pivots on the 550 scenarios drawn here, the same ones in both solvers.
+    box = maximally_mixed_box(sc)
+    total = _assert_cf_agrees_with_dense_oracle(box, weight_tol=1e-12, residual_tol=1e-12)
     assert total == pytest.approx(1.0, abs=1e-9)
+    _, found = cf_exact(box)
     assert found.residual is None and (found.coefficients > 0.0).all()
 
 
@@ -717,8 +739,6 @@ def _lp_by_input_pairs(box: Box):
 
 @given(ns_boxes)
 def test_cf_lp_matches_per_pair_assembly(box):
-    from nonlocality import decomp
-
     solved = []
 
     def recording(lp):

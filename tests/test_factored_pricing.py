@@ -2,11 +2,11 @@
 numpy as the only dependency.
 
 `cf_exact` builds its LP as `decomp._StrategyLP`, which prices every
-strategy column through Alice's and Bob's one-hot factors. The same data as
-a plain `LinearProgram` is priced densely, as c - y @ a. The two must give
-the same reduced costs, take the same pivots and land on the same bits, and
-the dense certificate must still stop a pricer that misses an improving
-column.
+strategy column through Alice's and Bob's one-hot factors. `DenseStrategyLP`
+holds the same data under the same entering rule but prices densely, as
+c - y @ a. The two must give the same reduced costs, take the same pivots
+and land on the same bits, and the dense certificate must still stop a
+pricer that misses an improving column.
 """
 
 import json
@@ -32,6 +32,12 @@ def chained_singlet(n: int, visibility: float) -> Box:
     parity = np.array([[1.0, -1.0], [-1.0, 1.0]])
     p = visibility * (1.0 + parity * corr[:, :, None, None]) / 4.0 + (1.0 - visibility) / 4.0
     return Box(Scenario((2,) * n, (2,) * n), p)
+
+
+class DenseStrategyLP(decomp._StrategyLP):
+    """The classical-fraction LP under its own entering rule, priced densely."""
+
+    _reduced_costs = LinearProgram._reduced_costs
 
 
 def strategy_lp(box: Box) -> LinearProgram:
@@ -66,7 +72,7 @@ def test_factored_reduced_costs_match_the_dense_ones(outcomes_a, outcomes_b):
 def _assert_same_pivots_and_bits(box: Box):
     lp = strategy_lp(box)
     factored = simplex_solve(lp)
-    dense = simplex_solve(LinearProgram(lp.c, lp.a, lp.b))
+    dense = simplex_solve(DenseStrategyLP(lp.c, lp.a, lp.b, lp.alice_rows, lp.bob_rows, lp.slots))
     assert factored.iterations == dense.iterations
     assert factored.x.tobytes() == dense.x.tobytes()
 

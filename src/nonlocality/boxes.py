@@ -78,8 +78,10 @@ class Scenario:
             sc = Scenario(tuple(d["outcomesA"]), tuple(d["outcomesB"]))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"scenario dict needs outcome-count lists: {exc}") from None
-        if sc.inputs_a != d.get("nA", sc.inputs_a) or sc.inputs_b != d.get("nB", sc.inputs_b):
-            raise ValueError("input counts disagree with outcome lists")
+        # JSON integers only, as for the outcome counts: 2.0 and true are not counts
+        counts = (d.get("nA", sc.inputs_a), d.get("nB", sc.inputs_b))
+        if tuple(map(type, counts)) != (int, int) or counts != (sc.inputs_a, sc.inputs_b):
+            raise ValueError(f"input counts {counts!r} are not the integer lengths of the outcome lists")
         return sc
 
 
@@ -184,9 +186,8 @@ class Box(_Table):
 
     The constructor and `from_dict` check it: finite cells in [-ENTRY_TOL,
     1 + ENTRY_TOL], structural zeros, and blocks summing to 1 within
-    NORMALIZATION_TOL. Two boxes are derived and built without that check:
-    `quantum_box`'s, whose bound is given there, and `cf_exact`'s residual,
-    whose cells lie in [0, 1] and whose blocks sum to 1 up to rounding.
+    NORMALIZATION_TOL. A box the library computes is built by
+    `_derived_box`, which passes that check by construction.
     """
 
     _FIELD, _KIND, _NORMALIZED = "p", "box", True
@@ -198,6 +199,13 @@ class Box(_Table):
     def ns_report(self) -> NsReport:
         """`validate_ns` at NS_TOL, run once per box: the table is read-only."""
         return validate_ns(self)
+
+
+def _derived_box(scenario: Scenario, table: np.ndarray) -> Box:
+    """The box of a computed table with zero structural cells and positive block
+    sums: clipped at 0, each block over its own sum, so `Box`'s check passes."""
+    kept = np.clip(table, 0.0, None)
+    return _trusted(Box, scenario=scenario, p=kept / kept.sum(axis=(2, 3), keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -242,6 +250,11 @@ class DeterministicStrategy:
             if any(isinstance(o, bool) or not isinstance(o, (int, np.integer)) for o in outputs):
                 raise ValueError(f"{side} outputs must be integers, got {outputs!r}")
             object.__setattr__(self, side, tuple(int(o) for o in outputs))
+
+
+def _strategy(alice: np.ndarray, bob: np.ndarray) -> DeterministicStrategy:
+    """The strategy of rows of `assignments`, built unchecked: integers in range."""
+    return _trusted(DeterministicStrategy, alice=tuple(alice.tolist()), bob=tuple(bob.tolist()))
 
 
 def _check_budget(scenario: Scenario) -> None:
@@ -307,12 +320,13 @@ def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Bo
                 raise ValueError(f"{side} output {o} out of range for input {x}")
     t = np.zeros(scenario.shape)
     t[_cells(np.array([strategy.alice]), np.array([strategy.bob]))] = 1.0
-    return Box(scenario, t)
+    return _derived_box(scenario, t)
 
 
 def local_box(scenario: Scenario, weights) -> Box:
     """Convex mixture of deterministic boxes: `weights` is a probability
-    vector over the strategies in enumeration order."""
+    vector over the strategies in enumeration order. Each block is divided
+    by the sum of the positive weights, which is 1 within WEIGHT_SUM_TOL."""
     alice, bob = _strategy_arrays(scenario)
     w = _check_weights(weights, (len(alice) * len(bob),))
     used = np.flatnonzero(w > 0.0)
@@ -321,7 +335,7 @@ def local_box(scenario: Scenario, weights) -> Box:
     # unbuffered and in strategy order: each cell sums its weights as a
     # term-by-term loop would
     np.add.at(t, _cells(alice[i], bob[j]), w[used][:, None, None])
-    return Box(scenario, t)
+    return _derived_box(scenario, t)
 
 
 def pr_box() -> Box:
@@ -341,16 +355,8 @@ def maximally_mixed_box(scenario: Scenario) -> Box:
 
 def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
     """Born-rule box p(a,b|x,y) = Tr((M^x_a (x) N^y_b) rho), negative cells
-    raised to 0.
-
-    The table is derived from the checked state and POVMs and is not checked
-    again. To first order in the tolerances, each block sums to 1 only within
-    TRACE_TOL + (dA + dB) POVM_SUM_TOL + (dA dB + kA + kB) PSD_TOL, with kA
-    and kB the block's outcome counts: the POVM sums deviate from the
-    identity by up to d POVM_SUM_TOL in operator norm, and raising negative
-    cells adds their magnitude. That can exceed NORMALIZATION_TOL, so
-    `Box.from_dict(box.to_dict())` can reject a box this returns.
-    """
+    raised to 0 and each block divided by its own sum (`_derived_box`): the
+    checked state and POVMs make each block sum to about 1."""
     alice = list(alice_povms)
     bob = list(bob_povms)
     # one input per measurement: the scenario rejects a party without one
@@ -372,7 +378,7 @@ def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
             stack[i, : len(povm)] = povm.elements
     lifted = tensor(stack_a[:, None, :, None], stack_b[None, :, None, :])
     probs = np.real((lifted @ rho.mat).trace(axis1=-2, axis2=-1))
-    return _trusted(Box, scenario=sc, p=np.where(probs > 0.0, probs, 0.0))
+    return _derived_box(sc, probs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -262,6 +262,8 @@ def _load_json(path: str) -> dict:
 def cmd_box(args) -> int:
     ops = _parse_ops(args.ops, args.functional)
     box = Box.from_dict(_load_json(args.path))
+    # checked before any op runs, so that a malformed functional costs no LP solve
+    functional = BellFunctional.from_dict(_load_json(args.functional)) if "bell" in ops else None
     rows = []
     details = {}
     for op in ops:
@@ -291,21 +293,10 @@ def cmd_box(args) -> int:
             rows.append(report_row("cf", value, provenance="derived"))
             details["cf_decomposition"] = decomposition.to_dict()
         elif op == "bell":
-            functional = BellFunctional.from_dict(_load_json(args.functional))
+            rows.append(report_row("bell_value", bell_value(functional, box), provenance="derived"))
+            rows.append(report_row("bell_algebraic_max", functional.algebraic_max, provenance="derived"))
             rows.append(
-                report_row("bell_value", bell_value(functional, box), provenance="derived")
-            )
-            rows.append(
-                report_row(
-                    "bell_algebraic_max", functional.algebraic_max, provenance="derived"
-                )
-            )
-            rows.append(
-                report_row(
-                    "bell_deterministic_max",
-                    functional.deterministic_max,
-                    provenance="derived",
-                )
+                report_row("bell_deterministic_max", functional.deterministic_max, provenance="derived")
             )
     config = {"seed": args.seed, "path": args.path, "ops": ops, "format": args.format}
     return _emit(_assemble("box", config, rows, details), args.out, args.format)

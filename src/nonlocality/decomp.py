@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, DeterministicStrategy, _alice_side, _cells, _strategy_arrays, _winner_cells
+from .boxes import Box, _alice_side, _cells, _derived_box, _strategy, _strategy_arrays, _winner_cells
 from .states import _trusted
 
 LP_TOL = 1e-9
@@ -231,7 +231,7 @@ def fod_exact(box: Box):
     values = g.max(axis=2).min(axis=1)
     best = int(np.argmax(values))
     # first alpha with the largest value, then per y the first b reaching it
-    strategy = DeterministicStrategy(alice[best], np.argmax(g[best] >= values[best], axis=1))
+    strategy = _strategy(alice[best], np.argmax(g[best] >= values[best], axis=1))
     # the winner's cells in enumeration order give the value, sign of zero included
     return min(_winner_cells(box.p, strategy.alice, strategy.bob)), strategy
 
@@ -295,11 +295,10 @@ def cf_exact(box: Box):
     residual = None
     if total < 1.0 - LP_TOL:
         # each block over its own sum: dividing by 1 - total would magnify rounding
-        kept = np.clip(leftover, 0.0, None)
-        residual = _trusted(Box, scenario=sc, p=kept / kept.sum(axis=(2, 3), keepdims=True))
+        residual = _derived_box(sc, leftover)
     _certify_reconstruction(leftover, total, None if residual is None else residual.p)
     decomp = Decomposition(
-        strategies=tuple(map(DeterministicStrategy, used_a, used_b)),
+        strategies=tuple(map(_strategy, used_a, used_b)),
         coefficients=coeffs[used],
         total=total,
         residual=residual,

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonlocality import bounds, decomp
-from nonlocality.boxes import Box, quantum_box, tsirelson_realization
+from nonlocality.boxes import Box, DeterministicStrategy, quantum_box, tsirelson_realization
 from nonlocality.bounds import (
     _confusing_outcome,
     binary_bob_bounds,
@@ -340,9 +340,9 @@ def test_pipeline_on_nearly_product_states():
     st.integers(0, 2**32 - 1),
 )
 def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_outcome, seed):
-    # `steer`, `ensemble_average`, `quantum_box` and `cf_exact` build their
-    # results unchecked; on ordinary realizations those results still pass
-    # every check they skip, at the plain tolerances
+    # `steer`, `ensemble_average`, `quantum_box`, `fod_exact` and `cf_exact`
+    # build their results unchecked; on ordinary realizations those results
+    # still pass every check they skip, at the plain tolerances
     rng = np.random.default_rng(seed)
     rho = sample_density(dim_a * dim_b, int(rng.integers(1, dim_a * dim_b + 1)), rng)
     alice = [sample_povm(dim_a, k_a, rng) for _ in range(2)]
@@ -358,7 +358,6 @@ def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_
     # the zero outcome is dropped from the second ensemble
     assert k_b not in ensemble.labels
     box = quantum_box(rho, alice, bob)
-    Box(box.scenario, box.p)
     solve, solved = decomp.simplex_solve, []
 
     def recording(lp):
@@ -369,8 +368,14 @@ def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_
         _, decomposition = cf_exact(box)
     (lp,) = solved
     LinearProgram(lp.c, lp.a, lp.b)
-    if decomposition.residual is not None:
-        Box(box.scenario, decomposition.residual.p)
+    derived = [box] if decomposition.residual is None else [box, decomposition.residual]
+    for b in derived:
+        # `from_dict` runs the constructor's full check
+        assert Box.from_dict(b.to_dict()).p.tobytes() == b.p.tobytes()
+    _, strategy = fod_exact(box)
+    for s in (strategy, *decomposition.strategies):
+        assert DeterministicStrategy(s.alice, s.bob) == s
+        assert all(type(o) is int for o in s.alice + s.bob)
 
 
 def test_pipeline_validation():

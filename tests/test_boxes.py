@@ -271,7 +271,8 @@ def test_quantum_box_dimension_mismatch():
 
 
 def _born_loop(rho, alice, bob):
-    """Per-cell oracle: one Kronecker product and trace per (x, y, a, b)."""
+    """Per-cell oracle: one Kronecker product and trace per (x, y, a, b),
+    then each block over its own sum."""
     sc = Scenario(tuple(len(p) for p in alice), tuple(len(p) for p in bob))
     t = np.zeros(sc.shape)
     for x, ma in enumerate(alice):
@@ -279,7 +280,7 @@ def _born_loop(rho, alice, bob):
             for a, ea in enumerate(ma.elements):
                 for b, eb in enumerate(nb.elements):
                     t[x, y, a, b] = max(0.0, float(np.real(np.trace(np.kron(ea, eb) @ rho.mat))))
-    return t
+    return t / t.sum(axis=(2, 3), keepdims=True)
 
 
 def _basis_povm(dim):
@@ -416,7 +417,7 @@ def _mixture_by_loop(sc, weights, strategies):
     for w, strat in zip(weights, strategies):
         if w > 0.0:
             t += w * deterministic_box(strat, sc).p
-    return t
+    return t / t.sum(axis=(2, 3), keepdims=True)
 
 
 @given(scenarios, st.integers(0, 2**32 - 1), st.floats(0.0, 0.95))

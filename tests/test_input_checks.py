@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nonlocality import rti
+from nonlocality import cli, rti
 from nonlocality.bounds import (
     PipelineTrace,
     binary_bob_bounds,
@@ -29,6 +29,7 @@ from nonlocality.boxes import (
     chsh_scenario,
     deterministic_box,
     local_box,
+    maximally_mixed_box,
     pr_box,
     quantum_box,
 )
@@ -288,16 +289,70 @@ def test_edge_state_steered_operators_are_not_rechecked():
     assert isinstance(trace, PipelineTrace) and trace.passed
 
 
-def test_edge_povm_box_is_not_rechecked():
-    # each POVM sums to (1 + 9e-10) I, so each block of the box sums to (1 + 9e-10)^2
+def _edge_povm_realization():
+    # each POVM sums to (1 + 9e-10) I, so each block of the Born-rule table
+    # sums to (1 + 9e-10)^2, past NORMALIZATION_TOL
     povm = _qutrit_basis(1.0 + 9e-10)
-    rho = maximally_mixed(9)
-    trace = fod_floor_pipeline(rho, povm, povm, [povm, povm])
+    return maximally_mixed(9), [povm, povm], [povm, povm]
+
+
+def _assert_round_trips(box: Box) -> None:
+    again = Box.from_dict(box.to_dict())
+    assert again.p.tobytes() == box.p.tobytes()
+
+
+def test_edge_povm_box_round_trips():
+    rho, alice, bob = _edge_povm_realization()
+    trace = fod_floor_pipeline(rho, bob[0], bob[1], alice)
     assert isinstance(trace, PipelineTrace) and trace.passed
-    # the box is returned as derived; a boundary check of it still rejects it
-    box = quantum_box(rho, [povm, povm], [povm, povm])
-    with pytest.raises(ValueError, match="block \\(0, 0\\) sums to"):
-        Box.from_dict(box.to_dict())
+    # each block is divided by its own sum, so a boundary check accepts the box
+    _assert_round_trips(quantum_box(rho, alice, bob))
+
+
+def test_saved_edge_povm_box_exits_0(tmp_path):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(quantum_box(*_edge_povm_realization()).to_dict()))
+    assert main(["box", str(path), "--ops", "ns,fod,cf", "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_local_box_of_weights_at_the_tolerance_round_trips():
+    # the weight check accepts a sum of 1 + 9e-11, but the one used
+    # strategy's cells would then exceed 1 + ENTRY_TOL
+    box = local_box(chsh_scenario(), np.eye(16)[0] * (1.0 + 9e-11))
+    _assert_round_trips(box)
+    assert box.p.max() == 1.0
+
+
+@pytest.mark.parametrize("key, bad", [("nA", True), ("nB", 2.0), ("nA", 1.0), ("nB", "2")])
+def test_scenario_input_counts_are_json_integers(tmp_path, capsys, key, bad):
+    # one Alice input, so that true would equal her input count
+    d = maximally_mixed_box(Scenario((2,), (2, 2))).to_dict()
+    Box.from_dict(d)
+    d["scenario"][key] = bad
+    with pytest.raises(ValueError, match="input counts .* are not the integer lengths"):
+        Scenario.from_dict(d["scenario"])
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(d))
+    assert main(["box", str(path), "--ops", "ns"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "are not the integer lengths of the outcome lists" in captured.err
+
+
+def test_box_checks_its_functional_before_any_op(tmp_path, capsys, monkeypatch):
+    box_path, functional_path = tmp_path / "box.json", tmp_path / "functional.json"
+    box_path.write_text(json.dumps(pr_box().to_dict()))
+    functional_path.write_text(json.dumps(_huge_functional(1e308)))
+    argv = ["box", str(box_path), "--ops", "cf,bell", "--functional", str(functional_path)]
+    assert main(argv) == 2
+    expected = capsys.readouterr()
+
+    def no_lp(box):
+        raise AssertionError("cf_exact ran before the functional was checked")
+
+    monkeypatch.setattr(cli, "cf_exact", no_lp)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured == expected and captured.out == "" and "overflow a sum" in captured.err
 
 
 def test_single_outcome_povm_is_not_rechecked():

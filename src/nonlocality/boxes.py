@@ -265,13 +265,8 @@ def _check_budget(scenario: Scenario) -> None:
 
 def enumerate_deterministic(scenario: Scenario):
     """All deterministic strategies, lexicographic with Alice assignments outer."""
-    _check_budget(scenario)
-    alice_all = itertools.product(*(range(k) for k in scenario.outcomes_a))
-    out = []
-    for alice in alice_all:
-        for bob in itertools.product(*(range(k) for k in scenario.outcomes_b)):
-            out.append(DeterministicStrategy(alice=alice, bob=bob))
-    return out
+    alice, bob = _strategy_arrays(scenario)
+    return [_strategy(a, b) for a in alice for b in bob]
 
 
 def assignments(outcomes) -> np.ndarray:

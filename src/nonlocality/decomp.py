@@ -16,62 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box, _alice_side, _cells, _derived_box, _strategy, _strategy_arrays, _winner_cells
-from .states import _trusted
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 
 
-class UnboundedError(Exception):
-    """The objective is unbounded above on the feasible region."""
-
-
 @dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """maximize c @ x subject to a @ x <= b, x >= 0, with finite data and
-    b >= 0: the slack basis x = 0 is feasible."""
+class _StrategyLP:
+    """The classical-fraction LP of `cf_exact`: maximize c @ x subject to
+    a @ x <= b and x >= 0, with c all ones and b in [0, 1], so the slack
+    basis x = 0 is feasible. Column i * len(bob) + j is the strategy
+    (alice[i], bob[j]); its ones sit in the cell rows where `alice_rows[i]`,
+    one-hot over Alice's (x, a), and `bob_rows[j]`, one-hot over Bob's
+    (y, b), are both 1, and in the last row, the sum row. `slots[r]` is the
+    flat position of cell row r in the (x, a) x (y, b) grid."""
 
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
-            raise ValueError("bad shapes for LP data")
-        m, n = a.shape
-        if len(c) != n or len(b) != m:
-            raise ValueError("LP dimensions disagree")
-        if not (b >= 0.0).all():
-            raise ValueError(f"right-hand side must be nonnegative, got minimum {float(b.min())!r}")
-        if not all(np.isfinite(v).all() for v in (c, a, b)):
-            raise ValueError("LP data must be finite")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
-        """Reduced costs c - y @ a of the structural columns under the duals y."""
-        return self.c - y @ self.a
-
-    def _entering(self, reduced: np.ndarray, y: np.ndarray, stalled: bool) -> int | None:
-        """The entering column of [a | I] by Bland's rule, whether or not
-        the simplex is stalled."""
-        return _first_improving(reduced, y)
-
-
-@dataclass(frozen=True, eq=False)
-class _StrategyLP(LinearProgram):
-    """The classical-fraction LP of `cf_exact`, priced through its factors
-    and entered by the largest reduced cost. Column i * len(bob) + j is the
-    strategy (alice[i], bob[j]); its ones sit in the cell rows where
-    `alice_rows[i]`, one-hot over Alice's (x, a), and `bob_rows[j]`, one-hot
-    over Bob's (y, b), are both 1, and in the last row, the sum row.
-    `slots[r]` is the flat position of cell row r in the (x, a) x (y, b)
-    grid. Built with `_trusted`: c is all ones."""
-
     alice_rows: np.ndarray
     bob_rows: np.ndarray
     slots: np.ndarray
@@ -84,12 +46,6 @@ class _StrategyLP(LinearProgram):
         grid[self.slots] = y[:-1]
         return (1.0 - y[-1]) - (self.alice_rows @ grid.reshape(cols_a, cols_b) @ self.bob_rows.T).ravel()
 
-    def _entering(self, reduced: np.ndarray, y: np.ndarray, stalled: bool) -> int | None:
-        """The column with the largest reduced cost, or Bland's rule while
-        the simplex is stalled: Bland's rule cannot cycle, and it keeps
-        choosing until a pivot moves x_B."""
-        return _first_improving(reduced, y) if stalled else _largest_improving(reduced, y)
-
 
 @dataclass(frozen=True, eq=False)
 class SimplexResult:
@@ -98,30 +54,23 @@ class SimplexResult:
     iterations: int
 
 
-def simplex_solve(lp: LinearProgram) -> SimplexResult:
+def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     """Revised primal simplex on the columns of [a | I], started from the
     slack basis. It keeps the basis inverse and the basic values side by side
     as one array [B^-1 | x_B], and the basis indices; no tableau is formed.
 
-    Each pivot takes the duals y = c_B B^-1 and prices every structural
-    column at once through `lp._reduced_costs(y)`; the slack columns are
-    priced as -y. The LP then picks the entering column through
-    `lp._entering`: a plain `LinearProgram` by Bland's rule, the first
-    reduced cost above LP_TOL with the slack columns last; the
-    classical-fraction LP by the largest reduced cost. A pivot whose step
-    x_B[row] / col[row] is at most LP_TOL is a zero step; after m (the row
-    count) zero steps in a row the LP is told it is stalled and falls back
-    on Bland's rule until a pivot moves x_B; Bland's rule cannot cycle, so
-    the simplex terminates under either rule. The ratio
-    test and its tie-break are those of the tableau method, and one rank-1
-    step updates B^-1 and x_B together. Raises UnboundedError when an
-    improving column has no blocking row and RuntimeError when the
-    iteration budget 10 * (rows + columns), slack columns included, is
-    exhausted or the last basis fails `_certify_basis`, which prices every
-    column densely from fresh duals. The certificate scales each row's
-    residual by max(1, |b_i|), so an LP with large data passes it when it is
-    solved to relative precision; on the classical-fraction LP, whose b is
-    at most 1, the threshold is LP_TOL itself.
+    Each pivot takes the duals y = c_B B^-1, prices every structural column
+    at once through `lp._reduced_costs(y)` and the slack columns as -y, and
+    enters the column with the largest reduced cost (`_largest_improving`).
+    A pivot whose step x_B[row] / col[row] is at most LP_TOL is a zero step;
+    after m (the row count) zero steps in a row Bland's rule
+    (`_first_improving`) chooses until a pivot moves x_B. Bland's rule cannot
+    cycle, so the simplex terminates. The ratio test and its tie-break are
+    those of the tableau method, and one rank-1 step updates B^-1 and x_B
+    together. Raises RuntimeError when an improving column has no blocking
+    row, when the iteration budget 10 * (rows + columns), slack columns
+    included, is exhausted, or when the last basis fails `_certify_basis`,
+    which prices every column densely from fresh duals.
     """
     a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape
@@ -134,13 +83,14 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     zero_steps = 0  # consecutive pivots whose step is at most LP_TOL
     while True:
         y = cost_b @ inverse
-        entering = lp._entering(lp._reduced_costs(y), y, zero_steps >= m)
+        rule = _first_improving if zero_steps >= m else _largest_improving
+        entering = rule(lp._reduced_costs(y), y)
         if entering is None:
             break
         col = inverse @ a[:, entering] if entering < n else inverse[:, entering - n].copy()
         (rows,) = (col > LP_TOL).nonzero()
         if not rows.size:
-            raise UnboundedError("improving direction has no blocking constraint")
+            raise RuntimeError("improving direction has no blocking constraint")
         ratios = x_b[rows] / col[rows]
         step = ratios.min()
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
@@ -191,9 +141,9 @@ def _certify_basis(a, b, c, basis, x_b) -> float:
     """Optimality certificate of a final basis of [a | I], from fresh duals:
     y solves y B = c_B for the basis columns B, every reduced cost c - y @ a
     and -y must be at most LP_TOL, each row of B @ x_b must reproduce b_i
-    within LP_TOL * max(1, |b_i|), and every basic value must lie above
-    -LP_TOL. Returns LP_TOL minus the worst violation; raises RuntimeError
-    when a check fails."""
+    within LP_TOL, and every basic value must lie above -LP_TOL. Returns
+    LP_TOL minus the worst violation; raises RuntimeError when a check
+    fails."""
     m, n = a.shape
     structural = basis < n
     mat = np.zeros((m, m))
@@ -203,7 +153,7 @@ def _certify_basis(a, b, c, basis, x_b) -> float:
     reduced = float(np.concatenate([c - y @ a, -y]).max(initial=-np.inf))
     if not reduced <= LP_TOL:
         raise RuntimeError("simplex stopped on a basis whose recomputed reduced costs are not optimal")
-    defect = float((np.abs(mat @ x_b - b) / np.maximum(1.0, np.abs(b))).max(initial=0.0))
+    defect = float(np.abs(mat @ x_b - b).max(initial=0.0))
     if not defect <= LP_TOL:
         raise RuntimeError("simplex basic values do not reproduce the right-hand side")
     lowest = float(x_b.min(initial=np.inf))
@@ -275,8 +225,7 @@ def cf_exact(box: Box):
     at = np.empty((len(alice), len(bob), len(cells) + 1))
     np.multiply(alice_rows[:, None, slot_a], bob_rows[None, :, slot_b], out=at[..., :-1])
     at[..., -1] = 1.0
-    lp = _trusted(
-        _StrategyLP,
+    lp = _StrategyLP(
         c=np.ones(n),
         a=at.reshape(n, -1).T,  # column-major: a strategy's column is contiguous
         b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),

@@ -56,18 +56,23 @@ def trace_norm(a):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _clipped_sqrt(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """Principal square root of the Hermitian matrix h with its negative
+    eigenvalues set to 0, and h's smallest eigenvalue."""
+    w, v = np.linalg.eigh(h)
+    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T), float(w.min())
+
+
 def psd_sqrt(a) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 
     Raises ValueError when the input is not Hermitian. Eigenvalues in
     [-PSD_TOL, 0) are clamped to zero; anything below -PSD_TOL is rejected.
     """
-    w, v = np.linalg.eigh(require_hermitian(as_complex_matrix(a)))
-    lo = float(w.min())
+    root, lo = _clipped_sqrt(require_hermitian(as_complex_matrix(a)))
     if not lo >= -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue = {lo:.3e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return hermitian_part(root)
+    return root
 
 
 def tensor(a, b) -> np.ndarray:

@@ -244,7 +244,10 @@ def embed_subnormalized(rho: SubnormalizedState, sigma: SubnormalizedState):
     """Lift two subnormalized d-dim states to unit-trace (d+2)-dim states.
 
     The trace deficits go to disjoint diagonal slots, which preserves the gap:
-    2 - |rho~ - sigma~| = Tr rho + Tr sigma - |rho - sigma|.
+    2 - |rho~ - sigma~| = Tr rho + Tr sigma - |rho - sigma|. The lifts are
+    not checked again: each is PSD within max(PSD_TOL, TRACE_TOL), since a
+    trace up to 1 + TRACE_TOL leaves a deficit down to -TRACE_TOL, and has
+    unit trace up to rounding.
     """
     if rho.dim != sigma.dim:
         raise ValueError("states must share a dimension")
@@ -255,7 +258,7 @@ def embed_subnormalized(rho: SubnormalizedState, sigma: SubnormalizedState):
     big_rho[d, d] = 1.0 - rho.trace()
     big_sigma[:d, :d] = sigma.mat
     big_sigma[d + 1, d + 1] = 1.0 - sigma.trace()
-    return DensityMatrix(big_rho), DensityMatrix(big_sigma)
+    return _trusted(DensityMatrix, mat=big_rho), _trusted(DensityMatrix, mat=big_sigma)
 
 
 def l1_distance(p, q) -> float:

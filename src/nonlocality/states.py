@@ -14,11 +14,11 @@ import numpy as np
 
 from .linalg import (
     PSD_TOL,
+    _clipped_sqrt,
     as_complex_matrix,
     as_complex_stack,
     hermitian_part,
     partial_trace,
-    psd_sqrt,
     require_hermitian,
     tensor,
     trace_norm,
@@ -248,9 +248,12 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Computed as the sum of singular values of sqrt(rho) sqrt(sigma); one matrix
     square root per argument keeps the noise near 1e-14 where the nested form
-    loses seven digits at tight instances.
+    loses seven digits at tight instances. The arguments are not checked
+    again: each root sets their negative eigenvalues to 0, since a state
+    derived from checked ones (`ensemble_average`, `steer`) can sit a
+    multiple of PSD_TOL below 0.
     """
-    product = psd_sqrt(rho.mat) @ psd_sqrt(sigma.mat)
+    product = _clipped_sqrt(rho.mat)[0] @ _clipped_sqrt(sigma.mat)[0]
     val = float(np.linalg.svd(product, compute_uv=False).sum())
     return min(max(val, 0.0), 1.0)
 

@@ -25,12 +25,14 @@ from nonlocality.bounds import (
     universal_fod_bound,
 )
 from nonlocality.cli import main
-from nonlocality.decomp import LinearProgram, bell_bound_from_fod, cf_exact, fod_exact
+from nonlocality.decomp import bell_bound_from_fod, cf_exact, fod_exact
 from nonlocality.linalg import partial_trace, tensor, trace_norm
 from nonlocality.records import InequalityRecord
+from nonlocality.rti import embed_subnormalized
 from nonlocality.states import (
     Ensemble,
     Povm,
+    SubnormalizedState,
     _check_state_matrix,
     basis_state,
     ensemble_average,
@@ -340,8 +342,8 @@ def test_pipeline_on_nearly_product_states():
     st.integers(0, 2**32 - 1),
 )
 def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_outcome, seed):
-    # `steer`, `ensemble_average`, `quantum_box`, `fod_exact` and `cf_exact`
-    # build their results unchecked; on ordinary realizations those results
+    # `steer`, `ensemble_average`, `embed_subnormalized`, `quantum_box`,
+    # `fod_exact` and `cf_exact` build their results unchecked; on ordinary realizations those results
     # still pass every check they skip, at the plain tolerances
     rng = np.random.default_rng(seed)
     rho = sample_density(dim_a * dim_b, int(rng.integers(1, dim_a * dim_b + 1)), rng)
@@ -354,9 +356,12 @@ def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_
         lifted = tensor(np.eye(dim_a, dtype=complex), povm.elements)
         _check_state_matrix(partial_trace(lifted @ rho.mat, dim_a, dim_b), 0.0, 1.0, "state")
         ensemble = steer(rho, povm)
-        _check_state_matrix(ensemble_average(ensemble).mat, 1.0, 1.0, "state")
+        average = ensemble_average(ensemble)
+        _check_state_matrix(average.mat, 1.0, 1.0, "state")
     # the zero outcome is dropped from the second ensemble
     assert k_b not in ensemble.labels
+    for lifted in embed_subnormalized(average, SubnormalizedState(average.mat / 2)):
+        _check_state_matrix(lifted.mat, 1.0, 1.0, "state")
     box = quantum_box(rho, alice, bob)
     solve, solved = decomp.simplex_solve, []
 
@@ -367,7 +372,9 @@ def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_
     with mock.patch.object(decomp, "simplex_solve", recording):
         _, decomposition = cf_exact(box)
     (lp,) = solved
-    LinearProgram(lp.c, lp.a, lp.b)
+    assert all(np.isfinite(v).all() for v in (lp.c, lp.a, lp.b))
+    assert lp.a.shape == (len(lp.b), len(lp.c))
+    assert (lp.c == 1.0).all() and (0.0 <= lp.b).all() and (lp.b <= 1.0).all()
     derived = [box] if decomposition.residual is None else [box, decomposition.residual]
     for b in derived:
         # `from_dict` runs the constructor's full check

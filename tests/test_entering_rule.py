@@ -1,66 +1,97 @@
-"""The classical-fraction LP's entering rule, with numpy as the only
+"""The simplex's entering rule and its termination, with numpy as the only
 dependency.
 
-`decomp._StrategyLP` enters the column with the largest reduced cost. That
-rule can cycle on a degenerate vertex, so after m (the row count) pivots in a
-row whose step is at most LP_TOL, Bland's rule chooses until a step exceeds
-it. A plain `LinearProgram` keeps Bland's rule throughout.
+`simplex_solve` enters the column with the largest reduced cost. That rule
+can cycle on a degenerate vertex, so after m (the row count) pivots in a row
+whose step is at most LP_TOL, Bland's rule chooses until a step exceeds it.
+`DenseLP` runs general LPs through the same kernel, priced densely.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from nonlocality import decomp
 from nonlocality.boxes import Scenario, maximally_mixed_box
-from nonlocality.decomp import LinearProgram, cf_exact, simplex_solve
+from nonlocality.decomp import cf_exact, simplex_solve
 
 
-class LargestRuleLP(LinearProgram):
-    """A plain LP, priced densely, that enters columns as `_StrategyLP` does."""
+@dataclass(frozen=True, eq=False)
+class DenseLP(decomp._StrategyLP):
+    """maximize c @ x subject to a @ x <= b, x >= 0, for float arrays with
+    b >= 0, priced densely as c - y @ a. The strategy factors are optional:
+    only the factored pricing reads them."""
 
-    _entering = decomp._StrategyLP._entering
+    alice_rows: np.ndarray | None = None
+    bob_rows: np.ndarray | None = None
+    slots: np.ndarray | None = None
+
+    def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
+        return self.c - y @ self.a
 
 
-def beale(cls):
+def beale() -> DenseLP:
     """Beale's LP, which cycles under the largest-coefficient rule."""
-    return cls(
+    return DenseLP(
         c=np.array([0.75, -150.0, 0.02, -6.0]),
         a=np.array([[0.25, -60.0, -1.0 / 25.0, 9.0], [0.5, -90.0, -1.0 / 50.0, 3.0], [0.0, 0.0, 1.0, 0.0]]),
         b=np.array([0.0, 0.0, 1.0]),
     )
 
 
+def klee_minty(n: int) -> DenseLP:
+    """The Klee-Minty cube: max sum_j 2^(n-j) x_j subject to
+    sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i, with b scaled by 5^-12 to stay at
+    most 1."""
+    i = np.arange(1, n + 1)
+    below = i[:, None] > i[None, :]
+    a = np.where(below, 2.0 ** (i[:, None] - i[None, :] + 1), 0.0) + np.eye(n)
+    return DenseLP(c=2.0 ** (n - i), a=a, b=5.0**i / 5.0**12)
+
+
 def test_the_guard_stops_the_largest_rule_cycling_on_beale(monkeypatch):
-    stalled = []
+    chosen = []
 
-    def recording(self, reduced, y, is_stalled):
-        stalled.append(is_stalled)
-        return decomp._StrategyLP._entering(self, reduced, y, is_stalled)
+    def recording(rule):
+        def entering(reduced, y):
+            chosen.append(rule.__name__)
+            return rule(reduced, y)
 
-    monkeypatch.setattr(LargestRuleLP, "_entering", recording)
-    res = simplex_solve(beale(LargestRuleLP))
+        return entering
+
+    for rule in (decomp._first_improving, decomp._largest_improving):
+        monkeypatch.setattr(decomp, rule.__name__, recording(rule))
+    res = simplex_solve(beale())
     assert res.value == pytest.approx(0.05, abs=1e-12)
     np.testing.assert_allclose(res.x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
     # three zero steps, one per row, then Bland's rule for two pivots
-    assert stalled == [False, False, False, True, True, False, False]
+    largest, first = "_largest_improving", "_first_improving"
+    assert chosen == [largest] * 3 + [first] * 2 + [largest] * 2
     assert res.iterations == 6
 
 
 def test_without_the_guard_the_largest_rule_cycles_on_beale(monkeypatch):
-    def unguarded(self, reduced, y, stalled):
-        return decomp._largest_improving(reduced, y)
-
-    monkeypatch.setattr(LargestRuleLP, "_entering", unguarded)
+    monkeypatch.setattr(decomp, "_first_improving", decomp._largest_improving)
     with pytest.raises(RuntimeError, match="budget 100 exhausted"):
-        simplex_solve(beale(LargestRuleLP))
+        simplex_solve(beale())
 
 
-def test_a_plain_lp_keeps_blands_rule_from_the_first_pivot():
-    # structural reduced costs 0.5 and 1, and 2 on the second slack column
-    reduced, y = np.array([0.5, 1.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0])
-    assert beale(LinearProgram)._entering(reduced, y, False) == 0
-    assert beale(LargestRuleLP)._entering(reduced, y, False) == 5
-    assert beale(LargestRuleLP)._entering(reduced, y, True) == 0
+def test_the_largest_rule_is_exponential_on_klee_minty():
+    # entering by the largest reduced cost visits all 2^n vertices, and from
+    # n = 8 on that runs past the budget of 10 * (2 rows + columns) pivots;
+    # on the classical-fraction LP the same rule takes the few pivots pinned
+    # below and in test_decomp
+    for n in range(2, 8):
+        assert simplex_solve(klee_minty(n)).iterations == 2**n - 1
+    with pytest.raises(RuntimeError, match="budget 240 exhausted"):
+        simplex_solve(klee_minty(8))
+
+
+def test_an_improving_column_with_no_blocking_row_raises():
+    lp = DenseLP(c=np.array([1.0, 0.0]), a=np.array([[0.0, 1.0]]), b=np.array([1.0]))
+    with pytest.raises(RuntimeError, match="improving direction has no blocking constraint"):
+        simplex_solve(lp)
 
 
 def test_ties_go_to_the_first_column_within_the_window():

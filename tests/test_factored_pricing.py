@@ -2,11 +2,10 @@
 numpy as the only dependency.
 
 `cf_exact` builds its LP as `decomp._StrategyLP`, which prices every
-strategy column through Alice's and Bob's one-hot factors. `DenseStrategyLP`
-holds the same data under the same entering rule but prices densely, as
-c - y @ a. The two must give the same reduced costs, take the same pivots
-and land on the same bits, and the dense certificate must still stop a
-pricer that misses an improving column.
+strategy column through Alice's and Bob's one-hot factors. `DenseLP` holds
+the same data but prices densely, as c - y @ a. The two must give the same
+reduced costs, take the same pivots and land on the same bits, and the dense
+certificate must still stop a pricer that misses an improving column.
 """
 
 import json
@@ -18,7 +17,8 @@ import pytest
 from nonlocality import decomp
 from nonlocality.boxes import Box, Scenario, maximally_mixed_box
 from nonlocality.cli import main
-from nonlocality.decomp import LinearProgram, cf_exact, simplex_solve
+from nonlocality.decomp import cf_exact, simplex_solve
+from test_entering_rule import DenseLP
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -34,13 +34,7 @@ def chained_singlet(n: int, visibility: float) -> Box:
     return Box(Scenario((2,) * n, (2,) * n), p)
 
 
-class DenseStrategyLP(decomp._StrategyLP):
-    """The classical-fraction LP under its own entering rule, priced densely."""
-
-    _reduced_costs = LinearProgram._reduced_costs
-
-
-def strategy_lp(box: Box) -> LinearProgram:
+def strategy_lp(box: Box) -> decomp._StrategyLP:
     """The LP that cf_exact(box) solves."""
     solved = []
 
@@ -72,7 +66,7 @@ def test_factored_reduced_costs_match_the_dense_ones(outcomes_a, outcomes_b):
 def _assert_same_pivots_and_bits(box: Box):
     lp = strategy_lp(box)
     factored = simplex_solve(lp)
-    dense = simplex_solve(DenseStrategyLP(lp.c, lp.a, lp.b, lp.alice_rows, lp.bob_rows, lp.slots))
+    dense = simplex_solve(DenseLP(lp.c, lp.a, lp.b))
     assert factored.iterations == dense.iterations
     assert factored.x.tobytes() == dense.x.tobytes()
 

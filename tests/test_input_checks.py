@@ -38,6 +38,8 @@ from nonlocality.decomp import bell_bound_from_fod
 from nonlocality.rti import (
     RtiInstance,
     classical_sharp_example,
+    embed_subnormalized,
+    fvdg_check,
     rti_campaign,
     rti_commuting_bound,
     rti_general_bound,
@@ -48,11 +50,16 @@ from nonlocality.states import (
     DensityMatrix,
     Ensemble,
     Povm,
+    SubnormalizedState,
     _check_weights,
     basis_state,
+    ensemble_average,
+    fidelity,
     maximally_mixed,
     sample_density,
     sample_povm,
+    steer,
+    trace_distance,
     xz_spin_povm,
 )
 
@@ -279,6 +286,23 @@ def test_edge_state_averages_are_not_rechecked():
     bob = _qutrit_basis()
     trace = fod_floor_pipeline(rho, bob, bob, [xz_spin_povm(0.0), xz_spin_povm(math.pi / 2)])
     assert isinstance(trace, PipelineTrace) and trace.passed
+
+
+def test_edge_state_average_has_a_fidelity():
+    # Tr_B of the accepted state has minimum eigenvalue 2 * -1e-10, past PSD_TOL
+    rho = DensityMatrix(np.diag([-1e-10, -1e-10, 0.5 + 1e-10, 0.5 + 1e-10]))
+    average = ensemble_average(steer(rho, Povm((np.eye(2),))))
+    assert fidelity(average, maximally_mixed(2)) == pytest.approx(math.sqrt(0.5), abs=1e-9)
+    assert all(record.holds for record in fvdg_check(average, maximally_mixed(2)))
+
+
+def test_state_at_its_trace_tolerance_embeds():
+    # trace 1 + 1e-10 puts a deficit of about -1e-10 on a diagonal slot
+    rho, sigma = SubnormalizedState(np.diag([0.5, 0.5 + 1e-10])), maximally_mixed(2)
+    big_rho, big_sigma = embed_subnormalized(rho, sigma)
+    assert big_rho.trace() == pytest.approx(1.0, abs=1e-15) and big_sigma.trace() == 1.0
+    gap = rho.trace() + sigma.trace() - trace_distance(rho, sigma)
+    assert 2.0 - trace_distance(big_rho, big_sigma) == pytest.approx(gap, abs=1e-9)
 
 
 def test_edge_state_steered_operators_are_not_rechecked():

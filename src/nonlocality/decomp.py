@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, _alice_side, _cells, _derived_box, _strategy, _strategy_arrays, _winner_cells
+from .boxes import Box, Scenario, _alice_side, _cells, _derived_box, _strategy, _strategy_arrays, _winner_cells
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -28,15 +28,31 @@ class _StrategyLP:
     basis x = 0 is feasible. Column i * len(bob) + j is the strategy
     (alice[i], bob[j]); its ones sit in the cell rows where `alice_rows[i]`,
     one-hot over Alice's (x, a), and `bob_rows[j]`, one-hot over Bob's
-    (y, b), are both 1, and in the last row, the sum row. `slots[r]` is the
-    flat position of cell row r in the (x, a) x (y, b) grid."""
+    (y, b), are both 1, and in the last row, the sum row. Cell row r is the
+    r-th cell of `scenario.inside`; `slots[r]` is its flat position in the
+    (x, a) x (y, b) grid, and `alice_cells[i, r]` and `bob_cells[j, r]` are
+    the factor entries there, whose product is column i * len(bob) + j.
+
+    The matrix a is never stored: the simplex asks for single columns
+    (`_column`), the certificate for the basis columns (`_columns`), and
+    both price through the factors, the simplex as U Y V^T
+    (`_reduced_costs`) and the certificate by the separable search of
+    `boxes.bell_det_max` (`_worst_reduced_cost`)."""
 
     c: np.ndarray
-    a: np.ndarray
     b: np.ndarray
+    scenario: Scenario
     alice_rows: np.ndarray
     bob_rows: np.ndarray
     slots: np.ndarray
+    alice_cells: np.ndarray
+    bob_cells: np.ndarray
+
+    @property
+    def a(self) -> np.ndarray:
+        """The dense rows x strategies matrix, built afresh on each read.
+        Only the tests' dense oracles and the benchmark's tracer read it."""
+        return self._columns(np.arange(len(self.c)))
 
     def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
         """1 - y_sum - U Y V^T, flattened in column order, with Y the cell
@@ -45,6 +61,34 @@ class _StrategyLP:
         grid = np.zeros(cols_a * cols_b)
         grid[self.slots] = y[:-1]
         return (1.0 - y[-1]) - (self.alice_rows @ grid.reshape(cols_a, cols_b) @ self.bob_rows.T).ravel()
+
+    def _worst_reduced_cost(self, y: np.ndarray) -> float:
+        """The largest reduced cost over the strategy columns, by the
+        separable search of `boxes.bell_det_max` on -y laid out on the
+        cells: Bob's best outcome per input for each of Alice's strategies.
+        `_alice_side` masks Bob's padded outcomes with -inf, so their 0 never
+        outbids a cell whose dual is positive."""
+        table = np.zeros(self.scenario.shape)
+        table[self.scenario.inside] = -y[:-1]
+        _, g = _alice_side(table, self.scenario, np.sum)
+        return float((1.0 - y[-1]) + g.max(axis=2).sum(axis=1).max())
+
+    def _column(self, e: int) -> np.ndarray:
+        """Column e of a."""
+        i, j = divmod(e, len(self.bob_cells))
+        col = np.empty(len(self.b))
+        np.multiply(self.alice_cells[i], self.bob_cells[j], out=col[:-1])
+        col[-1] = 1.0
+        return col
+
+    def _columns(self, idx: np.ndarray) -> np.ndarray:
+        """Columns idx of a, as a rows x len(idx) matrix, column-major: a
+        strategy's column is contiguous."""
+        i, j = np.divmod(idx, len(self.bob_cells))
+        cols = np.empty((len(idx), len(self.b)))
+        np.multiply(self.alice_cells[i], self.bob_cells[j], out=cols[:, :-1])
+        cols[:, -1] = 1.0
+        return cols.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +101,9 @@ class SimplexResult:
 def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     """Revised primal simplex on the columns of [a | I], started from the
     slack basis. It keeps the basis inverse and the basic values side by side
-    as one array [B^-1 | x_B], and the basis indices; no tableau is formed.
+    as one array [B^-1 | x_B], and the basis indices; no tableau is formed,
+    and a is never read whole: the LP hands out the entering column
+    (`lp._column`) and, to the certificate, the basis columns.
 
     Each pivot takes the duals y = c_B B^-1, prices every structural column
     at once through `lp._reduced_costs(y)` and the slack columns as -y, and
@@ -70,10 +116,10 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     together. Raises RuntimeError when an improving column has no blocking
     row, when the iteration budget 10 * (rows + columns), slack columns
     included, is exhausted, or when the last basis fails `_certify_basis`,
-    which prices every column densely from fresh duals.
+    which prices every column from fresh duals by another path.
     """
-    a, b, c = lp.a, lp.b, lp.c
-    m, n = a.shape
+    b, c = lp.b, lp.c
+    m, n = len(b), len(c)
     table = np.hstack([np.eye(m), b[:, None]])
     inverse, x_b = table[:, :m], table[:, m]
     basis = np.arange(n, n + m)
@@ -87,7 +133,7 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
         entering = rule(lp._reduced_costs(y), y)
         if entering is None:
             break
-        col = inverse @ a[:, entering] if entering < n else inverse[:, entering - n].copy()
+        col = inverse @ lp._column(entering) if entering < n else inverse[:, entering - n].copy()
         (rows,) = (col > LP_TOL).nonzero()
         if not rows.size:
             raise RuntimeError("improving direction has no blocking constraint")
@@ -107,7 +153,7 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
-    _certify_basis(a, b, c, basis, x_b)
+    _certify_basis(lp, basis, x_b)
     x = np.zeros(n + m)
     x[basis] = x_b
     x = np.where(np.abs(x) < LP_TOL, 0.0, x)
@@ -137,20 +183,24 @@ def _largest_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
     return first if near[first] else len(reduced) + int((-y >= top - 1e-12).argmax())
 
 
-def _certify_basis(a, b, c, basis, x_b) -> float:
+def _certify_basis(lp: _StrategyLP, basis, x_b) -> float:
     """Optimality certificate of a final basis of [a | I], from fresh duals:
-    y solves y B = c_B for the basis columns B, every reduced cost c - y @ a
-    and -y must be at most LP_TOL, each row of B @ x_b must reproduce b_i
-    within LP_TOL, and every basic value must lie above -LP_TOL. Returns
-    LP_TOL minus the worst violation; raises RuntimeError when a check
-    fails."""
-    m, n = a.shape
+    y solves y B = c_B for the basis columns B (`lp._columns`), the largest
+    reduced cost, `lp._worst_reduced_cost(y)` over the structural columns
+    (a path apart from the simplex's `_reduced_costs`) and -y over the
+    slack ones, must be at most LP_TOL, each row of B @ x_b must reproduce
+    b_i within LP_TOL, and every basic value must lie above -LP_TOL.
+    Returns LP_TOL minus the worst violation; raises RuntimeError when a
+    check fails."""
+    b, c = lp.b, lp.c
+    m, n = len(b), len(c)
     structural = basis < n
     mat = np.zeros((m, m))
-    mat[:, structural] = a[:, basis[structural]]
+    mat[:, structural] = lp._columns(basis[structural])
     mat[basis[~structural] - n, np.flatnonzero(~structural)] = 1.0
     y = np.linalg.solve(mat.T, np.append(c, np.zeros(m))[basis])
-    reduced = float(np.concatenate([c - y @ a, -y]).max(initial=-np.inf))
+    # np.max, not max: a NaN from either side must fail the check
+    reduced = float(np.max([lp._worst_reduced_cost(y), (-y).max(initial=-np.inf)]))
     if not reduced <= LP_TOL:
         raise RuntimeError("simplex stopped on a basis whose recomputed reduced costs are not optimal")
     defect = float(np.abs(mat @ x_b - b).max(initial=0.0))
@@ -222,16 +272,15 @@ def cf_exact(box: Box):
     x, y, out_a, out_b = np.nonzero(sc.inside)
     slot_a, slot_b = x * max_a + out_a, y * max_b + out_b
     cells = box.p[x, y, out_a, out_b]
-    at = np.empty((len(alice), len(bob), len(cells) + 1))
-    np.multiply(alice_rows[:, None, slot_a], bob_rows[None, :, slot_b], out=at[..., :-1])
-    at[..., -1] = 1.0
     lp = _StrategyLP(
         c=np.ones(n),
-        a=at.reshape(n, -1).T,  # column-major: a strategy's column is contiguous
         b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),
+        scenario=sc,
         alice_rows=alice_rows,
         bob_rows=bob_rows,
         slots=slot_a * (inputs_b * max_b) + slot_b,
+        alice_cells=alice_rows[:, slot_a],
+        bob_cells=bob_rows[:, slot_b],
     )
     # nonnegative: basic values are certified above -LP_TOL and those below LP_TOL zeroed
     coeffs = simplex_solve(lp).x

@@ -3,7 +3,7 @@
 The classical fraction of the singlet measured at the chained-Bell angles,
 Alice along x pi/n and Bob along (y + 1/2) pi/n for x, y in 0..n-1, is
 n (1 - cos(pi / 2n)). Unlike an enumeration or HiGHS oracle, this reference
-costs nothing as n grows: at n = 8 the LP has 65,536 strategy columns, where
+costs nothing as n grows: at n = 9 the LP has 262,144 strategy columns, where
 the suite runs no HiGHS comparison.
 """
 
@@ -22,7 +22,7 @@ def chained_singlet_box(n: int):
     return quantum_box(singlet(), alice, bob)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_chained_singlet_classical_fraction(n):
     value, _ = cf_exact(chained_singlet_box(n))
     assert abs(value - n * (1 - math.cos(math.pi / (2 * n)))) <= 1e-12

@@ -18,17 +18,27 @@ from nonlocality.decomp import cf_exact, simplex_solve
 
 
 @dataclass(frozen=True, eq=False)
-class DenseLP(decomp._StrategyLP):
+class DenseLP:
     """maximize c @ x subject to a @ x <= b, x >= 0, for float arrays with
-    b >= 0, priced densely as c - y @ a. The strategy factors are optional:
-    only the factored pricing reads them."""
+    b >= 0. It gives the simplex the hooks of `decomp._StrategyLP` from the
+    stored a: columns sliced from it, and pricing as c - y @ a for the
+    kernel and the certificate alike."""
 
-    alice_rows: np.ndarray | None = None
-    bob_rows: np.ndarray | None = None
-    slots: np.ndarray | None = None
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
     def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
         return self.c - y @ self.a
+
+    def _worst_reduced_cost(self, y: np.ndarray) -> float:
+        return float(self._reduced_costs(y).max(initial=-np.inf))
+
+    def _column(self, e: int) -> np.ndarray:
+        return self.a[:, e]
+
+    def _columns(self, idx: np.ndarray) -> np.ndarray:
+        return self.a[:, idx]
 
 
 def beale() -> DenseLP:

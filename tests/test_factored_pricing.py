@@ -1,14 +1,18 @@
 """The classical-fraction LP's factored pricing held to the dense one, with
 numpy as the only dependency.
 
-`cf_exact` builds its LP as `decomp._StrategyLP`, which prices every
-strategy column through Alice's and Bob's one-hot factors. `DenseLP` holds
-the same data but prices densely, as c - y @ a. The two must give the same
-reduced costs, take the same pivots and land on the same bits, and the dense
-certificate must still stop a pricer that misses an improving column.
+`cf_exact` builds its LP as `decomp._StrategyLP`, which never stores its
+rows x strategies matrix: it prices every strategy column through Alice's
+and Bob's one-hot factors and builds the columns it is asked for from them.
+`DenseLP` holds the dense matrix and prices as c - y @ a. The two must give
+the same reduced costs, take the same pivots and land on the same bits; the
+certificate's separable pricing must match the dense one and still stop a
+pricer that misses an improving column; and the solve must not build the
+dense matrix.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ from nonlocality import decomp
 from nonlocality.boxes import Box, Scenario, maximally_mixed_box
 from nonlocality.cli import main
 from nonlocality.decomp import cf_exact, simplex_solve
+from golden_reports import GOLDEN, GOLDEN_REPORTS
 from test_entering_rule import DenseLP
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -50,10 +55,13 @@ def strategy_lp(box: Box) -> decomp._StrategyLP:
     return lp
 
 
-@pytest.mark.parametrize(
+UNEVEN_SCENARIOS = pytest.mark.parametrize(
     "outcomes_a, outcomes_b",
     [((2, 3), (3, 2, 2)), ((3,), (2, 3)), ((2, 3, 2), (2, 2, 3)), ((4, 2), (3,)), ((2, 2), (2, 2))],
 )
+
+
+@UNEVEN_SCENARIOS
 def test_factored_reduced_costs_match_the_dense_ones(outcomes_a, outcomes_b):
     lp = strategy_lp(maximally_mixed_box(Scenario(outcomes_a, outcomes_b)))
     rng = np.random.default_rng(sum(outcomes_a) * 100 + sum(outcomes_b))
@@ -61,6 +69,54 @@ def test_factored_reduced_costs_match_the_dense_ones(outcomes_a, outcomes_b):
         y = rng.normal(size=len(lp.b))
         dense = lp.c - y @ lp.a
         assert np.abs(lp._reduced_costs(y) - dense).max() <= 1e-12
+
+
+@UNEVEN_SCENARIOS
+def test_separable_worst_reduced_cost_matches_the_dense_one(outcomes_a, outcomes_b):
+    # y of both signs: optimal duals are >= 0, where a padded outcome's 0
+    # would outbid every cell if `_alice_side` did not mask it
+    lp = strategy_lp(maximally_mixed_box(Scenario(outcomes_a, outcomes_b)))
+    rng = np.random.default_rng(sum(outcomes_a) * 100 + sum(outcomes_b) + 1)
+    for y in [*rng.normal(size=(20, len(lp.b))), *rng.uniform(0.0, 1.0, (20, len(lp.b)))]:
+        assert abs(lp._worst_reduced_cost(y) - (lp.c - y @ lp.a).max()) <= 1e-12
+
+
+@pytest.fixture
+def no_dense_matrix(monkeypatch):
+    def refuse(lp):
+        raise AssertionError("the solve built the dense strategy matrix")
+
+    monkeypatch.setattr(decomp._StrategyLP, "a", property(refuse))
+
+
+BOX_GOLDENS = sorted(name for name, argv in GOLDEN_REPORTS.items() if argv[0] == "box")
+
+
+@pytest.mark.parametrize("golden", BOX_GOLDENS)
+def test_box_goldens_never_build_the_dense_matrix(no_dense_matrix, monkeypatch, tmp_path, golden):
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / golden
+    assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("n, visibility", [(n, 0.95) for n in range(2, 7)] + [(5, 0.86)])
+def test_chained_singlets_never_build_the_dense_matrix(no_dense_matrix, n, visibility):
+    total, _ = cf_exact(chained_singlet(n, visibility))
+    assert 0.0 < total < 1.0
+
+
+def test_the_8x8_solve_stays_small():
+    # the dense matrix alone would be 257 x 65,536 doubles, 134.7 MB; the
+    # factors, the basis inverse and one vector of reduced costs are a few MB
+    box = chained_singlet(8, 0.95)
+    tracemalloc.start()
+    try:
+        cf_exact(box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def _assert_same_pivots_and_bits(box: Box):
@@ -82,8 +138,9 @@ def test_factored_pricing_takes_the_dense_pivots_on_chained_singlets(n, visibili
 
 
 def test_a_pricer_that_misses_every_column_cannot_produce_a_report(monkeypatch, capsys):
-    # the simplex stops at once on the slack basis; only the dense
-    # certificate, priced from fresh duals, sees the improving columns
+    # the simplex stops at once on the slack basis; only the certificate,
+    # priced from fresh duals by the separable search, sees the improving
+    # columns
     monkeypatch.setattr(decomp._StrategyLP, "_reduced_costs", lambda self, y: np.zeros(len(self.c)))
     with pytest.raises(RuntimeError, match="reduced costs are not optimal"):
         cf_exact(chained_singlet(3, 0.95))

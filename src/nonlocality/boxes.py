@@ -299,7 +299,8 @@ def _winner_cells(table: np.ndarray, alice, bob) -> list:
 def _alice_side(table: np.ndarray, scenario: Scenario, reduce):
     """Alice's assignments and g[i, y, b] = reduce_x table[x, y, alice[i, x], b], -inf
     past Bob's outcome counts: with Alice fixed, a strategy search separates over y."""
-    alice, _ = _strategy_arrays(scenario)
+    _check_budget(scenario)
+    alice = assignments(scenario.outcomes_a)
     g = reduce(table[np.arange(scenario.inputs_a), :, alice, :], axis=1)
     g[:, ~scenario.inside[0, :, 0, :]] = -np.inf
     return alice, g

@@ -15,7 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, Scenario, _alice_side, _cells, _derived_box, _strategy, _strategy_arrays, _winner_cells
+from .boxes import (
+    BellFunctional,
+    Box,
+    _alice_side,
+    _cells,
+    _derived_box,
+    _strategy,
+    _strategy_arrays,
+    _winner_cells,
+    bell_det_max,
+    bell_value,
+)
+from .states import _trusted
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
@@ -29,19 +41,17 @@ class _StrategyLP:
     (alice[i], bob[j]); its ones sit in the cell rows where `alice_rows[i]`,
     one-hot over Alice's (x, a), and `bob_rows[j]`, one-hot over Bob's
     (y, b), are both 1, and in the last row, the sum row. Cell row r is the
-    r-th cell of `scenario.inside`; `slots[r]` is its flat position in the
-    (x, a) x (y, b) grid, and `alice_cells[i, r]` and `bob_cells[j, r]` are
-    the factor entries there, whose product is column i * len(bob) + j.
+    r-th cell of the scenario's `inside` mask; `slots[r]` is its flat
+    position in the (x, a) x (y, b) grid, and `alice_cells[i, r]` and
+    `bob_cells[j, r]` are the factor entries there, whose product is column
+    i * len(bob) + j.
 
     The matrix a is never stored: the simplex asks for single columns
-    (`_column`), the certificate for the basis columns (`_columns`), and
-    both price through the factors, the simplex as U Y V^T
-    (`_reduced_costs`) and the certificate by the separable search of
-    `boxes.bell_det_max` (`_worst_reduced_cost`)."""
+    (`_column`) and prices every column through the factors as U Y V^T
+    (`_reduced_costs`)."""
 
     c: np.ndarray
     b: np.ndarray
-    scenario: Scenario
     alice_rows: np.ndarray
     bob_rows: np.ndarray
     slots: np.ndarray
@@ -52,7 +62,8 @@ class _StrategyLP:
     def a(self) -> np.ndarray:
         """The dense rows x strategies matrix, built afresh on each read.
         Only the tests' dense oracles and the benchmark's tracer read it."""
-        return self._columns(np.arange(len(self.c)))
+        cells = self.alice_cells.T[:, :, None] * self.bob_cells.T[:, None, :]
+        return np.vstack([cells.reshape(len(self.b) - 1, -1), np.ones(len(self.c))])
 
     def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
         """1 - y_sum - U Y V^T, flattened in column order, with Y the cell
@@ -62,17 +73,6 @@ class _StrategyLP:
         grid[self.slots] = y[:-1]
         return (1.0 - y[-1]) - (self.alice_rows @ grid.reshape(cols_a, cols_b) @ self.bob_rows.T).ravel()
 
-    def _worst_reduced_cost(self, y: np.ndarray) -> float:
-        """The largest reduced cost over the strategy columns, by the
-        separable search of `boxes.bell_det_max` on -y laid out on the
-        cells: Bob's best outcome per input for each of Alice's strategies.
-        `_alice_side` masks Bob's padded outcomes with -inf, so their 0 never
-        outbids a cell whose dual is positive."""
-        table = np.zeros(self.scenario.shape)
-        table[self.scenario.inside] = -y[:-1]
-        _, g = _alice_side(table, self.scenario, np.sum)
-        return float((1.0 - y[-1]) + g.max(axis=2).sum(axis=1).max())
-
     def _column(self, e: int) -> np.ndarray:
         """Column e of a."""
         i, j = divmod(e, len(self.bob_cells))
@@ -81,21 +81,13 @@ class _StrategyLP:
         col[-1] = 1.0
         return col
 
-    def _columns(self, idx: np.ndarray) -> np.ndarray:
-        """Columns idx of a, as a rows x len(idx) matrix, column-major: a
-        strategy's column is contiguous."""
-        i, j = np.divmod(idx, len(self.bob_cells))
-        cols = np.empty((len(idx), len(self.b)))
-        np.multiply(self.alice_cells[i], self.bob_cells[j], out=cols[:, :-1])
-        cols[:, -1] = 1.0
-        return cols.T
-
 
 @dataclass(frozen=True, eq=False)
 class SimplexResult:
     value: float
     x: np.ndarray
     iterations: int
+    duals: np.ndarray
 
 
 def simplex_solve(lp: _StrategyLP) -> SimplexResult:
@@ -103,7 +95,7 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     slack basis. It keeps the basis inverse and the basic values side by side
     as one array [B^-1 | x_B], and the basis indices; no tableau is formed,
     and a is never read whole: the LP hands out the entering column
-    (`lp._column`) and, to the certificate, the basis columns.
+    (`lp._column`).
 
     Each pivot takes the duals y = c_B B^-1, prices every structural column
     at once through `lp._reduced_costs(y)` and the slack columns as -y, and
@@ -113,10 +105,12 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     (`_first_improving`) chooses until a pivot moves x_B. Bland's rule cannot
     cycle, so the simplex terminates. The ratio test and its tie-break are
     those of the tableau method, and one rank-1 step updates B^-1 and x_B
-    together. Raises RuntimeError when an improving column has no blocking
+    together. Returns the duals of the last basis with the solution; their
+    optimality is the caller's to certify (`cf_exact` does so by weak
+    duality). Raises RuntimeError when an improving column has no blocking
     row, when the iteration budget 10 * (rows + columns), slack columns
-    included, is exhausted, or when the last basis fails `_certify_basis`,
-    which prices every column from fresh duals by another path.
+    included, is exhausted, or when a basic value of the last basis is not
+    above -LP_TOL.
     """
     b, c = lp.b, lp.c
     m, n = len(b), len(c)
@@ -153,11 +147,12 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
-    _certify_basis(lp, basis, x_b)
+    if not x_b.min(initial=np.inf) > -LP_TOL:
+        raise RuntimeError("simplex stopped on a basis with a negative basic value")
     x = np.zeros(n + m)
     x[basis] = x_b
     x = np.where(np.abs(x) < LP_TOL, 0.0, x)
-    return SimplexResult(value=float(c @ x[:n]), x=x[:n], iterations=iterations)
+    return SimplexResult(value=float(c @ x[:n]), x=x[:n], iterations=iterations, duals=y)
 
 
 def _first_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
@@ -181,35 +176,6 @@ def _largest_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
     near = reduced >= top - 1e-12
     first = int(near.argmax())
     return first if near[first] else len(reduced) + int((-y >= top - 1e-12).argmax())
-
-
-def _certify_basis(lp: _StrategyLP, basis, x_b) -> float:
-    """Optimality certificate of a final basis of [a | I], from fresh duals:
-    y solves y B = c_B for the basis columns B (`lp._columns`), the largest
-    reduced cost, `lp._worst_reduced_cost(y)` over the structural columns
-    (a path apart from the simplex's `_reduced_costs`) and -y over the
-    slack ones, must be at most LP_TOL, each row of B @ x_b must reproduce
-    b_i within LP_TOL, and every basic value must lie above -LP_TOL.
-    Returns LP_TOL minus the worst violation; raises RuntimeError when a
-    check fails."""
-    b, c = lp.b, lp.c
-    m, n = len(b), len(c)
-    structural = basis < n
-    mat = np.zeros((m, m))
-    mat[:, structural] = lp._columns(basis[structural])
-    mat[basis[~structural] - n, np.flatnonzero(~structural)] = 1.0
-    y = np.linalg.solve(mat.T, np.append(c, np.zeros(m))[basis])
-    # np.max, not max: a NaN from either side must fail the check
-    reduced = float(np.max([lp._worst_reduced_cost(y), (-y).max(initial=-np.inf)]))
-    if not reduced <= LP_TOL:
-        raise RuntimeError("simplex stopped on a basis whose recomputed reduced costs are not optimal")
-    defect = float(np.abs(mat @ x_b - b).max(initial=0.0))
-    if not defect <= LP_TOL:
-        raise RuntimeError("simplex basic values do not reproduce the right-hand side")
-    lowest = float(x_b.min(initial=np.inf))
-    if not lowest > -LP_TOL:
-        raise RuntimeError("simplex stopped on a basis with a negative basic value")
-    return LP_TOL - max(reduced, defect, -lowest)
 
 
 def _require_ns(box: Box, what: str):
@@ -259,7 +225,13 @@ class Decomposition:
 
 def cf_exact(box: Box):
     """Classical fraction by LP: maximize sum c_i with sum_i c_i D_i <= P
-    entrywise, c >= 0, sum c_i <= 1. Returns (value, Decomposition)."""
+    entrywise, c >= 0, sum c_i <= 1. Returns (value, Decomposition).
+
+    The value is certified from both sides: the weights with the residual
+    box reconstruct P (`_certify_reconstruction`), and the simplex's duals,
+    read as a Bell functional, bound the classical fraction from above to
+    within LP_TOL of the value (`_certify_duals`). Either failure raises
+    RuntimeError."""
     _require_ns(box, "classical fraction")
     sc = box.scenario
     alice, bob = _strategy_arrays(sc)
@@ -275,15 +247,15 @@ def cf_exact(box: Box):
     lp = _StrategyLP(
         c=np.ones(n),
         b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),
-        scenario=sc,
         alice_rows=alice_rows,
         bob_rows=bob_rows,
         slots=slot_a * (inputs_b * max_b) + slot_b,
         alice_cells=alice_rows[:, slot_a],
         bob_cells=bob_rows[:, slot_b],
     )
-    # nonnegative: basic values are certified above -LP_TOL and those below LP_TOL zeroed
-    coeffs = simplex_solve(lp).x
+    # nonnegative: basic values are checked above -LP_TOL and those below LP_TOL zeroed
+    solved = simplex_solve(lp)
+    coeffs = solved.x
     total = float(coeffs.sum())
     used = np.flatnonzero(coeffs > 0.0)
     i, j = divmod(used, len(bob))
@@ -295,6 +267,7 @@ def cf_exact(box: Box):
         # each block over its own sum: dividing by 1 - total would magnify rounding
         residual = _derived_box(sc, leftover)
     _certify_reconstruction(leftover, total, None if residual is None else residual.p)
+    _certify_duals(box, solved.duals, total)
     decomp = Decomposition(
         strategies=tuple(map(_strategy, used_a, used_b)),
         coefficients=coeffs[used],
@@ -332,6 +305,27 @@ def _certify_reconstruction(leftover, total, residual) -> float:
     if not worst <= RECONSTRUCTION_TOL:
         raise RuntimeError("decomposition does not reconstruct the box")
     return RECONSTRUCTION_TOL - worst
+
+
+def _certify_duals(box: Box, duals: np.ndarray, total: float) -> float:
+    """Optimality certificate of a classical fraction `total` of `box`, from
+    duals of the LP's rows, the cell rows in `inside` order and then the sum
+    row. The duals of the cell rows, clipped at 0, make the Bell functional
+    S = -y on the cells, and by weak duality every y >= 0 bounds the
+    classical fraction: CF(P) <= max(0, 1 + bell_det_max(S)) - bell_value(S, P),
+    with the sum row's best dual in the first term (the local-content bound
+    of Elitzur, Popescu and Rohrlich). Returns LP_TOL minus the distance from
+    the bound to `total`; raises RuntimeError when it is negative or NaN."""
+    sc = box.scenario
+    s = np.zeros(sc.shape)
+    s[sc.inside] = -np.maximum(duals[:-1], 0.0)
+    # unchecked: a NaN dual must fail the gap below, not the functional's check
+    functional = _trusted(BellFunctional, scenario=sc, s=s)
+    bound = max(0.0, 1.0 + bell_det_max(functional)) - bell_value(functional, box)
+    gap = abs(bound - total)
+    if not gap <= LP_TOL:
+        raise RuntimeError(f"classical fraction {total!r} is {gap:.3e} from the dual bound {bound!r}")
+    return LP_TOL - gap
 
 
 def bell_bound_from_fod(beta_algebraic: float, beta_deterministic: float, c: float) -> float:

@@ -28,7 +28,6 @@ from nonlocality.decomp import (
     LP_TOL,
     RECONSTRUCTION_TOL,
     SimplexResult,
-    _certify_basis,
     _certify_reconstruction,
     _leftover,
     bell_bound_from_fod,
@@ -116,7 +115,8 @@ def _dense_simplex(lp) -> SimplexResult:
     x = np.zeros(n + m)
     x[basis] = rhs[:m]
     x = np.where(np.abs(x) < LP_TOL, 0.0, x)[:n]
-    return SimplexResult(value=float(lp.c @ x), x=x, iterations=iterations)
+    # the slack columns' reduced costs are -y
+    return SimplexResult(value=float(lp.c @ x), x=x, iterations=iterations, duals=-t[m, n:])
 
 
 def _random_lp(m: int, n: int, bounded: bool, coarse: bool, rng) -> DenseLP:
@@ -577,33 +577,6 @@ def test_cf_residual_of_a_box_near_a_facet_is_a_box(tmp_path):
     assert cf == pytest.approx(_highs_cf(box, **HIGHS_TIGHT), abs=1e-9)
     total, found = cf_exact(box)
     assert total == cf and found.residual is not None
-
-
-def test_certify_basis_accepts_the_final_basis_only():
-    # max x1 + x2 with x1 <= 1, x2 <= 2: the optimum has both structurals basic
-    a, b, c = np.eye(2), np.array([1.0, 2.0]), np.ones(2)
-    assert _certify_basis(DenseLP(c, a, b), np.array([0, 1]), np.array([1.0, 2.0])) == LP_TOL
-    # the slack basis is feasible but both structurals still improve
-    with pytest.raises(RuntimeError, match="reduced costs are not optimal"):
-        _certify_basis(DenseLP(c, a, b), np.array([2, 3]), b.copy())
-    # one structural basic: the other still prices in
-    with pytest.raises(RuntimeError, match="reduced costs are not optimal"):
-        _certify_basis(DenseLP(c, a, b), np.array([0, 3]), b.copy())
-    # an optimal basis whose basic values are off by more than LP_TOL
-    with pytest.raises(RuntimeError, match="reproduce the right-hand side"):
-        _certify_basis(DenseLP(c, a, b), np.array([0, 1]), np.array([1.0, 2.0 + 1e-8]))
-    with pytest.raises(RuntimeError, match="reproduce the right-hand side"):
-        _certify_basis(DenseLP(c, a, b), np.array([0, 1]), np.array([1.0, math.nan]))
-    # the residual is absolute: 5e-10 off passes with that much to spare
-    margin = _certify_basis(DenseLP(c, a, b), np.array([0, 1]), np.array([1.0, 2.0 + 5e-10]))
-    assert margin == pytest.approx(LP_TOL - 5e-10, rel=1e-6)
-    # dual feasible and reproducing b, but x_1 = -1: not a feasible basis
-    a, b = np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0])
-    with pytest.raises(RuntimeError, match="negative basic value"):
-        _certify_basis(DenseLP(c, a, b), np.array([0, 1]), np.array([2.0, -1.0]))
-    # -LP_TOL is not above -LP_TOL
-    with pytest.raises(RuntimeError, match="negative basic value"):
-        _certify_basis(DenseLP(c, a, b + [1.0 - LP_TOL, 0.0]), np.array([0, 1]), np.array([2.0, -LP_TOL]))
 
 
 def test_certify_reconstruction_rejects_perturbed_weights():

@@ -19,10 +19,9 @@ from nonlocality.decomp import cf_exact, simplex_solve
 
 @dataclass(frozen=True, eq=False)
 class DenseLP:
-    """maximize c @ x subject to a @ x <= b, x >= 0, for float arrays with
-    b >= 0. It gives the simplex the hooks of `decomp._StrategyLP` from the
-    stored a: columns sliced from it, and pricing as c - y @ a for the
-    kernel and the certificate alike."""
+    """maximize c @ x subject to a @ x <= b, x >= 0, for float arrays. It
+    gives the simplex the hooks of `decomp._StrategyLP` from the stored a:
+    columns sliced from it, and pricing as c - y @ a."""
 
     c: np.ndarray
     a: np.ndarray
@@ -31,14 +30,8 @@ class DenseLP:
     def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
         return self.c - y @ self.a
 
-    def _worst_reduced_cost(self, y: np.ndarray) -> float:
-        return float(self._reduced_costs(y).max(initial=-np.inf))
-
     def _column(self, e: int) -> np.ndarray:
         return self.a[:, e]
-
-    def _columns(self, idx: np.ndarray) -> np.ndarray:
-        return self.a[:, idx]
 
 
 def beale() -> DenseLP:
@@ -102,6 +95,17 @@ def test_an_improving_column_with_no_blocking_row_raises():
     lp = DenseLP(c=np.array([1.0, 0.0]), a=np.array([[0.0, 1.0]]), b=np.array([1.0]))
     with pytest.raises(RuntimeError, match="improving direction has no blocking constraint"):
         simplex_solve(lp)
+
+
+def test_a_negative_basic_value_raises():
+    # b < 0: the slack basis is infeasible, and with nothing improving the
+    # simplex stops on it at once
+    for b in (-1.0, -decomp.LP_TOL):
+        with pytest.raises(RuntimeError, match="negative basic value"):
+            simplex_solve(DenseLP(c=np.array([-1.0]), a=np.array([[1.0]]), b=np.array([b])))
+    # half of LP_TOL below 0 passes
+    res = simplex_solve(DenseLP(c=np.array([-1.0]), a=np.array([[1.0]]), b=np.array([-decomp.LP_TOL / 2])))
+    assert res.iterations == 0 and res.x.tolist() == [0.0]
 
 
 def test_ties_go_to_the_first_column_within_the_window():

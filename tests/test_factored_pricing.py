@@ -1,17 +1,19 @@
-"""The classical-fraction LP's factored pricing held to the dense one, with
-numpy as the only dependency.
+"""The classical-fraction LP's factored pricing held to the dense one, and
+its certificates driven to fail, with numpy as the only dependency.
 
 `cf_exact` builds its LP as `decomp._StrategyLP`, which never stores its
 rows x strategies matrix: it prices every strategy column through Alice's
 and Bob's one-hot factors and builds the columns it is asked for from them.
 `DenseLP` holds the dense matrix and prices as c - y @ a. The two must give
-the same reduced costs, take the same pivots and land on the same bits; the
-certificate's separable pricing must match the dense one and still stop a
-pricer that misses an improving column; and the solve must not build the
-dense matrix.
+the same reduced costs, take the same pivots and land on the same bits, and
+the solve must not build the dense matrix. The dual certificate's Bell bound
+must match the dense dual objective, and a wrong solve must fail one of the
+two certificates.
 """
 
+import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -19,9 +21,9 @@ import numpy as np
 import pytest
 
 from nonlocality import decomp
-from nonlocality.boxes import Box, Scenario, maximally_mixed_box
+from nonlocality.boxes import Box, BellFunctional, Scenario, bell_det_max, bell_value, maximally_mixed_box
 from nonlocality.cli import main
-from nonlocality.decomp import cf_exact, simplex_solve
+from nonlocality.decomp import LP_TOL, _certify_duals, cf_exact, simplex_solve
 from golden_reports import GOLDEN, GOLDEN_REPORTS
 from test_entering_rule import DenseLP
 
@@ -72,13 +74,19 @@ def test_factored_reduced_costs_match_the_dense_ones(outcomes_a, outcomes_b):
 
 
 @UNEVEN_SCENARIOS
-def test_separable_worst_reduced_cost_matches_the_dense_one(outcomes_a, outcomes_b):
-    # y of both signs: optimal duals are >= 0, where a padded outcome's 0
-    # would outbid every cell if `_alice_side` did not mask it
-    lp = strategy_lp(maximally_mixed_box(Scenario(outcomes_a, outcomes_b)))
+def test_dual_bound_matches_the_dense_objective(outcomes_a, outcomes_b):
+    # duals >= 0, and duals of both signs that the certificate clips at 0: a
+    # padded outcome's 0 would outbid every cell of S = -y if `_alice_side`
+    # did not mask it
+    box = maximally_mixed_box(Scenario(outcomes_a, outcomes_b))
+    lp = strategy_lp(box)
+    a, b = lp.a[:-1], lp.b[:-1]
     rng = np.random.default_rng(sum(outcomes_a) * 100 + sum(outcomes_b) + 1)
-    for y in [*rng.normal(size=(20, len(lp.b))), *rng.uniform(0.0, 1.0, (20, len(lp.b)))]:
-        assert abs(lp._worst_reduced_cost(y) - (lp.c - y @ lp.a).max()) <= 1e-12
+    for y in [*rng.uniform(0.0, 1.0, (20, len(lp.b))), *rng.normal(size=(20, len(lp.b)))]:
+        cells = np.maximum(y[:-1], 0.0)
+        dense = cells @ b + max(0.0, (1.0 - cells @ a).max())
+        # the margin is LP_TOL minus the distance from the bound to `total`
+        assert _certify_duals(box, y, dense) >= LP_TOL - 1e-12
 
 
 @pytest.fixture
@@ -138,13 +146,50 @@ def test_factored_pricing_takes_the_dense_pivots_on_chained_singlets(n, visibili
 
 
 def test_a_pricer_that_misses_every_column_cannot_produce_a_report(monkeypatch, capsys):
-    # the simplex stops at once on the slack basis; only the certificate,
-    # priced from fresh duals by the separable search, sees the improving
-    # columns
+    # the simplex stops at once on the slack basis with all duals 0; their
+    # Bell bound is 1, far above the value 0
     monkeypatch.setattr(decomp._StrategyLP, "_reduced_costs", lambda self, y: np.zeros(len(self.c)))
-    with pytest.raises(RuntimeError, match="reduced costs are not optimal"):
+    with pytest.raises(RuntimeError, match=r"classical fraction 0\.0 is 1\.000e\+00 from the dual bound 1\.0"):
         cf_exact(chained_singlet(3, 0.95))
     rc = main(["box", str(GOLDEN_INPUTS / "chained4_v090_box.json"), "--ops", "ns,fod,cf"])
     out, err = capsys.readouterr()
     assert rc == 3 and out == ""
-    assert err.startswith("internal error:") and "reduced costs are not optimal" in err
+    assert err.startswith("internal error:") and "from the dual bound" in err
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [(1.0 + 1e-6, "does not reconstruct the box"), (1.0 - 1e-6, "from the dual bound")],
+    ids=["too_much", "too_little"],
+)
+def test_scaled_weights_fail_a_certificate(monkeypatch, scale, message):
+    # too much weight leaves negative cells that no residual box can fill;
+    # too little is a feasible decomposition whose value sits a millionth of
+    # itself below the dual bound
+    def scaled(lp):
+        solved = simplex_solve(lp)
+        return dataclasses.replace(solved, x=solved.x * scale)
+
+    monkeypatch.setattr(decomp, "simplex_solve", scaled)
+    with pytest.raises(RuntimeError, match=message):
+        cf_exact(chained_singlet(3, 0.95))
+
+
+def test_certify_duals_accepts_the_optimal_total_only():
+    box = chained_singlet(3, 0.95)
+    solved = simplex_solve(strategy_lp(box))
+    total = float(solved.x.sum())
+    s = np.zeros(box.scenario.shape)
+    s[box.scenario.inside] = -np.maximum(solved.duals[:-1], 0.0)
+    functional = BellFunctional(box.scenario, s)
+    bound = max(0.0, 1.0 + bell_det_max(functional)) - bell_value(functional, box)
+    assert 0.0 < _certify_duals(box, solved.duals, total) == LP_TOL - abs(bound - total)
+    for off in (2 * LP_TOL, -2 * LP_TOL):
+        with pytest.raises(RuntimeError, match="from the dual bound"):
+            _certify_duals(box, solved.duals, total + off)
+    # a NaN dual, even on a single cell, fails the gap
+    one_nan = solved.duals.copy()
+    one_nan[0] = math.nan
+    for nan in (np.full_like(solved.duals, math.nan), one_nan):
+        with pytest.raises(RuntimeError, match="is nan from the dual bound nan"):
+            _certify_duals(box, nan, total)

@@ -34,7 +34,7 @@ from nonlocality.boxes import (
     quantum_box,
 )
 from nonlocality.cli import main
-from nonlocality.decomp import bell_bound_from_fod
+from nonlocality.decomp import bell_bound_from_fod, cf_exact, fod_exact
 from nonlocality.rti import (
     RtiInstance,
     classical_sharp_example,
@@ -397,6 +397,21 @@ def test_bell_ceiling_must_be_finite():
     assert bell_bound_from_fod(top, top, 1.0) == top
     with pytest.raises(ValueError, match="ceiling overflows"):
         bell_bound_from_fod(top, top, 1 + 5e-13)
+
+
+def test_decompositions_refuse_what_they_cannot_bound():
+    # Alice's outcome follows Bob's input: a signalling box
+    t = np.zeros(chsh_scenario().shape)
+    t[:, 0, 0, 0] = t[:, 1, 1, 0] = 1.0
+    for decompose in (fod_exact, cf_exact):
+        with pytest.raises(ValueError, match="needs a no-signalling box: alice marginal at x=0"):
+            decompose(Box(chsh_scenario(), t))
+    with pytest.raises(ValueError, match="must be finite"):
+        bell_bound_from_fod(math.nan, 2.0, 0.5)
+    with pytest.raises(ValueError, match=r"fraction must lie in \[0, 1\]"):
+        bell_bound_from_fod(4.0, 2.0, 1.5)
+    with pytest.raises(ValueError, match="cannot exceed the algebraic maximum"):
+        bell_bound_from_fod(2.0, 4.0, 0.5)
 
 
 def _huge_functional(cell: float) -> dict:

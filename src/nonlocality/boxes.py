@@ -7,6 +7,7 @@ zeros. Outcome counts may differ per input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -217,23 +218,49 @@ class NsReport(Record):
     location: str
 
 
+@functools.cache
+def _input_pairs(n: int) -> tuple:
+    """Index arrays (j1, j2) of every pair of n inputs, in `itertools.combinations` order."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T
+    pairs.setflags(write=False)
+    return pairs[0], pairs[1]
+
+
 def validate_ns(box: Box) -> NsReport:
-    """Check that each party's marginal ignores the other party's input: one
-    scan over the table for Alice and over its party-swapped transpose for Bob."""
+    """Check that each party's marginal ignores the other party's input.
+
+    Both parties' marginals are summed at once, one slice per group of blocks
+    that share an outcome-count pair (ka, kb): each sum then runs over the
+    block's own cells in the order a per-block sum takes, so the marginals
+    have the bits of `Box.block(x, y).sum(...)`; a slice padded to the
+    largest count could switch numpy to pairwise summation. Every pair of
+    the other party's inputs, in `itertools.combinations` order, gives the
+    largest deviation of its two marginals. The report names the first
+    largest deviation, Alice's x outer before Bob's y outer, or "none" when
+    every deviation is 0."""
     sc = box.scenario
-    worst = 0.0
-    where = "none"
-    sides = (
-        ("alice", "x", "y", box.p, sc.outcomes_a, sc.outcomes_b),
-        ("bob", "y", "x", box.p.transpose(1, 0, 3, 2), sc.outcomes_b, sc.outcomes_a),
-    )
-    for party, own, other, table, own_counts, other_counts in sides:
-        for i, ki in enumerate(own_counts):
-            marg = [table[i, j, :ki, :kj].sum(axis=1) for j, kj in enumerate(other_counts)]
-            for j1, j2 in itertools.combinations(range(len(other_counts)), 2):
-                dev = float(np.abs(marg[j1] - marg[j2]).max())
-                if dev > worst:
-                    worst, where = dev, f"{party} marginal at {own}={i} between {other}={j1} and {other}={j2}"
+    n_a, n_b, max_a, max_b = sc.shape
+    alice = np.zeros((n_a, n_b, max_a))  # alice[x, y, a]: sum_b p(a, b | x, y)
+    bob = np.zeros((n_b, n_a, max_b))  # bob[y, x, b]: sum_a p(a, b | x, y)
+    counts_a, counts_b = np.array(sc.outcomes_a), np.array(sc.outcomes_b)
+    for ka in set(sc.outcomes_a):
+        xs = np.flatnonzero(counts_a == ka)[:, None]
+        for kb in set(sc.outcomes_b):
+            ys = np.flatnonzero(counts_b == kb)[None, :]
+            blocks = box.p[xs, ys, :ka, :kb]
+            alice[xs, ys, :ka] = blocks.sum(axis=3)
+            bob[ys.T, xs.T, :kb] = blocks.sum(axis=2).transpose(1, 0, 2)
+    worst, where = 0.0, "none"
+    for party, own, other, marg in (("alice", "x", "y", alice), ("bob", "y", "x", bob)):
+        j1, j2 = _input_pairs(marg.shape[1])
+        if not j1.size:
+            continue
+        devs = np.abs(marg[:, j1] - marg[:, j2]).max(axis=2)  # [own input, pair]
+        first = int(devs.argmax())
+        if devs.flat[first] > worst:
+            i, k = divmod(first, len(j1))
+            worst = float(devs.flat[first])
+            where = f"{party} marginal at {own}={i} between {other}={j1[k]} and {other}={j2[k]}"
     return NsReport(passed=bool(worst <= NS_TOL), max_violation=worst, location=where)
 
 
@@ -296,11 +323,14 @@ def _winner_cells(table: np.ndarray, alice, bob) -> list:
     return table[_cells(np.array([alice]), np.array([bob]))].ravel().tolist()
 
 
-def _alice_side(table: np.ndarray, scenario: Scenario, reduce):
+def _alice_side(table: np.ndarray, scenario: Scenario, reduce, alice: np.ndarray | None = None):
     """Alice's assignments and g[i, y, b] = reduce_x table[x, y, alice[i, x], b], -inf
-    past Bob's outcome counts: with Alice fixed, a strategy search separates over y."""
-    _check_budget(scenario)
-    alice = assignments(scenario.outcomes_a)
+    past Bob's outcome counts: with Alice fixed, a strategy search separates over y.
+    The assignments are listed within the enumeration budget unless given,
+    as the first array of `_strategy_arrays`."""
+    if alice is None:
+        _check_budget(scenario)
+        alice = assignments(scenario.outcomes_a)
     g = reduce(table[np.arange(scenario.inputs_a), :, alice, :], axis=1)
     g[:, ~scenario.inside[0, :, 0, :]] = -np.inf
     return alice, g
@@ -415,7 +445,12 @@ def bell_det_max(functional: BellFunctional) -> float:
     """Best value over deterministic strategies (the local/classical maximum),
     max_alpha sum_y max_b sum_x s[x, y, alpha_x, b]: the first best alpha and Bob's
     first best b per y give a strategy whose cells are re-summed, x outer, y inner."""
-    alice, h = _alice_side(functional.s, functional.scenario, np.sum)
+    return _det_max(functional)
+
+
+def _det_max(functional: BellFunctional, alice: np.ndarray | None = None) -> float:
+    """`bell_det_max`, searched over Alice's assignments `alice` when given."""
+    alice, h = _alice_side(functional.s, functional.scenario, np.sum, alice)
     best = int(np.argmax(h.max(axis=2).sum(axis=1)))
     total = 0.0  # a float loop: builtin sum compensates float sums from Python 3.12 on
     for cell in _winner_cells(functional.s, alice[best], np.argmax(h[best], axis=1)):

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -74,7 +75,73 @@ def report_row(
 
 
 def _render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The text of `json.dumps(report, indent=2) + "\\n"`, byte for byte, without
+    the pure-Python encoder that json switches to when given an indent."""
+    return _json_text(report, "\n") + "\n"
+
+
+def _json_float(value: float) -> str:
+    """A float as json writes it: NaN, Infinity and -Infinity stand for the
+    values JSON has no number for."""
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+# the writer of each plain scalar type; json's own order of tests (str, None,
+# True, False, int, float) matters only for subclasses (`_json_text`)
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    type(None): {None: "null"}.__getitem__,
+    bool: ("false", "true").__getitem__,
+    int: int.__repr__,
+    float: _json_float,
+}
+_INTS, _FLOATS = frozenset({int}), frozenset({float})
+
+
+def _json_text(value, newline: str) -> str:
+    """`value` as json.dumps(value, indent=2) writes it, nested at `newline`
+    ("\\n" and the current indent). A subclass of str, int, float, list,
+    tuple or dict writes as the first of these it is an instance of, json's
+    order, and anything else raises json's TypeError. A flat list of plain
+    ints, or of finite plain floats, is joined in one pass."""
+    kind = type(value)
+    if kind not in _SCALAR_TEXT and kind not in (list, tuple, dict):
+        kind = next((base for base in (str, int, float, list, tuple, dict) if isinstance(value, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == _INTS:
+            items = map(int.__repr__, value)
+        elif kinds == _FLOATS and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_json_key(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    return _SCALAR_TEXT[kind](value)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or the quoted text of an int,
+    float, bool or None; any other key raises json's TypeError."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_json_text(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _render_csv(report: dict) -> str:

@@ -1,5 +1,6 @@
-"""Every frozen CLI report, compared byte for byte, and the exit code of the
-box next to a CHSH facet.
+"""Every frozen CLI report, compared byte for byte, each JSON report
+rewritten by the CLI's JSON writer from its own parse, and the exit code of
+the box next to a CHSH facet.
 
 `GOLDEN_REPORTS` is the one list of the reports under `tests/golden/`. The
 module imports only pytest and `nonlocality`, so it also runs where numpy is
@@ -12,11 +13,12 @@ own; `tests/test_cli.py` imports its tests and the suite runs them once,
 from there.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from nonlocality.cli import main
+from nonlocality.cli import _render_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 NEAR_FACET_BOX = Path(__file__).parent / "inputs" / "near_facet_box.json"
@@ -80,6 +82,14 @@ def test_report_matches_golden(monkeypatch, tmp_path, golden):
     out = tmp_path / golden
     assert main([*GOLDEN_REPORTS[golden], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden", sorted(name for name in GOLDEN_REPORTS if name.endswith(".json")))
+def test_render_json_rewrites_each_json_golden(golden):
+    # the writer must give json.dumps(report, indent=2)'s bytes, which each
+    # JSON golden is: its own parse is written back to the same text
+    text = (GOLDEN / golden).read_text()
+    assert _render_json(json.loads(text)) == text
 
 
 def test_near_facet_box_exits_0(tmp_path):

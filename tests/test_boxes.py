@@ -529,3 +529,116 @@ def test_validate_ns_matches_party_loops(outcomes_a, outcomes_b, seed):
     box = Box(sc, t)
     report = validate_ns(box)
     assert (report.max_violation, report.location) == _ns_by_party_loops(box)
+
+
+@pytest.mark.parametrize(
+    "outcomes_a, outcomes_b",
+    [
+        # a marginal summed over a slice padded to the largest count takes
+        # numpy's pairwise order once that slice has 8 cells: Alice's side
+        # here, then Bob's
+        ((2,), (8, 5)),
+        ((8, 8, 5), (1,)),
+        # Bob's single-outcome input beside a binary one: a block of one
+        # column is summed over Alice's outcomes in the pairwise order too
+        ((9, 9, 12), (1, 2)),
+    ],
+)
+@pytest.mark.parametrize("kind", ["signalling", "product"])
+def test_validate_ns_sums_each_block_over_its_own_cells(outcomes_a, outcomes_b, kind):
+    # a product box p(a|x) q(b|y) is no-signalling, so each of its deviations
+    # is a rounding residue, and the report depends on every bit of the sums
+    sc = Scenario(outcomes_a, outcomes_b)
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        rows_a = [rng.random(ka) ** rng.integers(1, 5) for ka in sc.outcomes_a]
+        rows_b = [rng.random(kb) ** rng.integers(1, 5) for kb in sc.outcomes_b]
+        t = np.zeros(sc.shape)
+        for x, ka in enumerate(sc.outcomes_a):
+            for y, kb in enumerate(sc.outcomes_b):
+                if kind == "product":
+                    block = np.outer(rows_a[x] / rows_a[x].sum(), rows_b[y] / rows_b[y].sum())
+                else:
+                    block = rng.random((ka, kb)) ** rng.integers(1, 5)
+                t[x, y, :ka, :kb] = block / block.sum()
+        box = Box(sc, t)
+        report = validate_ns(box)
+        assert (report.max_violation, report.location) == _ns_by_party_loops(box), seed
+
+
+def _certain_outputs(outcomes_a, outcomes_b, *terms) -> Box:
+    """The equal mixture of boxes that output (a(x, y), b(x, y)) with
+    certainty, one per term (a, b): each term may signal either way."""
+    sc = Scenario(outcomes_a, outcomes_b)
+    t = np.zeros(sc.shape)
+    for a, b in terms:
+        for x, y in itertools.product(range(sc.inputs_a), range(sc.inputs_b)):
+            t[x, y, a(x, y), b(x, y)] += 1.0 / len(terms)
+    return Box(sc, t)
+
+
+@pytest.mark.parametrize(
+    "box, worst, location",
+    [
+        # a tie between the parties goes to Alice; within a party the first
+        # largest pair, x (or y) outer, wins
+        (
+            _certain_outputs((2,) * 6, (2,) * 6, (lambda x, y: int(y >= 3), lambda x, y: int(x >= 4))),
+            1.0,
+            "alice marginal at x=0 between y=0 and y=3",
+        ),
+        (
+            _certain_outputs((2,) * 6, (3, 2, 3, 2, 3, 2), (lambda x, y: 0, lambda x, y: int(x == 5))),
+            1.0,
+            "bob marginal at y=0 between x=0 and x=5",
+        ),
+        # Alice's half deviation loses to Bob's whole one
+        (
+            _certain_outputs(
+                (2,) * 6,
+                (2,) * 6,
+                (lambda x, y: int(y >= 3), lambda x, y: int(x >= 4)),
+                (lambda x, y: 0, lambda x, y: int(x >= 4)),
+            ),
+            1.0,
+            "bob marginal at y=0 between x=0 and x=4",
+        ),
+        # uneven outcome counts; Alice's first signalling input is x = 1
+        (
+            _certain_outputs(
+                (2, 3, 2, 3, 2, 3),
+                (3, 2, 3, 2, 3, 2),
+                (lambda x, y: (x % 2) * (y % 2), lambda x, y: y % 2),
+                (lambda x, y: x % 2, lambda x, y: 0),
+            ),
+            0.5,
+            "alice marginal at x=1 between y=0 and y=1",
+        ),
+        (_certain_outputs((3,) * 4, (2,) * 5, (lambda x, y: x % 3, lambda x, y: y % 2)), 0.0, "none"),
+    ],
+)
+def test_validate_ns_reports_the_first_largest_deviation(box, worst, location):
+    report = validate_ns(box)
+    assert (report.max_violation, report.location) == (worst, location) == _ns_by_party_loops(box)
+    assert report.passed is (worst == 0.0)
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple),
+    st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_ns_matches_party_loops_on_tied_deviations(outcomes_a, outcomes_b, seed):
+    # cells of a few levels over small block sums: equal deviations recur,
+    # within a party and across the two
+    sc = Scenario(outcomes_a, outcomes_b)
+    rng = np.random.default_rng(seed)
+    t = np.zeros(sc.shape)
+    for x, ka in enumerate(sc.outcomes_a):
+        for y, kb in enumerate(sc.outcomes_b):
+            block = rng.integers(0, 3, (ka, kb)).astype(float)
+            block.flat[rng.integers(block.size)] += 1.0
+            t[x, y, :ka, :kb] = block / block.sum()
+    box = Box(sc, t)
+    report = validate_ns(box)
+    assert (report.max_violation, report.location) == _ns_by_party_loops(box)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,6 +40,7 @@ from golden_reports import (  # noqa: F401
     GOLDEN,
     GOLDEN_REPORTS,
     test_near_facet_box_exits_0,
+    test_render_json_rewrites_each_json_golden,
     test_report_matches_golden,
 )
 
@@ -595,3 +597,57 @@ def test_box_fuzz_exits_cleanly_and_passes_only_strict_tables(trees, ops):
     if not all(_parses_strictly(tree, field) for tree, field in read):
         assert rc == 2
         assert out.getvalue() == ""
+
+
+# leaves json.dumps writes in each of its branches: bool before int, ints past
+# 2^63, the float edge cases and a float subclass, strings json must escape
+report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "é", " ", "\U0001f600"])),
+    st.text(max_size=4),
+)
+report_keys = st.one_of(st.text(max_size=4), st.integers(-(2**70), 2**70), st.floats(), st.booleans(), st.none())
+report_trees = st.recursive(
+    report_leaves
+    | st.lists(st.integers(-(2**70), 2**70) | st.booleans(), max_size=5)
+    | st.lists(st.floats(), max_size=5),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(report_keys, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(report_trees)
+def test_render_json_writes_the_bytes_of_json_dumps(tree):
+    assert cli._render_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"computed": np.int64(3)}, "Object of type int64 is not JSON serializable"),
+        ([1.0, [True, {"rows": {1, 2}}]], "Object of type set is not JSON serializable"),
+        ({"row": {(0, 1): "pair"}}, "keys must be str, int, float, bool or None, not tuple"),
+    ],
+)
+def test_render_json_refuses_what_json_dumps_refuses(value, message):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    assert str(expected.value) == message
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        cli._render_json(value)
+
+
+def test_a_value_json_cannot_write_exits_3(monkeypatch, capsys):
+    # a numpy integer in a report is a bug, not bad input: no report, exit 3
+    monkeypatch.setattr(cli, "fod_exact", lambda box: (np.int64(0), DeterministicStrategy((0, 0), (0, 0))))
+    assert main(["box", str(GOLDEN / "inputs" / "pr_box.json"), "--ops", "fod"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: TypeError: Object of type int64 is not JSON serializable\n"

@@ -62,6 +62,19 @@ class Scenario:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def _strategy_tables(self) -> tuple:
+        """Read-only `assignments` of Alice and of Bob: the one listing of
+        strategies, made once per scenario within the enumeration budget on
+        their product. A refused listing is not cached, so it is refused again."""
+        count = self.strategy_count()
+        if count > ENUMERATION_BUDGET:
+            raise ValueError(f"enumeration needs {count} strategies, budget is {ENUMERATION_BUDGET}")
+        tables = assignments(self.outcomes_a), assignments(self.outcomes_b)
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
     def strategy_count(self) -> int:
         return math.prod(self.outcomes_a + self.outcomes_b)
 
@@ -284,15 +297,9 @@ def _strategy(alice: np.ndarray, bob: np.ndarray) -> DeterministicStrategy:
     return _trusted(DeterministicStrategy, alice=tuple(alice.tolist()), bob=tuple(bob.tolist()))
 
 
-def _check_budget(scenario: Scenario) -> None:
-    count = scenario.strategy_count()
-    if count > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration needs {count} strategies, budget is {ENUMERATION_BUDGET}")
-
-
 def enumerate_deterministic(scenario: Scenario):
     """All deterministic strategies, lexicographic with Alice assignments outer."""
-    alice, bob = _strategy_arrays(scenario)
+    alice, bob = scenario._strategy_tables
     return [_strategy(a, b) for a in alice for b in bob]
 
 
@@ -301,13 +308,6 @@ def assignments(outcomes) -> np.ndarray:
     lexicographic order (last input fastest). Strategy s of
     `enumerate_deterministic` is (alice[i], bob[j]) with i, j = divmod(s, len(bob))."""
     return np.indices(tuple(outcomes)).reshape(len(outcomes), -1).T
-
-
-def _strategy_arrays(scenario: Scenario):
-    """`assignments` of Alice and of Bob, the one listing of strategies,
-    within the same budget on their product as `enumerate_deterministic`."""
-    _check_budget(scenario)
-    return assignments(scenario.outcomes_a), assignments(scenario.outcomes_b)
 
 
 def _cells(alice: np.ndarray, bob: np.ndarray) -> tuple:
@@ -323,14 +323,11 @@ def _winner_cells(table: np.ndarray, alice, bob) -> list:
     return table[_cells(np.array([alice]), np.array([bob]))].ravel().tolist()
 
 
-def _alice_side(table: np.ndarray, scenario: Scenario, reduce, alice: np.ndarray | None = None):
-    """Alice's assignments and g[i, y, b] = reduce_x table[x, y, alice[i, x], b], -inf
-    past Bob's outcome counts: with Alice fixed, a strategy search separates over y.
-    The assignments are listed within the enumeration budget unless given,
-    as the first array of `_strategy_arrays`."""
-    if alice is None:
-        _check_budget(scenario)
-        alice = assignments(scenario.outcomes_a)
+def _alice_side(table: np.ndarray, scenario: Scenario, reduce):
+    """Alice's assignments, the scenario's first strategy table, and g[i, y, b] =
+    reduce_x table[x, y, alice[i, x], b], -inf past Bob's outcome counts: with
+    Alice fixed, a strategy search separates over y."""
+    alice = scenario._strategy_tables[0]
     g = reduce(table[np.arange(scenario.inputs_a), :, alice, :], axis=1)
     g[:, ~scenario.inside[0, :, 0, :]] = -np.inf
     return alice, g
@@ -353,7 +350,7 @@ def local_box(scenario: Scenario, weights) -> Box:
     """Convex mixture of deterministic boxes: `weights` is a probability
     vector over the strategies in enumeration order. Each block is divided
     by the sum of the positive weights, which is 1 within WEIGHT_SUM_TOL."""
-    alice, bob = _strategy_arrays(scenario)
+    alice, bob = scenario._strategy_tables
     w = _check_weights(weights, (len(alice) * len(bob),))
     used = np.flatnonzero(w > 0.0)
     i, j = divmod(used, len(bob))
@@ -445,12 +442,7 @@ def bell_det_max(functional: BellFunctional) -> float:
     """Best value over deterministic strategies (the local/classical maximum),
     max_alpha sum_y max_b sum_x s[x, y, alpha_x, b]: the first best alpha and Bob's
     first best b per y give a strategy whose cells are re-summed, x outer, y inner."""
-    return _det_max(functional)
-
-
-def _det_max(functional: BellFunctional, alice: np.ndarray | None = None) -> float:
-    """`bell_det_max`, searched over Alice's assignments `alice` when given."""
-    alice, h = _alice_side(functional.s, functional.scenario, np.sum, alice)
+    alice, h = _alice_side(functional.s, functional.scenario, np.sum)
     best = int(np.argmax(h.max(axis=2).sum(axis=1)))
     total = 0.0  # a float loop: builtin sum compensates float sums from Python 3.12 on
     for cell in _winner_cells(functional.s, alice[best], np.argmax(h[best], axis=1)):

@@ -323,7 +323,10 @@ def _parse_ops(text: str, functional_path: str | None) -> list:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path!r} nests JSON arrays or objects too deeply to parse") from None
 
 
 def cmd_box(args) -> int:

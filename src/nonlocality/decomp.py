@@ -21,10 +21,9 @@ from .boxes import (
     _alice_side,
     _cells,
     _derived_box,
-    _det_max,
     _strategy,
-    _strategy_arrays,
     _winner_cells,
+    bell_det_max,
     bell_value,
 )
 from .states import _trusted
@@ -234,7 +233,7 @@ def cf_exact(box: Box):
     RuntimeError."""
     _require_ns(box, "classical fraction")
     sc = box.scenario
-    alice, bob = _strategy_arrays(sc)
+    alice, bob = sc._strategy_tables
     n = len(alice) * len(bob)
     _, inputs_b, max_a, max_b = sc.shape
     alice_rows, bob_rows = _one_hot(alice, max_a), _one_hot(bob, max_b)
@@ -267,7 +266,7 @@ def cf_exact(box: Box):
         # each block over its own sum: dividing by 1 - total would magnify rounding
         residual = _derived_box(sc, leftover)
     _certify_reconstruction(leftover, total, None if residual is None else residual.p)
-    _certify_duals(box, solved.duals, total, alice)
+    _certify_duals(box, solved.duals, total)
     decomp = Decomposition(
         strategies=tuple(map(_strategy, used_a, used_b)),
         coefficients=coeffs[used],
@@ -307,23 +306,21 @@ def _certify_reconstruction(leftover, total, residual) -> float:
     return RECONSTRUCTION_TOL - worst
 
 
-def _certify_duals(box: Box, duals: np.ndarray, total: float, alice: np.ndarray | None = None) -> float:
+def _certify_duals(box: Box, duals: np.ndarray, total: float) -> float:
     """Optimality certificate of a classical fraction `total` of `box`, from
     duals of the LP's rows, the cell rows in `inside` order and then the sum
     row. The duals of the cell rows, clipped at 0, make the Bell functional
     S = -y on the cells, and by weak duality every y >= 0 bounds the
     classical fraction: CF(P) <= max(0, 1 + bell_det_max(S)) - bell_value(S, P),
     with the sum row's best dual in the first term (the local-content bound
-    of Elitzur, Popescu and Rohrlich). The search for bell_det_max(S) runs
-    over Alice's assignments `alice`, the LP's own, when given. Returns
-    LP_TOL minus the distance from the bound to `total`; raises RuntimeError
-    when it is negative or NaN."""
+    of Elitzur, Popescu and Rohrlich). Returns LP_TOL minus the distance
+    from the bound to `total`; raises RuntimeError when it is negative or NaN."""
     sc = box.scenario
     s = np.zeros(sc.shape)
     s[sc.inside] = -np.maximum(duals[:-1], 0.0)
     # unchecked: a NaN dual must fail the gap below, not the functional's check
     functional = _trusted(BellFunctional, scenario=sc, s=s)
-    bound = max(0.0, 1.0 + _det_max(functional, alice)) - bell_value(functional, box)
+    bound = max(0.0, 1.0 + bell_det_max(functional)) - bell_value(functional, box)
     gap = abs(bound - total)
     if not gap <= LP_TOL:
         raise RuntimeError(f"classical fraction {total!r} is {gap:.3e} from the dual bound {bound!r}")

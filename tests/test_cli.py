@@ -19,11 +19,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nonlocality
-from nonlocality import cli
+from nonlocality import boxes, cli
 
 from nonlocality.boxes import (
     Box,
     DeterministicStrategy,
+    assignments,
     chsh_functional,
     chsh_scenario,
     deterministic_box,
@@ -156,8 +157,6 @@ def test_verify_rti_rejects_repeated_values(capsys, flag, value, repeated):
 
 
 def test_box_checks_no_signalling_once_per_box(monkeypatch, tmp_path):
-    from nonlocality import boxes
-
     checked = []
     original = boxes.validate_ns
 
@@ -169,6 +168,21 @@ def test_box_checks_no_signalling_once_per_box(monkeypatch, tmp_path):
     path = GOLDEN / "inputs" / "noisy_pr_box.json"
     assert main(["box", str(path), "--ops", "ns,fod,cf", "--out", str(tmp_path / "r.json")]) == 0
     assert len(checked) == 1
+
+
+def test_box_lists_each_party_once(monkeypatch, capsys):
+    # fod, cf and cf's dual certificate read the strategy tables of one scenario
+    listed = []
+
+    def counted(outcomes):
+        listed.append(assignments(outcomes))
+        return listed[-1]
+
+    monkeypatch.setattr(boxes, "assignments", counted)
+    assert main(["box", str(GOLDEN / "inputs" / "chained6_v095_box.json"), "--ops", "ns,fod,cf"]) == 0
+    capsys.readouterr()
+    assert [table.shape for table in listed] == [(64, 6), (64, 6)]
+    assert not any(table.flags.writeable for table in listed)
 
 
 def test_noisy_golden_box_has_a_residual():
@@ -362,6 +376,19 @@ def test_box_declaring_huge_outcome_counts_exits_2(tmp_path, capsys):
     box = {"scenario": {"outcomesA": [10**6], "outcomesB": [10**6]}, "p": [[[[1.0]]]]}
     assert main(["box", _write(tmp_path, "huge_counts.json", box)]) == 2
     assert "at input pair (0, 0) is not a 1000000 x 1000000 table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deep_file", ["box", "functional"])
+def test_box_deeply_nested_json_exits_2(tmp_path, capsys, deep_file):
+    # json's decoder recurses once per bracket and gives up with RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    box_path = str(deep) if deep_file == "box" else str(GOLDEN / "inputs" / "pr_box.json")
+    fn_path = str(deep) if deep_file == "functional" else str(GOLDEN / "inputs" / "chsh_functional.json")
+    assert main(["box", box_path, "--ops", "bell", "--functional", fn_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {str(deep)!r} nests JSON arrays or objects too deeply to parse\n"
 
 
 def test_box_non_integer_outcome_counts_exit_2(tmp_path, capsys):

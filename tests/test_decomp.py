@@ -13,10 +13,12 @@ from scipy.optimize import linprog
 
 from nonlocality import decomp
 from nonlocality.boxes import (
+    BellFunctional,
     Box,
     DeterministicStrategy,
     Scenario,
     _cells,
+    bell_det_max,
     chsh_scenario,
     deterministic_box,
     enumerate_deterministic,
@@ -211,12 +213,22 @@ def test_fod_rejects_signalling():
 
 
 def test_fod_budget_passthrough():
-    # 10 binary inputs per side: 2^20 strategies exceed the 10^6 budget
-    box = maximally_mixed_box(Scenario((2,) * 10, (2,) * 10))
-    with pytest.raises(ValueError, match="budget"):
-        fod_exact(box)
-    with pytest.raises(ValueError, match="budget"):
-        cf_exact(box)
+    # 10 binary inputs per side: 2^20 strategies exceed the 10^6 budget. Every
+    # entry point asks the one scenario for its listing and is refused the same
+    # way, again on a second call: a refused listing is not cached
+    sc = Scenario((2,) * 10, (2,) * 10)
+    box = maximally_mixed_box(sc)
+    functional = BellFunctional(sc, np.zeros(sc.shape))
+    calls = [
+        lambda: enumerate_deterministic(sc),
+        lambda: local_box(sc, [1.0]),
+        lambda: fod_exact(box),
+        lambda: cf_exact(box),
+        lambda: bell_det_max(functional),
+    ]
+    for call in calls * 2:
+        with pytest.raises(ValueError, match="^enumeration needs 1048576 strategies, budget is 1000000$"):
+            call()
 
 
 def test_cf_pr_box():

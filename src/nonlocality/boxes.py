@@ -163,34 +163,53 @@ class _Table:
             sc, rows = Scenario.from_dict(d["scenario"]), d[key]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"{kind} dict needs 'scenario' and '{key}' entries: {exc}") from None
-        blocks = []
-        for x, ka in enumerate(sc.outcomes_a):
-            for y, kb in enumerate(sc.outcomes_b):
+        def not_a_table(x, y):
+            ka, kb = sc.outcomes_a[x], sc.outcomes_b[y]
+            return ValueError(f"{kind} block at input pair ({x}, {y}) is not a {ka} x {kb} table of numbers")
+
+        # the blocks' shapes in x-major order up to the first missing or
+        # misshapen block; a short row must not broadcast
+        shaped, fault = [], None
+        for (x, ka), (y, kb) in itertools.product(enumerate(sc.outcomes_a), enumerate(sc.outcomes_b)):
+            try:
+                block = rows[x][y]
+            except (TypeError, KeyError, IndexError):
+                fault = ValueError(f"{kind} dict has no block at input pair ({x}, {y})")
+                break
+            if not (
+                type(block) is list
+                and len(block) == ka
+                and set(map(type, block)) == {list}
+                and set(map(len, block)) == {kb}
+            ):
+                fault = not_a_table(x, y)
+                break
+            shaped.append(block)
+        # then the cells of those blocks in one pass: JSON numbers only, as a
+        # bool or a numeric string is not a cell
+        cells = list(itertools.chain.from_iterable(itertools.chain.from_iterable(shaped)))
+        try:
+            values = np.array(cells, dtype=float) if set(map(type, cells)) <= {int, float} else None
+        except OverflowError:
+            values = None
+        if values is None:
+            # a cell failed: the first block holding one, before any shape fault
+            for i, block in enumerate(shaped):
+                x, y = divmod(i, sc.inputs_b)
+                if not all(type(v) in (int, float) for row in block for v in row):
+                    raise not_a_table(x, y)
                 try:
-                    block = rows[x][y]
-                except (TypeError, KeyError, IndexError):
-                    raise ValueError(f"{kind} dict has no block at input pair ({x}, {y})") from None
-                # JSON numbers only: a bool or a numeric string is not a cell,
-                # and a short row must not broadcast
-                if not (
-                    type(block) is list
-                    and len(block) == ka
-                    and all(type(row) is list and len(row) == kb for row in block)
-                    and all(type(v) in (int, float) for row in block for v in row)
-                ):
-                    raise ValueError(
-                        f"{kind} block at input pair ({x}, {y}) is not a {ka} x {kb} table of numbers"
-                    )
-                try:
-                    blocks.append(np.array(block, dtype=float).ravel())
+                    np.array(block, dtype=float)
                 except OverflowError:
                     raise ValueError(
                         f"{kind} block at input pair ({x}, {y}) has an integer too large for a float"
                     ) from None
+        if fault is not None:
+            raise fault
         # the padded table is allocated only once every block has passed: the
         # declared outcome counts alone may ask for more memory than exists
         t = np.zeros(sc.shape)
-        t[sc.inside] = np.concatenate(blocks)
+        t[sc.inside] = values
         return cls(sc, t)
 
 

@@ -30,6 +30,20 @@ from .states import _trusted
 
 LP_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
+# Cost model of `_pivot`'s steps on a table of m rows, in units of the full
+# step's time per cell (about 0.8 ns): the full step, one einsum, costs
+# m^2 + _FULL_STEP; the sparse step costs 3 m + 1500 per nonzero column
+# (_COLUMN_STEP). Timed alone with one BLAS thread (numpy 2.4.6, 2-core VM),
+# the sparse step was the faster up to 4, 5, 6, 9, 11, 20 and 29 nonzero
+# columns at m = 64, 80, 101, 125, 145, 200 and 257; the model picks it up
+# to 3, 4, 6, 9, 11, 19 and 29. Tables of fewer than _SCANNED_ROWS rows are
+# not scanned, and their full step is multiply.outer, which costs less than
+# einsum's call at that size. Timed in `cf_exact`, scanning cost 4% on the
+# 37-row table of the 3x3 chained singlet, saved nothing on the 50-row table
+# of an uneven 3x3 box and saved 7% on the 65-row table of the 4x4 chained
+# singlet; einsum in place of multiply.outer made the 17- and 37-row tables
+# 5% slower.
+_FULL_STEP, _COLUMN_STEP, _SCANNED_ROWS = 2000, (3, 1500), 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +117,20 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     after m (the row count) zero steps in a row Bland's rule
     (`_first_improving`) chooses until a pivot moves x_B. Bland's rule cannot
     cycle, so the simplex terminates. The ratio test and its tie-break are
-    those of the tableau method, and one rank-1 step updates B^-1 and x_B
-    together. Returns the duals of the last basis with the solution; their
-    optimality is the caller's to certify (`cf_exact` does so by weak
-    duality). Raises RuntimeError when an improving column has no blocking
-    row, when the iteration budget 10 * (rows + columns), slack columns
-    included, is exhausted, or when a basic value of the last basis is not
-    above -LP_TOL.
+    those of the tableau method, and one rank-1 step (`_pivot`) updates B^-1
+    and x_B together. On a table of at least _SCANNED_ROWS rows, a pivot row
+    with few nonzero columns (`_sparse_step`, by the cost model on
+    _COLUMN_STEP) updates only those columns, one at a time; any other row
+    takes the full step. Both give the same bits, because the table never
+    holds -0.0: it starts with +0.0 zeros (`cf_exact` clips b at +0.0), a
+    division by the positive pivot keeps them +0.0 (a nonzero entry would
+    have to be subnormal to underflow to -0.0), and a subtraction gives -0.0
+    only from -0.0, so a column that loses an exact 0 keeps its bits.
+    Returns the duals of the last basis with the solution; their optimality
+    is the caller's to certify (`cf_exact` does so by weak duality). Raises
+    RuntimeError when an improving column has no blocking row, when the
+    iteration budget 10 * (rows + columns), slack columns included, is
+    exhausted, or when a basic value of the last basis is not above -LP_TOL.
     """
     b, c = lp.b, lp.c
     m, n = len(b), len(c)
@@ -135,11 +156,7 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
         # Bland anti-cycling: ties on the ratio go to the lowest basis index
         tied = rows[ratios <= step + 1e-12]
         row = int(tied[basis[tied].argmin()])
-        # one rank-1 step: the pivot row is divided by the pivot, and every
-        # other row loses its multiple of it, as one Gauss-Jordan step would
-        pivot_row = table[row] / col[row]
-        table -= np.multiply.outer(col, pivot_row)
-        table[row] = pivot_row
+        _pivot(table, col, row)
         basis[row] = entering
         cost_b[row] = c[entering] if entering < n else 0.0
         zero_steps = zero_steps + 1 if step <= LP_TOL else 0
@@ -152,6 +169,31 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     x[basis] = x_b
     x = np.where(np.abs(x) < LP_TOL, 0.0, x)
     return SimplexResult(value=float(c @ x[:n]), x=x[:n], iterations=iterations, duals=y)
+
+
+def _pivot(table: np.ndarray, col: np.ndarray, row: int) -> None:
+    """One Gauss-Jordan step on [B^-1 | x_B] in place: the pivot row is
+    divided by the pivot col[row], and every other row loses col[i] times it,
+    on the divided row's nonzero columns alone when `_sparse_step` says so."""
+    pivot_row = table[row] / col[row]
+    rows = len(table)
+    if rows < _SCANNED_ROWS:
+        table -= np.multiply.outer(col, pivot_row)
+    else:
+        (support,) = pivot_row.nonzero()
+        if _sparse_step(support.size, rows):
+            for j in support.tolist():
+                table[:, j] -= col * pivot_row[j]
+        else:
+            table -= np.einsum("i,j->ij", col, pivot_row)
+    table[row] = pivot_row
+
+
+def _sparse_step(nonzeros: int, rows: int) -> bool:
+    """Whether `_pivot` updates only the `nonzeros` nonzero columns of a
+    pivot row of a table of `rows` rows, by the cost model on _COLUMN_STEP."""
+    per_column, fixed = _COLUMN_STEP
+    return nonzeros * (per_column * rows + fixed) < rows * rows + _FULL_STEP
 
 
 def _first_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:

@@ -39,6 +39,7 @@ from nonlocality.decomp import (
 )
 from test_entering_rule import DenseLP
 from test_factored_pricing import chained_singlet
+from test_pivot_step import checked_tables, forced_step, solve_bits
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 # the CHSH facet box (1 - t) L + t PR at t = 1e-8, with L the uniform mixture
@@ -177,6 +178,21 @@ def test_simplex_matches_dense_oracle(lp):
     # pivot arithmetics part by up to about 3e-12 relative
     np.testing.assert_allclose(mine.x, dense.x, rtol=1e-11, atol=1e-12)
     assert ref.status == 0 and mine.value == pytest.approx(-ref.fun, abs=1e-7)
+
+
+@given(random_lps)
+def test_every_rank1_step_gives_the_same_bits(lp):
+    # these tables have at most 9 rows, below decomp._SCANNED_ROWS, so each
+    # path is forced on every pivot; coarse entries (in half of the LPs)
+    # cancel to exact zeros
+    outcomes = []
+    for path in ("outer", "einsum", "sparse"):
+        with forced_step(path), checked_tables():
+            try:
+                outcomes.append(solve_bits(lp))
+            except RuntimeError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def _signalling_box() -> Box:

@@ -3,6 +3,7 @@ outcome counts, dimensions, ranks) and probability weights; the rule that
 input a boundary check accepts is never rejected inside; and the checks that
 keep non-finite numbers out of every report."""
 
+import itertools
 import json
 import math
 import sys
@@ -448,3 +449,75 @@ def test_cli_rejects_an_overflowing_functional(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "overflow a sum" in captured.err
+
+
+def _first_block_fault(sc: Scenario, rows, kind: str):
+    """Per-block oracle of `from_dict`'s cell checks: the message for the
+    first faulty block in x-major order, each block checked for presence,
+    shape, cell types and then float range, or None."""
+    for x, ka in enumerate(sc.outcomes_a):
+        for y, kb in enumerate(sc.outcomes_b):
+            try:
+                block = rows[x][y]
+            except (TypeError, KeyError, IndexError):
+                return f"{kind} dict has no block at input pair ({x}, {y})"
+            if not (
+                type(block) is list
+                and len(block) == ka
+                and all(type(row) is list and len(row) == kb for row in block)
+                and all(type(v) in (int, float) for row in block for v in row)
+            ):
+                return f"{kind} block at input pair ({x}, {y}) is not a {ka} x {kb} table of numbers"
+            for v in (v for row in block for v in row):
+                try:
+                    float(v)
+                except OverflowError:
+                    return f"{kind} block at input pair ({x}, {y}) has an integer too large for a float"
+    return None
+
+
+def _damage(rows: list, x: int, y: int, how: str, rng) -> None:
+    """Damage block (x, y) of a box dict's cells in place."""
+    block = rows[x][y]
+    a = int(rng.integers(len(block)))
+    b = int(rng.integers(len(block[a])))
+    if how == "missing":
+        del rows[x][y:]
+    elif how == "not a list":
+        rows[x][y] = {"0": block}
+    elif how == "short row":
+        block[a].pop()
+    elif how == "long block":
+        block.append(list(block[a]))
+    else:
+        block[a][b] = {"bool": True, "string": "0.25", "nested": [0.25], "huge": -(10**400)}[how]
+
+
+def test_from_dict_reports_the_per_block_oracles_first_fault():
+    # up to three faults per dict: the first block with one, and that block's
+    # first failing check, name the error
+    kinds = ["missing", "not a list", "short row", "long block", "bool", "string", "nested", "huge"]
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        sc = Scenario(*(tuple(rng.integers(1, 4, size=rng.integers(1, 4)).tolist()) for _ in "ab"))
+        strategy = DeterministicStrategy(*(tuple(rng.integers(k).tolist()) for k in (sc.outcomes_a, sc.outcomes_b)))
+        box = deterministic_box(strategy, sc)
+        # JSON integers are cells too
+        rows = [
+            [[[int(v) if rng.random() < 0.5 else v for v in row] for row in block] for block in blocks]
+            for blocks in box.to_dict()["p"]
+        ]
+        pairs = list(itertools.product(range(sc.inputs_a), range(sc.inputs_b)))
+        for i in rng.choice(len(pairs), size=min(len(pairs), rng.integers(0, 4)), replace=False):
+            x, y = pairs[i]
+            if y < len(rows[x]):
+                _damage(rows, x, y, kinds[rng.integers(len(kinds))], rng)
+        for cls in (Box, BellFunctional):
+            d = {"scenario": sc.to_dict(), cls._FIELD: rows}
+            expected = _first_block_fault(sc, rows, cls._KIND)
+            if expected is None:
+                assert getattr(cls.from_dict(d), cls._FIELD).tobytes() == box.p.tobytes()
+            else:
+                with pytest.raises(ValueError) as raised:
+                    cls.from_dict(d)
+                assert str(raised.value) == expected

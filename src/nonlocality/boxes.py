@@ -62,19 +62,6 @@ class Scenario:
         mask.setflags(write=False)
         return mask
 
-    @cached_property
-    def _strategy_tables(self) -> tuple:
-        """Read-only `assignments` of Alice and of Bob: the one listing of
-        strategies, made once per scenario within the enumeration budget on
-        their product. A refused listing is not cached, so it is refused again."""
-        count = self.strategy_count()
-        if count > ENUMERATION_BUDGET:
-            raise ValueError(f"enumeration needs {count} strategies, budget is {ENUMERATION_BUDGET}")
-        tables = assignments(self.outcomes_a), assignments(self.outcomes_b)
-        for table in tables:
-            table.setflags(write=False)
-        return tables
-
     def strategy_count(self) -> int:
         return math.prod(self.outcomes_a + self.outcomes_b)
 
@@ -318,7 +305,7 @@ def _strategy(alice: np.ndarray, bob: np.ndarray) -> DeterministicStrategy:
 
 def enumerate_deterministic(scenario: Scenario):
     """All deterministic strategies, lexicographic with Alice assignments outer."""
-    alice, bob = scenario._strategy_tables
+    alice, bob = _listing(scenario, full=True)
     return [_strategy(a, b) for a in alice for b in bob]
 
 
@@ -326,7 +313,31 @@ def assignments(outcomes) -> np.ndarray:
     """Every output assignment of one party, one row per assignment, in
     lexicographic order (last input fastest). Strategy s of
     `enumerate_deterministic` is (alice[i], bob[j]) with i, j = divmod(s, len(bob))."""
-    return np.indices(tuple(outcomes)).reshape(len(outcomes), -1).T
+    return _assignment(tuple(outcomes), np.arange(math.prod(outcomes)))
+
+
+def _assignment(counts: tuple, rows) -> np.ndarray:
+    """Row `rows` of `assignments(counts)`, or the rows of an array of indices:
+    each index's digits in the mixed radix `counts`, the last input's lowest.
+    No array has an axis per input, so any number of inputs is listed."""
+    digits = []
+    for k in reversed(counts):
+        rows, digit = divmod(rows, k)
+        digits.append(digit)
+    return np.array(digits[::-1]).T
+
+
+def _listing(scenario: Scenario, full: bool, widths: tuple = (0, 0)) -> tuple:
+    """Alice's and Bob's `assignments` for a `full` listing, else none, made
+    afresh once what the caller builds fits ENUMERATION_BUDGET: a full
+    listing's strategies, and the larger party's assignment count times its
+    `widths`, the cells built per assignment (a full listing adds its table's)."""
+    alpha, beta = math.prod(scenario.outcomes_a), math.prod(scenario.outcomes_b)
+    cells = max(alpha * (widths[0] + full * scenario.inputs_a), beta * (widths[1] + full * scenario.inputs_b))
+    for count, unit in ((full * alpha * beta, "strategies"), (cells, "table cells")):
+        if count > ENUMERATION_BUDGET:
+            raise ValueError(f"enumeration needs {count} {unit}, budget is {ENUMERATION_BUDGET}")
+    return (assignments(scenario.outcomes_a), assignments(scenario.outcomes_b)) if full else ()
 
 
 def _cells(alice: np.ndarray, bob: np.ndarray) -> tuple:
@@ -342,14 +353,19 @@ def _winner_cells(table: np.ndarray, alice, bob) -> list:
     return table[_cells(np.array([alice]), np.array([bob]))].ravel().tolist()
 
 
-def _alice_side(table: np.ndarray, scenario: Scenario, reduce):
-    """Alice's assignments, the scenario's first strategy table, and g[i, y, b] =
-    reduce_x table[x, y, alice[i, x], b], -inf past Bob's outcome counts: with
-    Alice fixed, a strategy search separates over y."""
-    alice = scenario._strategy_tables[0]
-    g = reduce(table[np.arange(scenario.inputs_a), :, alice, :], axis=1)
+def _alice_side(table: np.ndarray, scenario: Scenario, reduce) -> np.ndarray:
+    """g[i, y, b] = reduce_x table[x, y, alice[i, x], b] for Alice's
+    `assignments` alice, -inf past Bob's outcome counts: with Alice fixed, a
+    strategy search separates over y. The ufunc `reduce` folds the inputs in
+    x order, each input's outputs against every row of the inputs before it,
+    so that no table of Alice's is listed and the largest array built is g."""
+    _listing(scenario, full=False, widths=(scenario.inputs_b * scenario.shape[3], 0))
+    by_output = table.transpose(0, 2, 1, 3)  # [x, a, y, b]
+    g = np.array(by_output[0, : scenario.outcomes_a[0]])
+    for x, k in enumerate(scenario.outcomes_a[1:], 1):
+        g = reduce(g[:, None], by_output[x, :k]).reshape(-1, *g.shape[1:])
     g[:, ~scenario.inside[0, :, 0, :]] = -np.inf
-    return alice, g
+    return g
 
 
 def deterministic_box(strategy: DeterministicStrategy, scenario: Scenario) -> Box:
@@ -369,7 +385,7 @@ def local_box(scenario: Scenario, weights) -> Box:
     """Convex mixture of deterministic boxes: `weights` is a probability
     vector over the strategies in enumeration order. Each block is divided
     by the sum of the positive weights, which is 1 within WEIGHT_SUM_TOL."""
-    alice, bob = scenario._strategy_tables
+    alice, bob = _listing(scenario, full=True)
     w = _check_weights(weights, (len(alice) * len(bob),))
     used = np.flatnonzero(w > 0.0)
     i, j = divmod(used, len(bob))
@@ -461,10 +477,11 @@ def bell_det_max(functional: BellFunctional) -> float:
     """Best value over deterministic strategies (the local/classical maximum),
     max_alpha sum_y max_b sum_x s[x, y, alpha_x, b]: the first best alpha and Bob's
     first best b per y give a strategy whose cells are re-summed, x outer, y inner."""
-    alice, h = _alice_side(functional.s, functional.scenario, np.sum)
+    h = _alice_side(functional.s, functional.scenario, np.add)
     best = int(np.argmax(h.max(axis=2).sum(axis=1)))
+    alice = _assignment(functional.scenario.outcomes_a, best)
     total = 0.0  # a float loop: builtin sum compensates float sums from Python 3.12 on
-    for cell in _winner_cells(functional.s, alice[best], np.argmax(h[best], axis=1)):
+    for cell in _winner_cells(functional.s, alice, np.argmax(h[best], axis=1)):
         total += cell
     return total
 

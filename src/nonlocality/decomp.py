@@ -19,8 +19,10 @@ from .boxes import (
     BellFunctional,
     Box,
     _alice_side,
+    _assignment,
     _cells,
     _derived_box,
+    _listing,
     _strategy,
     _winner_cells,
     bell_det_max,
@@ -234,11 +236,12 @@ def fod_exact(box: Box):
     Once Alice's assignment alpha is fixed, Bob's outputs are chosen per input:
     the value is max_alpha min_y max_b min_x p[x, y, alpha_x, b]."""
     _require_ns(box, "fraction of determinism")
-    alice, g = _alice_side(box.p, box.scenario, np.min)
+    g = _alice_side(box.p, box.scenario, np.minimum)
     values = g.max(axis=2).min(axis=1)
     best = int(np.argmax(values))
     # first alpha with the largest value, then per y the first b reaching it
-    strategy = _strategy(alice[best], np.argmax(g[best] >= values[best], axis=1))
+    alice = _assignment(box.scenario.outcomes_a, best)
+    strategy = _strategy(alice, np.argmax(g[best] >= values[best], axis=1))
     # the winner's cells in enumeration order give the value, sign of zero included
     return min(_winner_cells(box.p, strategy.alice, strategy.bob)), strategy
 
@@ -275,9 +278,12 @@ def cf_exact(box: Box):
     RuntimeError."""
     _require_ns(box, "classical fraction")
     sc = box.scenario
-    alice, bob = sc._strategy_tables
+    inputs_a, inputs_b, max_a, max_b = sc.shape
+    # per assignment a one-hot row and a row over the cell rows, and on Alice's
+    # side a row over Bob's slots for pricing and the dual certificate's search
+    rows, width_a, width_b = int(sc.inside.sum()), inputs_a * max_a, inputs_b * max_b
+    alice, bob = _listing(sc, full=True, widths=(width_a + rows + width_b, width_b + rows))
     n = len(alice) * len(bob)
-    _, inputs_b, max_a, max_b = sc.shape
     alice_rows, bob_rows = _one_hot(alice, max_a), _one_hot(bob, max_b)
     # one row per cell inside the outcome counts, in (x, y, a, b) order, then the
     # row sum c <= 1; column i * len(bob) + j, strategy (alice[i], bob[j]), has a one

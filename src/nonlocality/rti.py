@@ -261,11 +261,6 @@ def embed_subnormalized(rho: SubnormalizedState, sigma: SubnormalizedState):
     return _trusted(DensityMatrix, mat=big_rho), _trusted(DensityMatrix, mat=big_sigma)
 
 
-def l1_distance(p, q) -> float:
-    """L1 distance between two probability vectors."""
-    return float(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class ClassicalSharpExample:
     """Distributions where the commuting bound 2 - l*eps holds with equality.

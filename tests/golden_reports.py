@@ -65,6 +65,10 @@ GOLDEN_REPORTS = {
         "box", "inputs/uneven3_box.json", "--ops", "ns,fod,cf,bell",
         "--functional", "inputs/uneven3_functional.json", "--format", "csv",
     ],
+    # the paper's 2 x n shape at n = 40, the 2-input party first: fod searches
+    # 4 assignments of that party, where the full listing would take 2^42
+    # strategies; so the input is not named *_box.json, which the cf oracles read
+    "box_singlet2x40.json": ["box", "inputs/singlet2x40.json", "--ops", "ns,fod"],
     "verify_rti_trials50_seed7.json": ["verify-rti", "--trials", "50", "--seed", "7"],
     "verify_rti_trials50_seed7.csv": ["verify-rti", "--trials", "50", "--seed", "7", "--format", "csv"],
     "verify_rti_trials50_seed7_l234.json": ["verify-rti", "--trials", "50", "--seed", "7", "--l", "2,3,4"],

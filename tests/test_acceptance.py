@@ -38,7 +38,6 @@ from nonlocality.rti import (
     extremal_family,
     extremal_gaps,
     fvdg_check,
-    l1_distance,
     rotfeld_check,
     rti_campaign,
     subnormalized_gap,
@@ -147,8 +146,8 @@ def test_c5_sharpness_examples():
     for l, eps in ((2, 0.4), (3, 0.2), (4, 0.1)):
         example = classical_sharp_example(l, eps)
         for component in example.components:
-            assert abs(l1_distance(component, example.h) - (2.0 - eps)) <= 1e-12
-        assert abs(l1_distance(example.mixture(), example.h) - (2.0 - l * eps)) <= 1e-12
+            assert abs(np.abs(component - example.h).sum() - (2.0 - eps)) <= 1e-12
+        assert abs(np.abs(example.mixture() - example.h).sum() - (2.0 - l * eps)) <= 1e-12
     print(
         f"PASS 5/9 sharpness families: sqrt dependence tight (ratio {ratio:.4f} at "
         f"r=1e-3), commuting bound met with equality at three (l, eps) points"

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonlocality import bounds, decomp
-from nonlocality.boxes import Box, DeterministicStrategy, quantum_box, tsirelson_realization
+from nonlocality.boxes import Box, DeterministicStrategy, Scenario, quantum_box, tsirelson_realization
 from nonlocality.bounds import (
     _confusing_outcome,
     binary_bob_bounds,
@@ -48,6 +48,32 @@ from nonlocality.states import (
 MU_STAR = (5.0 + math.sqrt(17.0)) / 2.0
 F_STAR = 0.11340054556247131
 THEOREM_222 = 0.0035437670488272285
+
+
+def two_by_n_fods(n: int, seed: int) -> tuple:
+    """A seeded qubit realization with binary Bob and n Alice inputs: its
+    pipeline trace, and fod of its box with the parties swapped, searched
+    over Bob's 4 assignments, then in the paper's orientation up to n = 8."""
+    rng = np.random.default_rng((2, n, seed))
+    rho = sample_density(4, 4, rng)
+    bob = [sample_povm(2, 2, rng) for _ in range(2)]
+    alice = [sample_povm(2, 2, rng) for _ in range(n)]
+    box = quantum_box(rho, alice, bob)
+    swapped = Box(Scenario(box.scenario.outcomes_b, box.scenario.outcomes_a), box.p.transpose(1, 0, 3, 2))
+    fods = (fod_exact(swapped)[0], *([fod_exact(box)[0]] if n <= 8 else []))
+    return fod_floor_pipeline(rho, bob[0], bob[1], alice), fods
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 128])
+def test_two_by_n_realizations_keep_their_determinism(n):
+    # the paper's 2 x n claim; no listing of the n-input party reaches n = 32
+    floor = binary_bob_bounds().fod_bound
+    for seed in range(3):
+        trace, fods = two_by_n_fods(n, seed)
+        assert fods[0] >= floor
+        assert trace.passed and trace.theorem_form <= trace.c <= fods[0]
+        # fod is one cell of the box, whichever party is searched
+        assert [fod.hex() for fod in fods] == [fods[0].hex()] * (1 + (n <= 8))
 
 
 def test_mu_objective_values():

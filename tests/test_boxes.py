@@ -16,6 +16,7 @@ from nonlocality.boxes import (
     Box,
     DeterministicStrategy,
     Scenario,
+    _alice_side,
     assignments,
     bell_algebraic_max,
     bell_det_max,
@@ -231,7 +232,10 @@ def test_chsh_functional_maxima():
     assert f.deterministic_max == pytest.approx(2.0)
     assert bell_algebraic_max(f) == pytest.approx(4.0)
     assert bell_det_max(f) == pytest.approx(2.0)
-    sc = Scenario((2,) * 10, (2,) * 10)  # 2^20 strategies > 10^6
+    # the search builds 2^10 x 10 x 2 cells, though 2^20 strategies exceed 10^6
+    sc = Scenario((2,) * 10, (2,) * 10)
+    assert bell_det_max(BellFunctional(sc, np.ones(sc.shape))) == 100.0
+    sc = Scenario((2,) * 19, (2, 2))  # the search's 2^19 x 2 x 2 cells > 10^6
     with pytest.raises(ValueError, match="budget"):
         bell_det_max(BellFunctional(sc, np.zeros(sc.shape)))
 
@@ -349,6 +353,42 @@ def test_assignments_pair_up_in_enumeration_order(sc):
     alice, bob = assignments(sc.outcomes_a), assignments(sc.outcomes_b)
     paired = [DeterministicStrategy(a, b) for a in alice for b in bob]
     assert paired == enumerate_deterministic(sc)
+
+
+def test_assignments_past_64_inputs():
+    # numpy arrays stop at 64 dimensions; the table needs none per input
+    outcomes = (1,) * 70 + (2, 3)
+    table = assignments(outcomes)
+    assert table.dtype == np.intp
+    assert table.tolist() == [list(row) for row in itertools.product(*map(range, outcomes))]
+
+
+def test_alice_side_folds_inputs_in_x_order():
+    # g is each assignment's slices folded in x order. A gather reduced by
+    # np.min or np.sum has its bits, except where np.sum sums pairwise: 8 or
+    # more Alice inputs against a single Bob cell
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        outcomes_a = tuple(rng.integers(1, 4, size=rng.integers(1, 13)).tolist())
+        outcomes_b = (1,) if rng.random() < 0.3 else tuple(rng.integers(1, 4, size=rng.integers(1, 5)).tolist())
+        if math.prod(outcomes_a) > 2000:
+            continue
+        sc = Scenario(outcomes_a, outcomes_b)
+        table = np.where(sc.inside, rng.normal(size=sc.shape), 0.0)
+        alice = assignments(outcomes_a)
+        for ufunc, reduce in ((np.minimum, np.min), (np.add, np.sum)):
+            g = _alice_side(table, sc, ufunc)
+            folded = table[0, :, alice[:, 0], :]
+            for x in range(1, sc.inputs_a):
+                folded = ufunc(folded, table[x, :, alice[:, x], :])
+            gathered = reduce(table[np.arange(sc.inputs_a), :, alice, :], axis=1)
+            for oracle in (folded, gathered):
+                oracle[:, ~sc.inside[0, :, 0, :]] = -np.inf
+            assert g.tobytes() == folded.tobytes()
+            if ufunc is np.minimum or sc.shape[1] * sc.shape[3] > 1:
+                assert g.tobytes() == gathered.tobytes()
+            else:
+                np.testing.assert_allclose(g, gathered, rtol=1e-13, atol=1e-13)
 
 
 def _random_functional(sc: Scenario, rng) -> BellFunctional:

@@ -34,6 +34,7 @@ from nonlocality.boxes import (
     tsirelson_realization,
 )
 from nonlocality.cli import main
+from nonlocality.states import singlet, xz_spin_povm
 
 # the golden-report module runs on its own where only numpy is installed;
 # importing its tests here is how the suite runs them
@@ -171,18 +172,43 @@ def test_box_checks_no_signalling_once_per_box(monkeypatch, tmp_path):
 
 
 def test_box_lists_each_party_once(monkeypatch, capsys):
-    # fod, cf and cf's dual certificate read the strategy tables of one scenario
+    # nothing is cached, and only cf's LP lists tables, each party's once:
+    # fod, bell and cf's dual certificate search without a table
     listed = []
 
     def counted(outcomes):
-        listed.append(assignments(outcomes))
-        return listed[-1]
+        listed.append(tuple(outcomes))
+        return assignments(outcomes)
 
     monkeypatch.setattr(boxes, "assignments", counted)
-    assert main(["box", str(GOLDEN / "inputs" / "chained6_v095_box.json"), "--ops", "ns,fod,cf"]) == 0
+    box, functional = GOLDEN / "inputs" / "uneven3_box.json", GOLDEN / "inputs" / "uneven3_functional.json"
+    alice, bob = (2, 3, 2), (2, 2, 3)
+    for ops, extra, expected in (
+        ("ns,fod,bell", ["--functional", str(functional)], []),
+        ("ns,fod,cf", [], [alice, bob]),
+    ):
+        listed.clear()
+        assert main(["box", str(box), "--ops", ops, *extra]) == 0
+        assert listed == expected
     capsys.readouterr()
-    assert [table.shape for table in listed] == [(64, 6), (64, 6)]
-    assert not any(table.flags.writeable for table in listed)
+
+
+def test_box_with_70_inputs_exits_0(tmp_path):
+    # 70 one-outcome inputs against 2 binary ones: 4 strategies
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(maximally_mixed_box(boxes.Scenario((1,) * 70, (2, 2))).to_dict()))
+    assert main(["box", str(path), "--ops", "ns,fod,cf", "--out", str(tmp_path / "r.json")]) == 0
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    assert [row["computed"] for row in rows[1:]] == [0.5, 1.0]
+
+
+def test_singlet2x40_input_is_its_recipe():
+    # the singlet measured in the x-z plane at seeded angles, 2 x 40 inputs
+    rng = np.random.default_rng(40)
+    alice = [xz_spin_povm(t) for t in rng.uniform(0.0, 2 * np.pi, 2)]
+    bob = [xz_spin_povm(t) for t in rng.uniform(0.0, 2 * np.pi, 40)]
+    frozen = Box.from_dict(json.loads((GOLDEN / "inputs" / "singlet2x40.json").read_text()))
+    np.testing.assert_allclose(frozen.p, quantum_box(singlet(), alice, bob).p, rtol=0.0, atol=1e-15)
 
 
 def test_noisy_golden_box_has_a_residual():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from nonlocality import decomp
+from nonlocality import boxes, decomp
 from nonlocality.boxes import (
     BellFunctional,
     Box,
@@ -229,22 +230,95 @@ def test_fod_rejects_signalling():
 
 
 def test_fod_budget_passthrough():
-    # 10 binary inputs per side: 2^20 strategies exceed the 10^6 budget. Every
-    # entry point asks the one scenario for its listing and is refused the same
-    # way, again on a second call: a refused listing is not cached
+    # 10 binary inputs per side: 2^20 strategies exceed the 10^6 budget. The
+    # full listing's callers are refused the same way, again on a second call;
+    # the one-sided searches build only 2^10 x 10 x 2 cells and pass
     sc = Scenario((2,) * 10, (2,) * 10)
     box = maximally_mixed_box(sc)
     functional = BellFunctional(sc, np.zeros(sc.shape))
-    calls = [
-        lambda: enumerate_deterministic(sc),
-        lambda: local_box(sc, [1.0]),
-        lambda: fod_exact(box),
-        lambda: cf_exact(box),
-        lambda: bell_det_max(functional),
-    ]
+    calls = [lambda: enumerate_deterministic(sc), lambda: local_box(sc, [1.0]), lambda: cf_exact(box)]
     for call in calls * 2:
         with pytest.raises(ValueError, match="^enumeration needs 1048576 strategies, budget is 1000000$"):
             call()
+    for _ in range(2):
+        assert fod_exact(box) == (0.25, DeterministicStrategy((0,) * 10, (0,) * 10))
+        assert bell_det_max(functional) == 0.0
+    # 19 binary inputs against 2: the searches' 2^19 x 2 x 2 cells exceed it
+    sc = Scenario((2,) * 19, (2, 2))
+    box = maximally_mixed_box(sc)
+    functional = BellFunctional(sc, np.zeros(sc.shape))
+    for call in [lambda: fod_exact(box), lambda: bell_det_max(functional)] * 2:
+        with pytest.raises(ValueError, match="^enumeration needs 2097152 table cells, budget is 1000000$"):
+            call()
+
+
+def _traced(call) -> tuple:
+    """Bytes (held after, peak during) that tracemalloc sees for `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_fod_holds_no_table_past_the_call():
+    # nothing is cached on the scenario: the box lives, and no search array
+    # does (a cached listing once kept Alice's 2^16 x 16 table, 8.4 MB)
+    box = maximally_mixed_box(Scenario((2,) * 16, (2, 2)))
+    assert box.ns_report.passed
+    held, _ = _traced(lambda: fod_exact(box))
+    assert held < 0.1 * 2**20
+
+
+def test_searches_build_no_more_than_they_count():
+    # 2^15 x 30 x 1 search cells (7.9 MB); one gather over every x would take
+    # 15 times that
+    sc = Scenario((2,) * 15, (1,) * 30)
+    box = maximally_mixed_box(sc)
+    functional = BellFunctional(sc, np.zeros(sc.shape))
+    assert box.ns_report.passed
+    for call in (lambda: fod_exact(box), lambda: bell_det_max(functional)):
+        _, peak = _traced(call)
+        assert peak <= 24 * 2**20
+
+
+def test_wide_tables_are_counted_before_they_are_built(monkeypatch):
+    # 1000 one-outcome inputs add width but no assignment: the searches build
+    # only their 2^19 x 1 x 1 cells (4.2 MB), while cf's rows of Alice's LP
+    # factors would take 2^19 x 4096 cells, refused before any table is listed
+    sc = Scenario((1,) * 1000 + (2,) * 19, (1,))
+    box = maximally_mixed_box(sc)
+    functional = BellFunctional(sc, np.zeros(sc.shape))
+    assert box.ns_report.passed
+    for call in (lambda: fod_exact(box), lambda: bell_det_max(functional)):
+        _, peak = _traced(call)
+        assert peak <= 16 * 2**20
+
+    def unlisted(outcomes):
+        raise AssertionError("a table was listed")
+
+    monkeypatch.setattr(boxes, "assignments", unlisted)
+    with pytest.raises(ValueError, match="^enumeration needs 2147483648 table cells, budget is 1000000$"):
+        cf_exact(box)
+
+
+def test_cf_is_refused_before_its_lp(monkeypatch):
+    # per assignment of Alice, cf builds her table, one-hot and cell rows and
+    # a row of Bob's slots, 1 + 2 + 6 + 3 cells, which cover the 3 of its dual
+    # certificate's search: cf is refused before its LP, never after it
+    box = maximally_mixed_box(Scenario((2,), (1, 1, 1)))
+    monkeypatch.setattr(boxes, "ENUMERATION_BUDGET", 24)
+    assert cf_exact(box)[0] == 1.0
+
+    def unreached(lp):
+        raise AssertionError("the LP was solved")
+
+    monkeypatch.setattr(decomp, "simplex_solve", unreached)
+    for budget in (23, 6):
+        monkeypatch.setattr(boxes, "ENUMERATION_BUDGET", budget)
+        with pytest.raises(ValueError, match=f"^enumeration needs 24 table cells, budget is {budget}$"):
+            cf_exact(box)
 
 
 def test_cf_pr_box():

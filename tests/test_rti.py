@@ -19,7 +19,6 @@ from nonlocality.rti import (
     extremal_family,
     extremal_gaps,
     fvdg_check,
-    l1_distance,
     rotfeld_check,
     rti_campaign,
     rti_commuting_bound,
@@ -365,8 +364,8 @@ def test_classical_sharp_example_exact():
     for l, eps in ((2, 0.4), (3, 0.2), (4, 0.1)):
         ex = classical_sharp_example(l, eps)
         for g in ex.components:
-            assert abs(l1_distance(g, ex.h) - (2.0 - eps)) < 1e-12
-        assert abs(l1_distance(ex.mixture(), ex.h) - (2.0 - l * eps)) < 1e-12
+            assert abs(np.abs(g - ex.h).sum() - (2.0 - eps)) < 1e-12
+        assert abs(np.abs(ex.mixture() - ex.h).sum() - (2.0 - l * eps)) < 1e-12
 
 
 def test_classical_sharp_example_validation():

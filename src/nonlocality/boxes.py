@@ -62,9 +62,6 @@ class Scenario:
         mask.setflags(write=False)
         return mask
 
-    def strategy_count(self) -> int:
-        return math.prod(self.outcomes_a + self.outcomes_b)
-
     def to_dict(self) -> dict:
         return {
             "nA": self.inputs_a,
@@ -327,13 +324,16 @@ def _assignment(counts: tuple, rows) -> np.ndarray:
     return np.array(digits[::-1]).T
 
 
-def _listing(scenario: Scenario, full: bool, widths: tuple = (0, 0)) -> tuple:
+def _listing(scenario: Scenario, full: bool, widths: tuple = (0, 0), once: int = 0) -> tuple:
     """Alice's and Bob's `assignments` for a `full` listing, else none, made
     afresh once what the caller builds fits ENUMERATION_BUDGET: a full
-    listing's strategies, and the larger party's assignment count times its
-    `widths`, the cells built per assignment (a full listing adds its table's)."""
+    listing's strategies, and the largest of three cell counts: each party's
+    assignment count times its `widths`, the cells built per assignment (a
+    full listing adds its table's), and `once`, the cells of the largest
+    array the caller builds once per call (`cf_exact`'s simplex table)."""
     alpha, beta = math.prod(scenario.outcomes_a), math.prod(scenario.outcomes_b)
-    cells = max(alpha * (widths[0] + full * scenario.inputs_a), beta * (widths[1] + full * scenario.inputs_b))
+    sides = alpha * (widths[0] + full * scenario.inputs_a), beta * (widths[1] + full * scenario.inputs_b)
+    cells = max(*sides, once)
     for count, unit in ((full * alpha * beta, "strategies"), (cells, "table cells")):
         if count > ENUMERATION_BUDGET:
             raise ValueError(f"enumeration needs {count} {unit}, budget is {ENUMERATION_BUDGET}")

@@ -56,10 +56,11 @@ class _StrategyLP:
     (alice[i], bob[j]); its ones sit in the cell rows where `alice_rows[i]`,
     one-hot over Alice's (x, a), and `bob_rows[j]`, one-hot over Bob's
     (y, b), are both 1, and in the last row, the sum row. Cell row r is the
-    r-th cell of the scenario's `inside` mask; `slots[r]` is its flat
-    position in the (x, a) x (y, b) grid, and `alice_cells[i, r]` and
-    `bob_cells[j, r]` are the factor entries there, whose product is column
-    i * len(bob) + j.
+    r-th cell of the scenario's `inside` mask; it sits in column `slot_a[r]`
+    of the factor U = `alice_rows` and column `slot_b[r]` of V = `bob_rows`,
+    and the product of the factor entries there is column i * len(bob) + j.
+    The LP holds each factor once: the entries at the cell rows are read
+    through the slots when a column is asked for.
 
     The matrix a is never stored: the simplex asks for single columns
     (`_column`) and prices every column through the factors as U Y V^T
@@ -69,30 +70,31 @@ class _StrategyLP:
     b: np.ndarray
     alice_rows: np.ndarray
     bob_rows: np.ndarray
-    slots: np.ndarray
-    alice_cells: np.ndarray
-    bob_cells: np.ndarray
+    slot_a: np.ndarray
+    slot_b: np.ndarray
 
     @property
     def a(self) -> np.ndarray:
         """The dense rows x strategies matrix, built afresh on each read.
         Only the tests' dense oracles and the benchmark's tracer read it."""
-        cells = self.alice_cells.T[:, :, None] * self.bob_cells.T[:, None, :]
+        cells = self.alice_rows[:, self.slot_a].T[:, :, None] * self.bob_rows[:, self.slot_b].T[:, None, :]
         return np.vstack([cells.reshape(len(self.b) - 1, -1), np.ones(len(self.c))])
 
     def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
         """1 - y_sum - U Y V^T, flattened in column order, with Y the cell
         duals laid out on the (x, a) x (y, b) grid, 0 on padded cells."""
-        cols_a, cols_b = self.alice_rows.shape[1], self.bob_rows.shape[1]
-        grid = np.zeros(cols_a * cols_b)
-        grid[self.slots] = y[:-1]
-        return (1.0 - y[-1]) - (self.alice_rows @ grid.reshape(cols_a, cols_b) @ self.bob_rows.T).ravel()
+        grid = np.zeros((self.alice_rows.shape[1], self.bob_rows.shape[1]))
+        grid[self.slot_a, self.slot_b] = y[:-1]
+        # in place: a second strategies-long temporary per pivot costs fresh pages
+        priced = self.alice_rows @ grid @ self.bob_rows.T
+        return np.subtract(1.0 - y[-1], priced, out=priced).ravel()
 
     def _column(self, e: int) -> np.ndarray:
-        """Column e of a."""
-        i, j = divmod(e, len(self.bob_cells))
+        """Column e of a: row i of U read at `slot_a` times row j of V read
+        at `slot_b`, each a 1-D gather from a row, numpy's fast path."""
+        i, j = divmod(e, len(self.bob_rows))
         col = np.empty(len(self.b))
-        np.multiply(self.alice_cells[i], self.bob_cells[j], out=col[:-1])
+        np.multiply(self.alice_rows[i][self.slot_a], self.bob_rows[j][self.slot_b], out=col[:-1])
         col[-1] = 1.0
         return col
 
@@ -279,26 +281,23 @@ def cf_exact(box: Box):
     _require_ns(box, "classical fraction")
     sc = box.scenario
     inputs_a, inputs_b, max_a, max_b = sc.shape
-    # per assignment a one-hot row and a row over the cell rows, and on Alice's
-    # side a row over Bob's slots for pricing and the dual certificate's search
+    # per assignment a one-hot row, and on Alice's side a row over Bob's slots
+    # for pricing and the dual certificate's search; once, the simplex's table
     rows, width_a, width_b = int(sc.inside.sum()), inputs_a * max_a, inputs_b * max_b
-    alice, bob = _listing(sc, full=True, widths=(width_a + rows + width_b, width_b + rows))
+    alice, bob = _listing(sc, full=True, widths=(width_a + width_b, width_b), once=(rows + 1) * (rows + 2))
     n = len(alice) * len(bob)
-    alice_rows, bob_rows = _one_hot(alice, max_a), _one_hot(bob, max_b)
     # one row per cell inside the outcome counts, in (x, y, a, b) order, then the
     # row sum c <= 1; column i * len(bob) + j, strategy (alice[i], bob[j]), has a one
     # in the row of each cell it sets: the product of its two one-hot entries
     x, y, out_a, out_b = np.nonzero(sc.inside)
-    slot_a, slot_b = x * max_a + out_a, y * max_b + out_b
     cells = box.p[x, y, out_a, out_b]
     lp = _StrategyLP(
         c=np.ones(n),
         b=np.append(np.where(cells > 0.0, cells, 0.0), 1.0),
-        alice_rows=alice_rows,
-        bob_rows=bob_rows,
-        slots=slot_a * (inputs_b * max_b) + slot_b,
-        alice_cells=alice_rows[:, slot_a],
-        bob_cells=bob_rows[:, slot_b],
+        alice_rows=_one_hot(alice, max_a),
+        bob_rows=_one_hot(bob, max_b),
+        slot_a=x * max_a + out_a,
+        slot_b=y * max_b + out_b,
     )
     # nonnegative: basic values are checked above -LP_TOL and those below LP_TOL zeroed
     solved = simplex_solve(lp)

@@ -39,7 +39,7 @@ def test_scenario_validation_and_roundtrip():
     sc = Scenario((2, 3), (2,))
     assert sc.inputs_a == 2 and sc.inputs_b == 1
     assert sc.shape == (2, 1, 3, 2)
-    assert sc.strategy_count() == 2 * 3 * 2
+    assert math.prod(sc.outcomes_a + sc.outcomes_b) == 2 * 3 * 2
     assert Scenario.from_dict(sc.to_dict()) == sc
     with pytest.raises(ValueError):
         Scenario((), (2,))
@@ -103,10 +103,6 @@ def test_tables_reject_non_finite_cells(bad):
     d["s"][0][1][1][0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         BellFunctional.from_dict(d)
-
-
-def test_chsh_scenario_strategy_count():
-    assert chsh_scenario().strategy_count() == 16
 
 
 def test_box_table_validation():

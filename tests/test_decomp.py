@@ -285,8 +285,9 @@ def test_searches_build_no_more_than_they_count():
 
 def test_wide_tables_are_counted_before_they_are_built(monkeypatch):
     # 1000 one-outcome inputs add width but no assignment: the searches build
-    # only their 2^19 x 1 x 1 cells (4.2 MB), while cf's rows of Alice's LP
-    # factors would take 2^19 x 4096 cells, refused before any table is listed
+    # only their 2^19 x 1 x 1 cells (4.2 MB), while cf's rows of Alice's table,
+    # one-hot factor and pricing would take 2^19 x 3058 cells, refused before
+    # any table is listed
     sc = Scenario((1,) * 1000 + (2,) * 19, (1,))
     box = maximally_mixed_box(sc)
     functional = BellFunctional(sc, np.zeros(sc.shape))
@@ -299,25 +300,26 @@ def test_wide_tables_are_counted_before_they_are_built(monkeypatch):
         raise AssertionError("a table was listed")
 
     monkeypatch.setattr(boxes, "assignments", unlisted)
-    with pytest.raises(ValueError, match="^enumeration needs 2147483648 table cells, budget is 1000000$"):
+    with pytest.raises(ValueError, match="^enumeration needs 1603272704 table cells, budget is 1000000$"):
         cf_exact(box)
 
 
 def test_cf_is_refused_before_its_lp(monkeypatch):
-    # per assignment of Alice, cf builds her table, one-hot and cell rows and
-    # a row of Bob's slots, 1 + 2 + 6 + 3 cells, which cover the 3 of its dual
-    # certificate's search: cf is refused before its LP, never after it
+    # cf builds the simplex's 7 x 8 table for its 6 cell rows and the sum row,
+    # more than the 2 x (1 + 2 + 3) cells of Alice's table, one-hot and
+    # pricing rows, which cover the 2 x 3 of its dual certificate's search:
+    # cf is refused before its LP, never after it
     box = maximally_mixed_box(Scenario((2,), (1, 1, 1)))
-    monkeypatch.setattr(boxes, "ENUMERATION_BUDGET", 24)
+    monkeypatch.setattr(boxes, "ENUMERATION_BUDGET", 56)
     assert cf_exact(box)[0] == 1.0
 
     def unreached(lp):
         raise AssertionError("the LP was solved")
 
     monkeypatch.setattr(decomp, "simplex_solve", unreached)
-    for budget in (23, 6):
+    for budget in (55, 6):
         monkeypatch.setattr(boxes, "ENUMERATION_BUDGET", budget)
-        with pytest.raises(ValueError, match=f"^enumeration needs 24 table cells, budget is {budget}$"):
+        with pytest.raises(ValueError, match=f"^enumeration needs 56 table cells, budget is {budget}$"):
             cf_exact(box)
 
 
@@ -626,7 +628,7 @@ wide_scenarios = st.builds(
     Scenario,
     st.lists(st.integers(2, 3), min_size=1, max_size=4).map(tuple),
     st.lists(st.integers(2, 3), min_size=1, max_size=4).map(tuple),
-).filter(lambda sc: sc.strategy_count() <= 576)
+).filter(lambda sc: math.prod(sc.outcomes_a + sc.outcomes_b) <= 576)
 
 
 @given(

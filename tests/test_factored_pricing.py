@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocality import decomp
+from nonlocality import boxes, decomp
 from nonlocality.boxes import Box, BellFunctional, Scenario, bell_det_max, bell_value, maximally_mixed_box
 from nonlocality.cli import main
 from nonlocality.decomp import LP_TOL, _certify_duals, cf_exact, simplex_solve
@@ -125,6 +125,55 @@ def test_the_8x8_solve_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_the_9x9_solve_keeps_one_copy_of_its_factors():
+    # the LP holds U and V and reads them at the cell rows through its two
+    # slot vectors; copies of both read at the cell rows would add 2^9 x 324
+    # doubles per side, 2.7 MB, to the peak
+    box = chained_singlet(9, 1.0)
+    tracemalloc.start()
+    try:
+        cf_exact(box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5e6
+
+
+def test_cf_on_2_to_the_19_strategies_reaches_its_solve(monkeypatch):
+    # 2^12 x 2^7 binary: Alice's one-hot and pricing rows take 2^12 x 50
+    # cells and the simplex's table 337 x 338, all inside the budget
+    class Solved(Exception):
+        pass
+
+    def solved(lp):
+        raise Solved
+
+    monkeypatch.setattr(decomp, "simplex_solve", solved)
+    with pytest.raises(Solved):
+        cf_exact(maximally_mixed_box(Scenario((2,) * 12, (2,) * 7)))
+
+
+def test_the_simplex_table_is_counted_before_it_is_built(monkeypatch, tmp_path, capsys):
+    # 32 one-outcome inputs per side make one strategy but 1024 cell rows,
+    # whose simplex table of 1025 x 1026 doubles is refused before any
+    # assignment table is listed or any LP is solved, by the library and the CLI
+    box = maximally_mixed_box(Scenario((1,) * 32, (1,) * 32))
+
+    def unreached(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(boxes, "assignments", unreached)
+    monkeypatch.setattr(decomp, "simplex_solve", unreached)
+    message = "enumeration needs 1051650 table cells, budget is 1000000"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cf_exact(box)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(box.to_dict()))
+    assert main(["box", str(path), "--ops", "ns,cf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def _assert_same_pivots_and_bits(box: Box):

@@ -23,8 +23,8 @@ from .states import (
     DensityMatrix,
     Ensemble,
     Povm,
-    _average_distance,
     _check_counts,
+    _mixture,
     steer,
     trace_distance,
     truncate_ensemble,
@@ -119,15 +119,30 @@ def confusing_outcome(rho: DensityMatrix, sigma: DensityMatrix, povm: Povm) -> C
 
 def _confusing_outcome(rho, sigma, povm: Povm, distance: float) -> ConfusingOutcome:
     """`confusing_outcome` for state matrices at a known trace distance: the
-    Born rule for both states and every outcome in one stacked product."""
-    eps = (2.0 - distance) / (2.0 * len(povm))
-    probs = np.real((povm.elements @ np.stack([rho, sigma])[:, None]).trace(axis1=-2, axis2=-1))
-    hits = np.flatnonzero(np.minimum(*probs) >= eps - 1e-10)
-    if not hits.size:
-        raise RuntimeError("no outcome reached the guaranteed overlap floor")
-    r = int(hits[0])
-    p, q = probs[:, r].tolist()
-    return ConfusingOutcome(index=r, epsilon=eps, prob_rho=p, prob_sigma=q)
+    one-POVM case of `_confusing_outcomes`."""
+    return _confusing_outcomes(rho, sigma, [povm], distance)[0]
+
+
+def _confusing_outcomes(rho, sigma, povms, distance: float) -> list:
+    """`_confusing_outcome` under each POVM of `povms`, whose outcome counts
+    may differ: the Born rule for both states and every element of every
+    POVM is one stacked product, and each POVM searches only its own
+    outcomes, against its own floor (2 - distance) / (2 k)."""
+    elements = np.concatenate([povm.elements for povm in povms])
+    probs = np.real((elements @ np.stack([rho, sigma])[:, None]).trace(axis1=-2, axis2=-1))
+    overlap = np.minimum(*probs)
+    found, start = [], 0
+    for povm in povms:
+        stop = start + len(povm)
+        eps = (2.0 - distance) / (2.0 * len(povm))
+        hits = np.flatnonzero(overlap[start:stop] >= eps - 1e-10)
+        if not hits.size:
+            raise RuntimeError("no outcome reached the guaranteed overlap floor")
+        r = int(hits[0])
+        p, q = probs[:, start + r].tolist()
+        found.append(ConfusingOutcome(index=r, epsilon=eps, prob_rho=p, prob_sigma=q))
+        start = stop
+    return found
 
 
 @dataclass(frozen=True)
@@ -143,22 +158,37 @@ class ClosePair(Record):
 
 
 def close_pair(e1: Ensemble, e2: Ensemble) -> ClosePair:
-    """Minimum-distance pair (first in i-major scan order on ties). All
-    l1 l2 cross distances are one stacked trace norm."""
+    """Minimum-distance pair (first in i-major scan order on ties). The
+    distance of the averages and all l1 l2 cross distances are one stacked
+    trace norm."""
     if e1.dim != e2.dim:
         raise ValueError("ensembles must share a dimension")
-    x = _average_distance(e1, e2)
+    return _close_pair(e1, e2)[0]
+
+
+def _close_pair(e1: Ensemble, e2: Ensemble, *averaged) -> tuple[ClosePair, list]:
+    """`close_pair` of two ensembles of one dimension, and the trace distance
+    of the averages of each further pair of ensembles in `averaged`, as a
+    list. One trace norm takes the stack of the further pairs' average
+    differences, then e1's and e2's, then every e1[i] - e2[j], i-major."""
+    l1, l2, d = len(e1), len(e2), e1.dim
+    n = len(averaged) + 1
+    diffs = np.empty((n + l1 * l2, d, d), dtype=complex)
+    for slot, (a, b) in enumerate((*averaged, (e1, e2))):
+        np.subtract(_mixture(a.weights, a.states), _mixture(b.weights, b.states), out=diffs[slot])
+    np.subtract(e1.states[:, None], e2.states[None, :], out=diffs[n:].reshape(l1, l2, d, d))
+    norms = trace_norm(diffs)
+    x = float(norms[n - 1])
     if x >= 2.0:
         raise ValueError("ensemble averages are perfectly distinguishable")
-    eps = epsilon_from_average_distance(x, len(e1), len(e2))
-    distances = trace_norm(e1.states[:, None] - e2.states[None, :])
+    eps = epsilon_from_average_distance(x, l1, l2)
+    distances = norms[n:].reshape(l1, l2)
     i, j = np.unravel_index(int(np.argmin(distances)), distances.shape)
     best_d = float(distances[i, j])
     if best_d > 2.0 - eps + SLACK_TOL:
         raise RuntimeError("closest pair misses its guaranteed closeness floor")
-    return ClosePair(
-        i=int(i), j=int(j), distance=best_d, epsilon=eps, average_distance=x
-    )
+    pair = ClosePair(i=int(i), j=int(j), distance=best_d, epsilon=eps, average_distance=x)
+    return pair, norms[: n - 1].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +243,12 @@ def fod_floor_pipeline(
     turn dominates the universal theorem floor. `vacuous` is always False:
     truncation never empties an ensemble. `quantum_box` rejects an empty
     Alice list and Bob measurements of unequal dimension.
+
+    Past the two `steer` calls the numeric work is two stacked passes: one
+    trace norm over the full and the truncated average differences and
+    every cross difference (`_close_pair`), and one Born-rule product for
+    both states of the close pair under every Alice input
+    (`_confusing_outcomes`).
     """
     alice = list(alice_povms)
     if mu is None:
@@ -228,14 +264,14 @@ def fod_floor_pipeline(
     l = max(l1, l2)
     threshold = 1.0 / (l * mu)
     bound = universal_fod_bound(k, l1, l2)
-    average_distance = _average_distance(ens1, ens2)
 
     # each ensemble's heaviest member weighs at least 1/l > 1/(l mu) = threshold
     t1, delta1 = truncate_ensemble(ens1, threshold)
     t2, delta2 = truncate_ensemble(ens2, threshold)
     x_bound = 2.0 / (mu - 1.0)
     epsilon = epsilon_from_average_distance(x_bound, len(t1), len(t2))
-    pair = close_pair(t1, t2)
+    # quantum_box has checked that both Bob measurements steer Alice's side
+    pair, (average_distance,) = _close_pair(t1, t2, (ens1, ens2))
     truncated_average_distance = pair.average_distance
     rho_pair = t1.states[pair.i]
     sigma_pair = t2.states[pair.j]
@@ -271,12 +307,10 @@ def fod_floor_pipeline(
         InequalityRecord("theorem floor <= realized c", bound.theorem_form, c),
     ]
 
-    confusing = []
+    # quantum_box has checked that Alice's side is the steered side
+    confusing = _confusing_outcomes(rho_pair, sigma_pair, alice, pair.distance)
     box_entries = []
-    for x, povm in enumerate(alice):
-        # quantum_box has checked that Alice's side is the steered side
-        co = _confusing_outcome(rho_pair, sigma_pair, povm, pair.distance)
-        confusing.append(co)
+    for x, co in enumerate(confusing):
         records.append(
             InequalityRecord(
                 f"input {x}: epsilon/(2k) <= confusing floor",

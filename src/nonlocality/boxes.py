@@ -301,8 +301,10 @@ def _strategy(alice: np.ndarray, bob: np.ndarray) -> DeterministicStrategy:
 
 
 def enumerate_deterministic(scenario: Scenario):
-    """All deterministic strategies, lexicographic with Alice assignments outer."""
-    alice, bob = _listing(scenario, full=True)
+    """All deterministic strategies, lexicographic with Alice assignments outer.
+    The budget counts their outputs: nA + nB per strategy."""
+    strategies = math.prod(scenario.outcomes_a) * math.prod(scenario.outcomes_b)
+    alice, bob = _listing(scenario, full=True, once=strategies * (scenario.inputs_a + scenario.inputs_b))
     return [_strategy(a, b) for a in alice for b in bob]
 
 
@@ -330,7 +332,8 @@ def _listing(scenario: Scenario, full: bool, widths: tuple = (0, 0), once: int =
     listing's strategies, and the largest of three cell counts: each party's
     assignment count times its `widths`, the cells built per assignment (a
     full listing adds its table's), and `once`, the cells of the largest
-    array the caller builds once per call (`cf_exact`'s simplex table)."""
+    array the caller builds once per call (`cf_exact`'s simplex table,
+    the outputs of `enumerate_deterministic`'s strategies)."""
     alpha, beta = math.prod(scenario.outcomes_a), math.prod(scenario.outcomes_b)
     sides = alpha * (widths[0] + full * scenario.inputs_a), beta * (widths[1] + full * scenario.inputs_b)
     cells = max(*sides, once)

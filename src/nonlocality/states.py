@@ -72,18 +72,25 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _check_state_matrix(mat, lo: float, hi: float, what: str) -> np.ndarray:
+def _check_psd(mat, what: str) -> np.ndarray:
     """Hermitian part of a matrix or (..., d, d) stack, read-only, after
-    checking that every matrix is PSD with trace in [lo, hi]. NaN fails."""
+    checking that every matrix is PSD within PSD_TOL. NaN or an infinite
+    entry fails the Hermitian check."""
     m = require_hermitian(mat)
     mn = float(np.linalg.eigvalsh(m).min())
     if not mn >= -PSD_TOL:
         raise ValueError(f"{what} is not PSD: min eigenvalue = {mn:.3e}")
+    m.setflags(write=False)
+    return m
+
+
+def _check_state_matrix(mat, lo: float, hi: float, what: str) -> np.ndarray:
+    """`_check_psd`, also checking that every trace lies in [lo, hi]."""
+    m = _check_psd(mat, what)
     traces = np.real(m.trace(axis1=-2, axis2=-1))
     outside = traces[~((lo - TRACE_TOL <= traces) & (traces <= hi + TRACE_TOL))]
     if outside.size:
         raise ValueError(f"{what} has trace {float(outside[0])!r}, expected within [{lo}, {hi}]")
-    m.setflags(write=False)
     return m
 
 
@@ -124,7 +131,9 @@ def _check_povm_sum(elements: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class Povm:
     """PSD elements summing to the identity within POVM_SUM_TOL, kept as one
-    read-only (k, d, d) stack. `sample_povm` builds its POVMs without the
+    read-only (k, d, d) stack. An element's trace is checked by no window
+    of its own: the identity sum bounds it, and NaN or an infinite entry
+    fails the Hermitian check. `sample_povm` builds its POVMs without the
     PSD check; its docstring gives the bound they hold."""
 
     elements: np.ndarray
@@ -133,9 +142,7 @@ class Povm:
         shapes = {np.shape(e) for e in self.elements}
         if len(shapes) != 1 or len(min(shapes)) != 2:
             raise ValueError(f"POVM needs matrices of one shape, got shapes {sorted(shapes)}")
-        # Elements are PSD with any trace; the identity sum bounds it.
-        elems = as_complex_stack(self.elements)
-        checked = _check_state_matrix(elems, -np.inf, np.inf, "POVM element")
+        checked = _check_psd(as_complex_stack(self.elements), "POVM element")
         _check_povm_sum(checked)
         object.__setattr__(self, "elements", checked)
 
@@ -280,11 +287,6 @@ def ensemble_average(ensemble: Ensemble) -> DensityMatrix:
     rounding. Each bound can exceed what `DensityMatrix` accepts.
     """
     return _trusted(DensityMatrix, mat=_mixture(ensemble.weights, ensemble.states))
-
-
-def _average_distance(e1: Ensemble, e2: Ensemble) -> float:
-    """`trace_distance` of the two ensemble averages."""
-    return trace_norm(_mixture(e1.weights, e1.states) - _mixture(e2.weights, e2.states))
 
 
 def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:

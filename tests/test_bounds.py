@@ -44,6 +44,7 @@ from nonlocality.states import (
     trace_distance,
     xz_spin_povm,
 )
+from test_pipeline_oracle import assert_matches_oracle, realization
 
 MU_STAR = (5.0 + math.sqrt(17.0)) / 2.0
 F_STAR = 0.11340054556247131
@@ -409,6 +410,23 @@ def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_
     for s in (strategy, *decomposition.strategies):
         assert DeterministicStrategy(s.alice, s.bob) == s
         assert all(type(o) is int for o in s.alice + s.bob)
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(2, 3),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.integers(1, 4).flatmap(lambda l1: st.tuples(st.just(l1), st.integers(1, 4).filter(lambda l2: l2 != l1))),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(2.0, 20.0, exclude_min=True)),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_pipeline_matches_its_one_step_oracle(dim_a, dim_b, alice_outcomes, bob_outcomes, zero_outcome, mu, seed, data):
+    # rank 1 up to full; the zero Bob outcome is dropped by `steer`
+    rank = data.draw(st.integers(1, dim_a * dim_b))
+    rho, alice, bob = realization(seed, dim_a, dim_b, rank, tuple(alice_outcomes), bob_outcomes, zero_outcome)
+    assert_matches_oracle(rho, alice, bob, mu)
 
 
 def test_pipeline_validation():

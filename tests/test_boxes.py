@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nonlocality import boxes
 from nonlocality.boxes import (
     ENTRY_TOL,
     NORMALIZATION_TOL,
@@ -187,6 +188,16 @@ def test_enumeration_order_and_budget():
     assert strategies[4] == DeterministicStrategy((0, 1), (0, 0))
     with pytest.raises(ValueError, match="budget"):
         enumerate_deterministic(Scenario((2,) * 10, (2,) * 10))  # 2^20 > 10^6
+
+
+def test_enumeration_counts_the_outputs_it_builds(monkeypatch):
+    # 2^19 strategies fit the budget, but each holds 910 + 9 outputs
+    def build(*args):
+        raise AssertionError("built a strategy before the budget check")
+
+    monkeypatch.setattr(boxes, "_strategy", build)
+    with pytest.raises(ValueError, match="^enumeration needs 481820672 table cells, budget is 1000000$"):
+        enumerate_deterministic(Scenario((2,) * 10 + (1,) * 900, (2,) * 9))
 
 
 def test_deterministic_box_range_check():

@@ -46,7 +46,9 @@ from nonlocality.rti import (
     rti_general_bound,
     sample_rti_instance,
 )
+from nonlocality.linalg import PSD_TOL
 from nonlocality.states import (
+    POVM_SUM_TOL,
     WEIGHT_SUM_TOL,
     DensityMatrix,
     Ensemble,
@@ -521,3 +523,38 @@ def test_from_dict_reports_the_per_block_oracles_first_fault():
                 with pytest.raises(ValueError) as raised:
                     cls.from_dict(d)
                 assert str(raised.value) == expected
+
+
+def _povm_with(first: np.ndarray) -> tuple:
+    """Two 2 x 2 elements: `first` and I - `first`, entry by entry."""
+    return first, np.eye(2) - first
+
+
+def test_povm_rejects_what_its_checks_name():
+    # `Povm` checks no trace window: these are the faults it still names,
+    # each with the message of the full state check it used to share
+    half = np.eye(2) / 2
+    cases = [
+        ((np.array([[np.nan, 0.0], [0.0, 0.5]]), half), "matrix is not Hermitian: max|A - A^dag| = nan"),
+        ((np.array([[0.5, np.inf], [0.0, 0.5]]), half), "matrix is not Hermitian: max|A - A^dag| = inf"),
+        ((np.array([[0.5, 0.1], [0.0, 0.5]]), half), "matrix is not Hermitian: max|A - A^dag| = 1.000e-01"),
+        (_povm_with(np.diag([-3 * PSD_TOL, 0.5])), "POVM element is not PSD: min eigenvalue = -3.000e-10"),
+        ((half, np.diag([0.5 + 3 * POVM_SUM_TOL, 0.5])), "POVM does not sum to identity: max deviation = 3.000e-09"),
+    ]
+    for elements, message in cases:
+        with pytest.raises(ValueError) as raised:
+            Povm(elements)
+        assert str(raised.value) == message
+    # an infinite diagonal entry meets itself as inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError) as raised:
+            Povm((np.array([[np.inf, 0.0], [0.0, 0.5]]), half))
+    assert str(raised.value) == "matrix is not Hermitian: max|A - A^dag| = nan"
+    # inside each tolerance the same kinds of element pass
+    Povm(_povm_with(np.diag([-0.5 * PSD_TOL, 0.5])))
+    Povm((half, np.diag([0.5 + 0.5 * POVM_SUM_TOL, 0.5])))
+    # the trace window stays on states
+    with pytest.raises(ValueError) as raised:
+        DensityMatrix(np.diag([0.5, 0.6]))
+    assert str(raised.value) == "state has trace 1.1, expected within [1.0, 1.0]"

@@ -114,20 +114,15 @@ def confusing_outcome(rho: DensityMatrix, sigma: DensityMatrix, povm: Povm) -> C
     """
     if povm.dim != rho.dim or povm.dim != sigma.dim:
         raise ValueError("measurement and states must share a dimension")
-    return _confusing_outcome(rho.mat, sigma.mat, povm, trace_distance(rho, sigma))
-
-
-def _confusing_outcome(rho, sigma, povm: Povm, distance: float) -> ConfusingOutcome:
-    """`confusing_outcome` for state matrices at a known trace distance: the
-    one-POVM case of `_confusing_outcomes`."""
-    return _confusing_outcomes(rho, sigma, [povm], distance)[0]
+    return _confusing_outcomes(rho.mat, sigma.mat, [povm], trace_distance(rho, sigma))[0]
 
 
 def _confusing_outcomes(rho, sigma, povms, distance: float) -> list:
-    """`_confusing_outcome` under each POVM of `povms`, whose outcome counts
-    may differ: the Born rule for both states and every element of every
-    POVM is one stacked product, and each POVM searches only its own
-    outcomes, against its own floor (2 - distance) / (2 k)."""
+    """`confusing_outcome` for the state matrices rho and sigma at a known
+    trace distance, under each POVM of `povms`, whose outcome counts may
+    differ: the Born rule for both states and every element of every POVM
+    is one stacked product, and each POVM searches only its own outcomes,
+    against its own floor (2 - distance) / (2 k)."""
     elements = np.concatenate([povm.elements for povm in povms])
     probs = np.real((elements @ np.stack([rho, sigma])[:, None]).trace(axis1=-2, axis2=-1))
     overlap = np.minimum(*probs)

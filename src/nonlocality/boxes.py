@@ -451,14 +451,6 @@ class BellFunctional(_Table):
     scenario: Scenario
     s: np.ndarray
 
-    @cached_property
-    def algebraic_max(self) -> float:
-        return bell_algebraic_max(self)
-
-    @cached_property
-    def deterministic_max(self) -> float:
-        return bell_det_max(self)
-
 
 def bell_value(functional: BellFunctional, box: Box) -> float:
     if functional.scenario != box.scenario:

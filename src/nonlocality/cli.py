@@ -31,6 +31,8 @@ from .bounds import binary_bob_bounds, optimize_mu, universal_fod_bound
 from .boxes import (
     BellFunctional,
     Box,
+    bell_algebraic_max,
+    bell_det_max,
     bell_value,
     chsh_functional,
     maximally_mixed_box,
@@ -194,8 +196,8 @@ def cmd_reproduce(args) -> int:
     opt = optimize_mu()
     chsh = universal_fod_bound(2, 2, 2)
     binary = binary_bob_bounds(k=2)
-    mixed_fod, _ = fod_exact(maximally_mixed_box(pr_box().scenario))
     pr = pr_box()
+    mixed_fod, _ = fod_exact(maximally_mixed_box(pr.scenario))
     pr_fod, _ = fod_exact(pr)
     pr_cf, _ = cf_exact(pr)
     rho, alice, bob = tsirelson_realization()
@@ -272,7 +274,6 @@ def cmd_verify_rti(args) -> int:
                 report_row(
                     f"rti_{kind}_dim{summary.dim}_l{summary.l}",
                     summary.min_slack,
-                    provenance="derived",
                     passed=summary.violations == 0,
                     note=f"trials={summary.trials} violations={summary.violations}",
                 )
@@ -283,7 +284,6 @@ def cmd_verify_rti(args) -> int:
         report_row(
             "extremal_tightness_min_slack",
             tightness_slack,
-            provenance="derived",
             passed=tightness_slack >= -1e-12,
             note="min over r of mixture_gap^2 - 2 member_gap",
         )
@@ -292,7 +292,6 @@ def cmd_verify_rti(args) -> int:
         report_row(
             "extremal_gap_identity",
             identity_residual,
-            provenance="derived",
             passed=identity_residual <= 1e-10,
             note="max |measured - closed form| over the r grid",
         )
@@ -343,31 +342,22 @@ def cmd_box(args) -> int:
                 report_row(
                     "ns_max_violation",
                     ns.max_violation,
-                    provenance="derived",
                     passed=ns.passed,
                     note=ns.location or "",
                 )
             )
         elif op == "fod":
             value, strategy = fod_exact(box)
-            rows.append(
-                report_row(
-                    "fod",
-                    value,
-                    provenance="derived",
-                    note=f"alice={list(strategy.alice)} bob={list(strategy.bob)}",
-                )
-            )
+            note = f"alice={list(strategy.alice)} bob={list(strategy.bob)}"
+            rows.append(report_row("fod", value, note=note))
         elif op == "cf":
             value, decomposition = cf_exact(box)
-            rows.append(report_row("cf", value, provenance="derived"))
+            rows.append(report_row("cf", value))
             details["cf_decomposition"] = decomposition.to_dict()
         elif op == "bell":
-            rows.append(report_row("bell_value", bell_value(functional, box), provenance="derived"))
-            rows.append(report_row("bell_algebraic_max", functional.algebraic_max, provenance="derived"))
-            rows.append(
-                report_row("bell_deterministic_max", functional.deterministic_max, provenance="derived")
-            )
+            rows.append(report_row("bell_value", bell_value(functional, box)))
+            rows.append(report_row("bell_algebraic_max", bell_algebraic_max(functional)))
+            rows.append(report_row("bell_deterministic_max", bell_det_max(functional)))
     config = {"seed": args.seed, "path": args.path, "ops": ops, "format": args.format}
     return _emit(_assemble("box", config, rows, details), args.out, args.format)
 
@@ -375,12 +365,11 @@ def cmd_box(args) -> int:
 def cmd_bounds(args) -> int:
     bound = universal_fod_bound(args.k, args.l1, args.l2)
     rows = [
-        report_row("theorem_form", bound.theorem_form, provenance="derived"),
-        report_row("proof_form", bound.proof_form, provenance="derived"),
+        report_row("theorem_form", bound.theorem_form),
+        report_row("proof_form", bound.proof_form),
         report_row(
             "proof_form_le_theorem_form",
             bound.theorem_form - bound.proof_form,
-            provenance="derived",
             passed=bound.proof_form <= bound.theorem_form + 1e-15,
             note="the all-l form never exceeds the mixed form",
         ),
@@ -392,7 +381,6 @@ def cmd_bounds(args) -> int:
             report_row(
                 "bell_bound",
                 bell_bound_from_fod(args.beta_alg, args.beta_det, bound.theorem_form),
-                provenance="derived",
                 note="ceiling beta_alg - c (beta_alg - beta_det) at the theorem floor",
             )
         )

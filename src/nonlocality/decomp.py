@@ -80,14 +80,14 @@ class _StrategyLP:
         cells = self.alice_rows[:, self.slot_a].T[:, :, None] * self.bob_rows[:, self.slot_b].T[:, None, :]
         return np.vstack([cells.reshape(len(self.b) - 1, -1), np.ones(len(self.c))])
 
-    def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
-        """1 - y_sum - U Y V^T, flattened in column order, with Y the cell
-        duals laid out on the (x, a) x (y, b) grid, 0 on padded cells."""
+    def _reduced_costs(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Write 1 - y_sum - U Y V^T into `out`, in column order, with Y the
+        cell duals laid out on the (x, a) x (y, b) grid, 0 on padded cells."""
         grid = np.zeros((self.alice_rows.shape[1], self.bob_rows.shape[1]))
         grid[self.slot_a, self.slot_b] = y[:-1]
-        # in place: a second strategies-long temporary per pivot costs fresh pages
-        priced = self.alice_rows @ grid @ self.bob_rows.T
-        return np.subtract(1.0 - y[-1], priced, out=priced).ravel()
+        priced = out.reshape(len(self.alice_rows), len(self.bob_rows))
+        np.matmul(self.alice_rows @ grid, self.bob_rows.T, out=priced)
+        np.subtract(1.0 - y[-1], priced, out=priced)
 
     def _column(self, e: int) -> np.ndarray:
         """Column e of a: row i of U read at `slot_a` times row j of V read
@@ -114,9 +114,10 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     and a is never read whole: the LP hands out the entering column
     (`lp._column`).
 
-    Each pivot takes the duals y = c_B B^-1, prices every structural column
-    at once through `lp._reduced_costs(y)` and the slack columns as -y, and
-    enters the column with the largest reduced cost (`_largest_improving`).
+    Each pivot takes the duals y = c_B B^-1, prices every column of [a | I]
+    into one vector allocated per solve, the structural ones through
+    `lp._reduced_costs(y, out)` and the slack ones as -y, and enters the
+    column with the largest reduced cost (`_largest_improving`).
     A pivot whose step x_B[row] / col[row] is at most LP_TOL is a zero step;
     after m (the row count) zero steps in a row Bland's rule
     (`_first_improving`) chooses until a pivot moves x_B. Bland's rule cannot
@@ -145,10 +146,13 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     budget = 10 * (2 * m + n)
     iterations = 0
     zero_steps = 0  # consecutive pivots whose step is at most LP_TOL
+    reduced = np.empty(n + m)
     while True:
         y = cost_b @ inverse
+        lp._reduced_costs(y, reduced[:n])
+        np.negative(y, out=reduced[n:])
         rule = _first_improving if zero_steps >= m else _largest_improving
-        entering = rule(lp._reduced_costs(y), y)
+        entering = rule(reduced)
         if entering is None:
             break
         col = inverse @ lp._column(entering) if entering < n else inverse[:, entering - n].copy()
@@ -169,6 +173,7 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
             raise RuntimeError(f"simplex iteration budget {budget} exhausted")
     if not x_b.min(initial=np.inf) > -LP_TOL:
         raise RuntimeError("simplex stopped on a basis with a negative basic value")
+    del reduced  # freed before x: both are columns-long
     x = np.zeros(n + m)
     x[basis] = x_b
     x = np.where(np.abs(x) < LP_TOL, 0.0, x)
@@ -200,27 +205,22 @@ def _sparse_step(nonzeros: int, rows: int) -> bool:
     return nonzeros * (per_column * rows + fixed) < rows * rows + _FULL_STEP
 
 
-def _first_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
-    """Index in [a | I] of the first column whose reduced cost exceeds
-    LP_TOL, given the structural reduced costs and the duals y, or None."""
+def _first_improving(reduced: np.ndarray) -> int | None:
+    """Index of the first column of [a | I] whose reduced cost exceeds
+    LP_TOL, or None; a NaN never does."""
     improving = reduced > LP_TOL
-    if improving.any():
-        return int(improving.argmax())
-    improving = y < -LP_TOL  # slack reduced costs are -y
-    return len(reduced) + int(improving.argmax()) if improving.any() else None
+    return int(improving.argmax()) if improving.any() else None
 
 
-def _largest_improving(reduced: np.ndarray, y: np.ndarray) -> int | None:
-    """Index in [a | I] of the first column whose reduced cost is within
-    1e-12 of the largest, slack columns (priced as -y) included, or None
-    when no reduced cost exceeds LP_TOL. The window keeps the last bits of
-    the pricing from changing the pick between tied columns."""
-    top = max(reduced.max(initial=-np.inf), -y.min(initial=np.inf))
+def _largest_improving(reduced: np.ndarray) -> int | None:
+    """Index of the first column of [a | I], slack columns last, whose
+    reduced cost is within 1e-12 of the largest, or None when none exceeds
+    LP_TOL or one is NaN. The window keeps the last bits of the pricing from
+    changing the pick between tied columns."""
+    top = reduced.max()
     if not top > LP_TOL:
         return None
-    near = reduced >= top - 1e-12
-    first = int(near.argmax())
-    return first if near[first] else len(reduced) + int((-y >= top - 1e-12).argmax())
+    return int((reduced >= top - 1e-12).argmax())
 
 
 def _require_ns(box: Box, what: str):

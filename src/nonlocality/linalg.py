@@ -43,7 +43,9 @@ def require_hermitian(a) -> np.ndarray:
     m = as_complex_stack(a)
     # One adjoint serves both the check and the symmetrization.
     adjoint = m.conj().swapaxes(-1, -2)
-    defect = float(np.abs(m - adjoint).max())
+    # inf - inf, as on an infinite diagonal entry, is a NaN the check rejects
+    with np.errstate(invalid="ignore"):
+        defect = float(np.abs(m - adjoint).max())
     if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
     return (m + adjoint) / 2

@@ -25,6 +25,7 @@ from .linalg import hermitian_part, max_commutator_entry, psd_sqrt, trace_norm
 from .records import SLACK_TOL, InequalityRecord, Record
 from .states import (
     DensityMatrix,
+    Ensemble,
     SubnormalizedState,
     _check_counts,
     _check_state_matrix,
@@ -33,6 +34,7 @@ from .states import (
     _gram_state,
     _mixture,
     _trusted,
+    ensemble_average,
     fidelity,
     trace_distance,
 )
@@ -91,28 +93,22 @@ class RtiInstance:
     """
 
     sigma: DensityMatrix
-    rhos: tuple
-    weights: np.ndarray
+    ensemble: Ensemble
     epsilon: float
 
     def __post_init__(self):
-        rhos = tuple(self.rhos)
-        object.__setattr__(self, "weights", _check_weights(self.weights, (len(rhos),)))
-        if any(r.dim != self.sigma.dim for r in rhos):
+        if self.ensemble.dim != self.sigma.dim:
             raise ValueError("dimension mismatch between ensemble and reference")
-        _check_certificate(self.epsilon, self.tight_epsilon_of(rhos, self.sigma))
-        object.__setattr__(self, "rhos", rhos)
+        _check_certificate(self.epsilon, self.tight_epsilon_of(self.ensemble, self.sigma))
 
     @staticmethod
-    def tight_epsilon_of(rhos, sigma) -> float:
-        return 2.0 - min(trace_distance(r, sigma) for r in rhos)
+    def tight_epsilon_of(ensemble: Ensemble, sigma: DensityMatrix) -> float:
+        """2 minus the smallest member distance to sigma, one stacked trace norm."""
+        return 2.0 - float(trace_norm(ensemble.states - sigma.mat).min())
 
     @property
     def l(self) -> int:
-        return len(self.rhos)
-
-    def mixture(self) -> np.ndarray:
-        return _mixture(self.weights, np.stack([r.mat for r in self.rhos]))
+        return len(self.ensemble)
 
 
 @dataclass(frozen=True)
@@ -147,11 +143,11 @@ def verify_rti(instance: RtiInstance, commuting: bool = False) -> RtiReport:
     `commuting` set, all pairwise commutators must vanish within COMMUTE_TOL.
     """
     if commuting:
-        _check_commuting([r.mat for r in instance.rhos] + [instance.sigma.mat])
-    tight = RtiInstance.tight_epsilon_of(instance.rhos, instance.sigma)
+        _check_commuting([*instance.ensemble.states, instance.sigma.mat])
+    tight = RtiInstance.tight_epsilon_of(instance.ensemble, instance.sigma)
     eps = instance.epsilon if abs(tight - instance.epsilon) <= CERTIFICATE_TOL else tight
     eps = min(max(eps, 0.0), 2.0)
-    lhs = trace_norm(instance.mixture() - instance.sigma.mat)
+    lhs = trace_norm(ensemble_average(instance.ensemble).mat - instance.sigma.mat)
     bound = rti_commuting_bound(instance.l, eps) if commuting else rti_general_bound(instance.l, eps)
     return RtiReport(
         lhs=lhs,
@@ -421,9 +417,10 @@ def sample_rti_instance(dim: int, l: int, seed, commuting: bool = False) -> RtiI
         for mat in mats.reshape((-1,) + mats.shape[-2:]):
             DensityMatrix(mat)
     sigma = _trusted(DensityMatrix, mat=sigma[0])
-    rhos = tuple(_trusted(DensityMatrix, mat=m) for m in rhos[0])
-    eps = RtiInstance.tight_epsilon_of(rhos, sigma)
-    return RtiInstance(sigma=sigma, rhos=rhos, weights=weights[0], epsilon=eps)
+    weights = _check_weights(weights[0], (l,))
+    ensemble = _trusted(Ensemble, weights=weights, states=rhos[0], labels=tuple(range(l)))
+    eps = RtiInstance.tight_epsilon_of(ensemble, sigma)
+    return RtiInstance(sigma=sigma, ensemble=ensemble, epsilon=eps)
 
 
 # NumPy's SeedSequence hash constants and PCG64's multiplier, as

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nonlocality import bounds, decomp
 from nonlocality.boxes import Box, DeterministicStrategy, Scenario, quantum_box, tsirelson_realization
 from nonlocality.bounds import (
-    _confusing_outcome,
+    _confusing_outcomes,
     binary_bob_bounds,
     close_pair,
     confusing_outcome,
@@ -165,7 +165,7 @@ def test_confusing_outcome_orthogonal_states():
     assert co.index == 0  # a zero floor is met immediately
     # claimed to be at distance 0, they would need overlap 1/2 on some outcome
     with pytest.raises(RuntimeError, match="guaranteed overlap floor"):
-        _confusing_outcome(basis_state(0, 2).mat, basis_state(1, 2).mat, xz_spin_povm(0.0), 0.0)
+        _confusing_outcomes(basis_state(0, 2).mat, basis_state(1, 2).mat, [xz_spin_povm(0.0)], 0.0)
 
 
 def test_confusing_outcome_dimension_mismatch():
@@ -185,7 +185,7 @@ def test_confusing_outcome_floor_always_met(seed, dim, outcomes):
 
 def _confusing_outcome_loop(rho, sigma, povm, distance):
     """Element-by-element oracle: (index, epsilon, prob_rho, prob_sigma) of
-    `_confusing_outcome`, or None where it raises."""
+    `_confusing_outcomes` under the one POVM, or None where it raises."""
     eps = (2.0 - distance) / (2.0 * len(povm))
     for r, element in enumerate(povm.elements):
         p = float(np.real(np.trace(element @ rho)))
@@ -212,9 +212,9 @@ def test_confusing_outcome_matches_element_loop(dim, outcomes, distance, seed):
     want = _confusing_outcome_loop(rho.mat, sigma.mat, povm, distance)
     if want is None:
         with pytest.raises(RuntimeError, match="overlap floor"):
-            _confusing_outcome(rho.mat, sigma.mat, povm, distance)
+            _confusing_outcomes(rho.mat, sigma.mat, [povm], distance)
         return
-    co = _confusing_outcome(rho.mat, sigma.mat, povm, distance)
+    (co,) = _confusing_outcomes(rho.mat, sigma.mat, [povm], distance)
     assert type(co.index) is int and type(co.prob_rho) is float and type(co.prob_sigma) is float
     assert (co.index, co.epsilon) == want[:2]
     assert np.array([co.prob_rho, co.prob_sigma]).tobytes() == np.array(want[2:]).tobytes()

@@ -7,6 +7,7 @@ whose step is at most LP_TOL, Bland's rule chooses until a step exceeds it.
 `DenseLP` runs general LPs through the same kernel, priced densely.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +22,14 @@ from nonlocality.decomp import cf_exact, simplex_solve
 class DenseLP:
     """maximize c @ x subject to a @ x <= b, x >= 0, for float arrays. It
     gives the simplex the hooks of `decomp._StrategyLP` from the stored a:
-    columns sliced from it, and pricing as c - y @ a."""
+    columns sliced from it, and pricing as c - y @ a into the given buffer."""
 
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
-    def _reduced_costs(self, y: np.ndarray) -> np.ndarray:
-        return self.c - y @ self.a
+    def _reduced_costs(self, y: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(self.c, y @ self.a, out=out)
 
     def _column(self, e: int) -> np.ndarray:
         return self.a[:, e]
@@ -57,9 +58,9 @@ def test_the_guard_stops_the_largest_rule_cycling_on_beale(monkeypatch):
     chosen = []
 
     def recording(rule):
-        def entering(reduced, y):
+        def entering(reduced):
             chosen.append(rule.__name__)
-            return rule(reduced, y)
+            return rule(reduced)
 
         return entering
 
@@ -109,13 +110,64 @@ def test_a_negative_basic_value_raises():
 
 
 def test_ties_go_to_the_first_column_within_the_window():
-    # structural columns before slack columns, and 1e-12 below the largest
-    # still counts as tied
-    assert decomp._largest_improving(np.array([0.5, 1.0 - 1e-12, 1.0]), np.zeros(2)) == 1
-    assert decomp._largest_improving(np.array([0.5, 1.0 - 2e-12, 1.0]), np.zeros(2)) == 2
-    assert decomp._largest_improving(np.array([0.5, 0.25]), np.array([0.0, -0.5])) == 0
-    assert decomp._largest_improving(np.array([0.5, 0.25]), np.array([0.0, -0.75])) == 3
-    assert decomp._largest_improving(np.array([decomp.LP_TOL]), np.array([0.0])) is None
+    # one vector over [a | I], slack columns last, and 1e-12 below the
+    # largest still counts as tied
+    assert decomp._largest_improving(np.array([0.5, 1.0 - 1e-12, 1.0, 0.0, 0.0])) == 1
+    assert decomp._largest_improving(np.array([0.5, 1.0 - 2e-12, 1.0, 0.0, 0.0])) == 2
+    assert decomp._largest_improving(np.array([0.5, 0.25, -0.0, 0.5])) == 0
+    assert decomp._largest_improving(np.array([0.5, 0.25, -0.0, 0.75])) == 3
+    assert decomp._largest_improving(np.array([decomp.LP_TOL, -0.0])) is None
+
+
+def _first_loop(reduced):
+    """`_first_improving` as a plain loop over the vector."""
+    for i, value in enumerate(reduced.tolist()):
+        if value > decomp.LP_TOL:
+            return i
+    return None
+
+
+def _largest_loop(reduced):
+    """`_largest_improving` as a plain loop: a NaN anywhere stops the
+    search, as numpy's max propagates it."""
+    values = reduced.tolist()
+    if any(math.isnan(value) for value in values):
+        return None
+    top = max(values)
+    if not top > decomp.LP_TOL:
+        return None
+    return next(i for i, value in enumerate(values) if value >= top - 1e-12)
+
+
+# reduced costs that tie, straddle the 1e-12 window and LP_TOL, or are NaN
+TIE_PRONE = [0.0, -0.0, -0.5, decomp.LP_TOL, 2 * decomp.LP_TOL, 0.5, 0.5 - 1e-12, 0.5 - 2e-12, 1.0, math.nan]
+
+
+@pytest.mark.parametrize(
+    "reduced",
+    [
+        [0.25, 1.0 - 1e-12, 1.0],  # a slack column 1e-12 above a structural one: tied
+        [0.25, 1.0 - 2e-12, 1.0],  # 2e-12 below: the slack column wins
+        [1.0, 0.25, 1.0 - 1e-12],  # the slack column within the window comes second
+        [-0.0, 0.0, decomp.LP_TOL, 0.5],  # only a slack column improves
+        [decomp.LP_TOL, -0.0, 0.0, decomp.LP_TOL],  # nothing above LP_TOL
+        [0.5, math.nan, 1.0],
+        [math.nan, 0.5],
+        [math.nan],
+    ],
+)
+def test_entering_rules_match_a_plain_loop(reduced):
+    reduced = np.array(reduced)
+    assert decomp._first_improving(reduced) == _first_loop(reduced)
+    assert decomp._largest_improving(reduced) == _largest_loop(reduced)
+
+
+def test_entering_rules_match_a_plain_loop_on_random_vectors():
+    rng = np.random.default_rng(34)
+    for _ in range(2000):
+        reduced = rng.choice(TIE_PRONE, size=int(rng.integers(1, 10)))
+        assert decomp._first_improving(reduced) == _first_loop(reduced), reduced
+        assert decomp._largest_improving(reduced) == _largest_loop(reduced), reduced
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,9 @@ def test_factored_reduced_costs_match_the_dense_ones(outcomes_a, outcomes_b):
     for _ in range(20):
         y = rng.normal(size=len(lp.b))
         dense = lp.c - y @ lp.a
-        assert np.abs(lp._reduced_costs(y) - dense).max() <= 1e-12
+        factored = np.full(len(lp.c), np.nan)
+        lp._reduced_costs(y, factored)
+        assert np.abs(factored - dense).max() <= 1e-12
 
 
 @UNEVEN_SCENARIOS
@@ -197,7 +199,7 @@ def test_factored_pricing_takes_the_dense_pivots_on_chained_singlets(n, visibili
 def test_a_pricer_that_misses_every_column_cannot_produce_a_report(monkeypatch, capsys):
     # the simplex stops at once on the slack basis with all duals 0; their
     # Bell bound is 1, far above the value 0
-    monkeypatch.setattr(decomp._StrategyLP, "_reduced_costs", lambda self, y: np.zeros(len(self.c)))
+    monkeypatch.setattr(decomp._StrategyLP, "_reduced_costs", lambda self, y, out: out.fill(0.0))
     with pytest.raises(RuntimeError, match=r"classical fraction 0\.0 is 1\.000e\+00 from the dual bound 1\.0"):
         cf_exact(chained_singlet(3, 0.95))
     rc = main(["box", str(GOLDEN_INPUTS / "chained4_v090_box.json"), "--ops", "ns,fod,cf"])

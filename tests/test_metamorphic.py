@@ -12,11 +12,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonlocality.bounds import fod_floor_pipeline
-from nonlocality.boxes import BellFunctional, Box, Scenario, bell_value, quantum_box
+from nonlocality.boxes import (
+    BellFunctional,
+    Box,
+    Scenario,
+    bell_algebraic_max,
+    bell_det_max,
+    bell_value,
+    quantum_box,
+)
 from nonlocality.decomp import LP_TOL, cf_exact, fod_exact
 from nonlocality.records import SLACK_TOL
 from nonlocality.rti import RtiInstance, sample_rti_instance, verify_rti
-from nonlocality.states import DensityMatrix, Povm, sample_density, sample_povm
+from nonlocality.states import DensityMatrix, Ensemble, Povm, sample_density, sample_povm
 
 outcome_lists = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
 
@@ -97,8 +105,8 @@ def test_relabelling_and_party_swap_keep_fod_cf_and_bell_values(outcomes_a, outc
         assert cf_exact(moved)[0] == pytest.approx(cf, abs=LP_TOL), name
         # the same products, summed in another order
         assert bell_value(moved_functional, moved) == pytest.approx(value, abs=1e-12), name
-        assert moved_functional.deterministic_max == pytest.approx(functional.deterministic_max, abs=1e-12)
-        assert moved_functional.algebraic_max == pytest.approx(functional.algebraic_max, abs=1e-12)
+        assert bell_det_max(moved_functional) == pytest.approx(bell_det_max(functional), abs=1e-12)
+        assert bell_algebraic_max(moved_functional) == pytest.approx(bell_algebraic_max(functional), abs=1e-12)
 
 
 def _random_unitary(dim, rng):
@@ -143,10 +151,10 @@ def test_unitary_conjugation_keeps_rti_slack(dim, l, seed):
     u = _random_unitary(dim, np.random.default_rng(seed))
     for commuting in (False, True):
         instance = sample_rti_instance(dim, l, seed, commuting)
+        members = [DensityMatrix(u @ m @ u.conj().T) for m in instance.ensemble.states]
         rotated = RtiInstance(
             sigma=DensityMatrix(u @ instance.sigma.mat @ u.conj().T),
-            rhos=tuple(DensityMatrix(u @ r.mat @ u.conj().T) for r in instance.rhos),
-            weights=instance.weights,
+            ensemble=Ensemble(instance.ensemble.weights, members),
             epsilon=instance.epsilon,
         )
         before = verify_rti(instance, commuting).slack

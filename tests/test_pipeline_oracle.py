@@ -3,9 +3,10 @@
 `fod_floor_pipeline` takes every trace norm it needs in one stacked call
 and the Born rule for every Alice input in one product. `_pipeline_oracle`
 is the same argument step by step: two average distances, `close_pair`,
-and one `_confusing_outcome` per input. Both must give the same trace, bit
-for bit. This module imports only numpy, pytest and `nonlocality`; the
-hypothesis search over realizations is in `tests/test_bounds.py`.
+and one `_confusing_outcomes` call per input, on that input's POVM alone.
+Both must give the same trace, bit for bit. This module imports only
+numpy, pytest and `nonlocality`; the hypothesis search over realizations
+is in `tests/test_bounds.py`.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 from nonlocality import bounds, states
 from nonlocality.bounds import (
     PipelineTrace,
-    _confusing_outcome,
+    _confusing_outcomes,
     close_pair,
     epsilon_from_average_distance,
     fod_floor_pipeline,
@@ -104,7 +105,7 @@ def _pipeline_oracle(rho_ab, bob_povm_1, bob_povm_2, alice_povms, mu=None) -> Pi
     confusing = []
     box_entries = []
     for x, povm in enumerate(alice):
-        co = _confusing_outcome(rho_pair, sigma_pair, povm, pair.distance)
+        (co,) = _confusing_outcomes(rho_pair, sigma_pair, [povm], pair.distance)
         confusing.append(co)
         records.append(
             InequalityRecord(

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonlocality import rti
+from nonlocality.linalg import trace_norm
 from nonlocality.rti import (
     RTI_CHUNK,
     ClassicalSharpExample,
@@ -29,6 +30,7 @@ from nonlocality.rti import (
 )
 from nonlocality.states import (
     DensityMatrix,
+    Ensemble,
     SubnormalizedState,
     basis_state,
     maximally_mixed,
@@ -53,37 +55,30 @@ def test_bound_formulas():
 
 def test_instance_certificate_validation():
     sigma = basis_state(0, 2)
-    rhos = (basis_state(1, 2),)
-    RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([1.0]), epsilon=0.0)
-    RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([1.0]), epsilon=0.5)  # loose ok
+    ensemble = Ensemble(np.array([1.0]), (basis_state(1, 2),))
+    RtiInstance(sigma=sigma, ensemble=ensemble, epsilon=0.0)
+    RtiInstance(sigma=sigma, ensemble=ensemble, epsilon=0.5)  # loose ok
     with pytest.raises(ValueError, match="invalid certificate"):
         # tight eps for |+> vs |0> is 2 - sqrt(2) ~ 0.586, claim 0.1 is too strong
         RtiInstance(
             sigma=sigma,
-            rhos=(pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0)),),
-            weights=np.array([1.0]),
+            ensemble=Ensemble(np.array([1.0]), (pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0)),)),
             epsilon=0.1,
         )
-    with pytest.raises(ValueError, match="probability"):
-        RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([0.5]), epsilon=0.0)
 
 
 def test_instance_rejects_nan_weight_and_epsilon():
     sigma = basis_state(0, 3)
     rhos = (basis_state(1, 3), basis_state(2, 3))
     with pytest.raises(ValueError, match="probability"):
-        RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([np.nan, 1.0]), epsilon=0.0)
+        RtiInstance(sigma=sigma, ensemble=Ensemble(np.array([np.nan, 1.0]), rhos), epsilon=0.0)
     with pytest.raises(ValueError, match="epsilon"):
-        RtiInstance(sigma=sigma, rhos=rhos, weights=np.array([0.5, 0.5]), epsilon=math.nan)
+        RtiInstance(sigma=sigma, ensemble=Ensemble(np.array([0.5, 0.5]), rhos), epsilon=math.nan)
 
 
 def test_verify_orthogonal_single_member():
-    inst = RtiInstance(
-        sigma=basis_state(0, 2),
-        rhos=(basis_state(1, 2),),
-        weights=np.array([1.0]),
-        epsilon=0.0,
-    )
+    ensemble = Ensemble(np.array([1.0]), (basis_state(1, 2),))
+    inst = RtiInstance(sigma=basis_state(0, 2), ensemble=ensemble, epsilon=0.0)
     report = verify_rti(inst)
     assert report.passed
     assert report.lhs == pytest.approx(2.0)
@@ -93,12 +88,8 @@ def test_verify_orthogonal_single_member():
 
 
 def test_verify_uses_tight_epsilon_when_stored_is_loose():
-    inst = RtiInstance(
-        sigma=basis_state(0, 2),
-        rhos=(basis_state(1, 2),),
-        weights=np.array([1.0]),
-        epsilon=1.0,
-    )
+    ensemble = Ensemble(np.array([1.0]), (basis_state(1, 2),))
+    inst = RtiInstance(sigma=basis_state(0, 2), ensemble=ensemble, epsilon=1.0)
     report = verify_rti(inst)
     assert report.epsilon == pytest.approx(0.0, abs=1e-9)
     assert report.epsilon_stored == 1.0
@@ -107,8 +98,7 @@ def test_verify_uses_tight_epsilon_when_stored_is_loose():
 def test_commuting_flag_rejects_noncommuting():
     inst = RtiInstance(
         sigma=basis_state(0, 2),
-        rhos=(pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0)),),
-        weights=np.array([1.0]),
+        ensemble=Ensemble(np.array([1.0]), (pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0)),)),
         epsilon=2.0 - math.sqrt(2.0),
     )
     with pytest.raises(ValueError, match="commute"):
@@ -122,9 +112,7 @@ def test_commuting_bound_on_diagonal_family():
     sigma = DensityMatrix(np.diag([eps / 2.0, eps / 2.0, 1.0 - eps]))
     rho1 = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
     rho2 = DensityMatrix(np.diag([0.0, 1.0, 0.0]))
-    inst = RtiInstance(
-        sigma=sigma, rhos=(rho1, rho2), weights=np.array([0.5, 0.5]), epsilon=eps
-    )
+    inst = RtiInstance(sigma=sigma, ensemble=Ensemble(np.array([0.5, 0.5]), (rho1, rho2)), epsilon=eps)
     report = verify_rti(inst, commuting=True)
     assert report.passed
     assert report.lhs == pytest.approx(2.0 - 2.0 * eps)
@@ -141,6 +129,14 @@ def test_random_instances_satisfy_general_bound(seed, dim, l):
 def test_random_diagonal_instances_satisfy_commuting_bound(seed, dim, l):
     inst = sample_rti_instance(dim, l, (seed, dim, l), commuting=True)
     assert verify_rti(inst, commuting=True).slack >= -1e-8
+
+
+@given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 4), st.booleans())
+def test_tight_epsilon_matches_the_member_loop(seed, dim, l, commuting):
+    # one stacked trace norm gives the bits of one trace norm per member
+    inst = sample_rti_instance(dim, l, seed, commuting)
+    loop = 2.0 - min(trace_norm(m - inst.sigma.mat) for m in inst.ensemble.states)
+    assert RtiInstance.tight_epsilon_of(inst.ensemble, inst.sigma) == loop == inst.epsilon
 
 
 def test_campaign_rows():
@@ -278,12 +274,12 @@ def test_trial_states_match_default_rng(seed, dim, l, more_trials):
 
 def test_instance_rejects_mismatched_lengths_and_dimensions():
     sigma = basis_state(0, 2)
+    with pytest.raises(ValueError, match="at least one member"):
+        RtiInstance(sigma=sigma, ensemble=Ensemble(np.array([]), ()), epsilon=0.0)
     with pytest.raises(ValueError, match="disagree in length"):
-        RtiInstance(sigma=sigma, rhos=(), weights=np.array([]), epsilon=0.0)
-    with pytest.raises(ValueError, match="disagree in length"):
-        RtiInstance(sigma=sigma, rhos=(basis_state(1, 2),), weights=np.array([0.5, 0.5]), epsilon=0.0)
+        RtiInstance(sigma=sigma, ensemble=Ensemble(np.array([0.5, 0.5]), (basis_state(1, 2),)), epsilon=0.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        RtiInstance(sigma=sigma, rhos=(basis_state(1, 3),), weights=np.array([1.0]), epsilon=0.0)
+        RtiInstance(sigma=sigma, ensemble=Ensemble(np.array([1.0]), (basis_state(1, 3),)), epsilon=0.0)
 
 
 def test_commuting_check_on_stacks():
@@ -342,13 +338,9 @@ def test_embedded_extremal_family_meets_general_bound():
         rho1, rho2, sigma = extremal_family(r)
         big1, big_sigma = embed_subnormalized(rho1, sigma)
         big2, _ = embed_subnormalized(rho2, sigma)
-        eps = RtiInstance.tight_epsilon_of((big1, big2), big_sigma)
-        inst = RtiInstance(
-            sigma=big_sigma,
-            rhos=(big1, big2),
-            weights=np.array([0.5, 0.5]),
-            epsilon=eps,
-        )
+        ensemble = Ensemble(np.array([0.5, 0.5]), (big1, big2))
+        eps = RtiInstance.tight_epsilon_of(ensemble, big_sigma)
+        inst = RtiInstance(sigma=big_sigma, ensemble=ensemble, epsilon=eps)
         report = verify_rti(inst)
         assert report.passed
 

@@ -10,6 +10,8 @@ Three strands, each importable from the top level:
   the Bell-value ceilings they imply (`bounds`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .linalg import (
     max_commutator_entry,
     partial_trace,
@@ -89,74 +91,6 @@ from .bounds import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellFunctional",
-    "BinaryBobBounds",
-    "Box",
-    "ClassicalSharpExample",
-    "Decomposition",
-    "DensityMatrix",
-    "DeterministicStrategy",
-    "Ensemble",
-    "PipelineTrace",
-    "Povm",
-    "RtiInstance",
-    "RtiReport",
-    "Scenario",
-    "SubnormalizedState",
-    "UniversalBound",
-    "assignments",
-    "basis_state",
-    "bell_algebraic_max",
-    "bell_bound_from_fod",
-    "bell_det_max",
-    "bell_value",
-    "binary_bob_bounds",
-    "cf_exact",
-    "chsh_functional",
-    "chsh_scenario",
-    "classical_sharp_example",
-    "close_pair",
-    "confusing_outcome",
-    "deterministic_box",
-    "embed_subnormalized",
-    "ensemble_average",
-    "enumerate_deterministic",
-    "epsilon_from_average_distance",
-    "extremal_family",
-    "extremal_gaps",
-    "fidelity",
-    "fod_exact",
-    "fod_floor_pipeline",
-    "fvdg_check",
-    "local_box",
-    "max_commutator_entry",
-    "maximally_mixed",
-    "maximally_mixed_box",
-    "mu_objective",
-    "optimize_mu",
-    "partial_trace",
-    "pr_box",
-    "psd_sqrt",
-    "pure_state",
-    "quantum_box",
-    "rotfeld_check",
-    "rti_campaign",
-    "rti_commuting_bound",
-    "rti_general_bound",
-    "sample_density",
-    "sample_povm",
-    "sample_rti_instance",
-    "singlet",
-    "steer",
-    "subnormalized_gap",
-    "tensor",
-    "trace_distance",
-    "trace_norm",
-    "truncate_ensemble",
-    "tsirelson_realization",
-    "universal_fod_bound",
-    "validate_ns",
-    "verify_rti",
-    "xz_spin_povm",
-]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

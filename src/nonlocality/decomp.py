@@ -117,10 +117,10 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
     Each pivot takes the duals y = c_B B^-1, prices every column of [a | I]
     into one vector allocated per solve, the structural ones through
     `lp._reduced_costs(y, out)` and the slack ones as -y, and enters the
-    column with the largest reduced cost (`_largest_improving`).
+    column with the largest reduced cost (`_entering`).
     A pivot whose step x_B[row] / col[row] is at most LP_TOL is a zero step;
-    after m (the row count) zero steps in a row Bland's rule
-    (`_first_improving`) chooses until a pivot moves x_B. Bland's rule cannot
+    after m (the row count) zero steps in a row Bland's rule (`_entering`
+    with `bland`) chooses until a pivot moves x_B. Bland's rule cannot
     cycle, so the simplex terminates. The ratio test and its tie-break are
     those of the tableau method, and one rank-1 step (`_pivot`) updates B^-1
     and x_B together. On a table of at least _SCANNED_ROWS rows, a pivot row
@@ -151,8 +151,7 @@ def simplex_solve(lp: _StrategyLP) -> SimplexResult:
         y = cost_b @ inverse
         lp._reduced_costs(y, reduced[:n])
         np.negative(y, out=reduced[n:])
-        rule = _first_improving if zero_steps >= m else _largest_improving
-        entering = rule(reduced)
+        entering = _entering(reduced, bland=zero_steps >= m)
         if entering is None:
             break
         col = inverse @ lp._column(entering) if entering < n else inverse[:, entering - n].copy()
@@ -205,22 +204,16 @@ def _sparse_step(nonzeros: int, rows: int) -> bool:
     return nonzeros * (per_column * rows + fixed) < rows * rows + _FULL_STEP
 
 
-def _first_improving(reduced: np.ndarray) -> int | None:
-    """Index of the first column of [a | I] whose reduced cost exceeds
-    LP_TOL, or None; a NaN never does."""
-    improving = reduced > LP_TOL
-    return int(improving.argmax()) if improving.any() else None
-
-
-def _largest_improving(reduced: np.ndarray) -> int | None:
-    """Index of the first column of [a | I], slack columns last, whose
-    reduced cost is within 1e-12 of the largest, or None when none exceeds
-    LP_TOL or one is NaN. The window keeps the last bits of the pricing from
-    changing the pick between tied columns."""
+def _entering(reduced: np.ndarray, bland: bool) -> int | None:
+    """Index of the entering column of [a | I], slack columns last, or None
+    when no reduced cost exceeds LP_TOL or one is NaN (numpy's max propagates
+    it). Bland's rule enters the first column above LP_TOL; otherwise the
+    first column within 1e-12 of the largest enters. The window keeps the
+    last bits of the pricing from changing the pick between tied columns."""
     top = reduced.max()
     if not top > LP_TOL:
         return None
-    return int((reduced >= top - 1e-12).argmax())
+    return int((reduced > LP_TOL if bland else reduced >= top - 1e-12).argmax())
 
 
 def _require_ns(box: Box, what: str):

@@ -222,9 +222,7 @@ def extremal_grid(rs) -> tuple[float, float]:
     r = np.asarray(rs, dtype=float)
     _check_r(r)
     rho1, rho2, sigma = _extremal_matrices(r)
-    states = _check_state_matrix(
-        np.stack([rho1, rho2, 0.5 * rho1 + 0.5 * rho2, sigma]), 0.0, 1.0, "state"
-    )
+    states = _check_state_matrix(np.stack([rho1, rho2, 0.5 * rho1 + 0.5 * rho2, sigma]), 0.0)
     traces = np.real(np.trace(states, axis1=-2, axis2=-1))
     gaps = traces[:3] + traces[3] - trace_norm(states[:3] - states[3])
     member_formula, mixture_formula = extremal_gaps(r)
@@ -611,7 +609,7 @@ def _campaign_slacks(dim: int, l: int, seed: int, trials: range, commuting: bool
     for mat in made:
         by_shape.setdefault(mat.shape[-2:], []).append(mat.reshape((-1,) + mat.shape[-2:]))
     for mats in by_shape.values():
-        _check_state_matrix(np.concatenate(mats), 1.0, 1.0, "state")
+        _check_state_matrix(np.concatenate(mats), 1.0)
 
     # The sampler stores the tight certificate, so the stored and tight
     # epsilon agree and verify_rti keeps it.

@@ -84,13 +84,13 @@ def _check_psd(mat, what: str) -> np.ndarray:
     return m
 
 
-def _check_state_matrix(mat, lo: float, hi: float, what: str) -> np.ndarray:
-    """`_check_psd`, also checking that every trace lies in [lo, hi]."""
-    m = _check_psd(mat, what)
+def _check_state_matrix(mat, lo: float) -> np.ndarray:
+    """`_check_psd` of a state, also checking that every trace lies in [lo, 1]."""
+    m = _check_psd(mat, "state")
     traces = np.real(m.trace(axis1=-2, axis2=-1))
-    outside = traces[~((lo - TRACE_TOL <= traces) & (traces <= hi + TRACE_TOL))]
+    outside = traces[~((lo - TRACE_TOL <= traces) & (traces <= 1.0 + TRACE_TOL))]
     if outside.size:
-        raise ValueError(f"{what} has trace {float(outside[0])!r}, expected within [{lo}, {hi}]")
+        raise ValueError(f"state has trace {float(outside[0])!r}, expected within [{lo}, 1.0]")
     return m
 
 
@@ -104,7 +104,7 @@ class SubnormalizedState:
 
     def __post_init__(self):
         mat = as_complex_matrix(self.mat)
-        object.__setattr__(self, "mat", _check_state_matrix(mat, self._MIN_TRACE, 1.0, "state"))
+        object.__setattr__(self, "mat", _check_state_matrix(mat, self._MIN_TRACE))
 
     @property
     def dim(self) -> int:

@@ -381,14 +381,14 @@ def test_derived_objects_pass_the_checks_they_skip(dim_a, dim_b, k_a, k_b, zero_
     for povm in bob:
         # steer's operators before normalization, computed as it computes them
         lifted = tensor(np.eye(dim_a, dtype=complex), povm.elements)
-        _check_state_matrix(partial_trace(lifted @ rho.mat, dim_a, dim_b), 0.0, 1.0, "state")
+        _check_state_matrix(partial_trace(lifted @ rho.mat, dim_a, dim_b), 0.0)
         ensemble = steer(rho, povm)
         average = ensemble_average(ensemble)
-        _check_state_matrix(average.mat, 1.0, 1.0, "state")
+        _check_state_matrix(average.mat, 1.0)
     # the zero outcome is dropped from the second ensemble
     assert k_b not in ensemble.labels
     for lifted in embed_subnormalized(average, SubnormalizedState(average.mat / 2)):
-        _check_state_matrix(lifted.mat, 1.0, 1.0, "state")
+        _check_state_matrix(lifted.mat, 1.0)
     box = quantum_box(rho, alice, bob)
     solve, solved = decomp.simplex_solve, []
 

@@ -56,27 +56,25 @@ def klee_minty(n: int) -> DenseLP:
 
 def test_the_guard_stops_the_largest_rule_cycling_on_beale(monkeypatch):
     chosen = []
+    entering = decomp._entering
 
-    def recording(rule):
-        def entering(reduced):
-            chosen.append(rule.__name__)
-            return rule(reduced)
+    def recording(reduced, bland):
+        chosen.append(bland)
+        return entering(reduced, bland)
 
-        return entering
-
-    for rule in (decomp._first_improving, decomp._largest_improving):
-        monkeypatch.setattr(decomp, rule.__name__, recording(rule))
+    monkeypatch.setattr(decomp, "_entering", recording)
     res = simplex_solve(beale())
     assert res.value == pytest.approx(0.05, abs=1e-12)
     np.testing.assert_allclose(res.x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
     # three zero steps, one per row, then Bland's rule for two pivots
-    largest, first = "_largest_improving", "_first_improving"
+    largest, first = False, True
     assert chosen == [largest] * 3 + [first] * 2 + [largest] * 2
     assert res.iterations == 6
 
 
 def test_without_the_guard_the_largest_rule_cycles_on_beale(monkeypatch):
-    monkeypatch.setattr(decomp, "_first_improving", decomp._largest_improving)
+    entering = decomp._entering
+    monkeypatch.setattr(decomp, "_entering", lambda reduced, bland: entering(reduced, False))
     with pytest.raises(RuntimeError, match="budget 100 exhausted"):
         simplex_solve(beale())
 
@@ -112,24 +110,28 @@ def test_a_negative_basic_value_raises():
 def test_ties_go_to_the_first_column_within_the_window():
     # one vector over [a | I], slack columns last, and 1e-12 below the
     # largest still counts as tied
-    assert decomp._largest_improving(np.array([0.5, 1.0 - 1e-12, 1.0, 0.0, 0.0])) == 1
-    assert decomp._largest_improving(np.array([0.5, 1.0 - 2e-12, 1.0, 0.0, 0.0])) == 2
-    assert decomp._largest_improving(np.array([0.5, 0.25, -0.0, 0.5])) == 0
-    assert decomp._largest_improving(np.array([0.5, 0.25, -0.0, 0.75])) == 3
-    assert decomp._largest_improving(np.array([decomp.LP_TOL, -0.0])) is None
+    assert decomp._entering(np.array([0.5, 1.0 - 1e-12, 1.0, 0.0, 0.0]), bland=False) == 1
+    assert decomp._entering(np.array([0.5, 1.0 - 2e-12, 1.0, 0.0, 0.0]), bland=False) == 2
+    assert decomp._entering(np.array([0.5, 0.25, -0.0, 0.5]), bland=False) == 0
+    assert decomp._entering(np.array([0.5, 0.25, -0.0, 0.75]), bland=False) == 3
+    assert decomp._entering(np.array([decomp.LP_TOL, -0.0]), bland=False) is None
 
 
 def _first_loop(reduced):
-    """`_first_improving` as a plain loop over the vector."""
-    for i, value in enumerate(reduced.tolist()):
+    """Bland's rule as a plain loop over the vector: a NaN anywhere stops
+    the search, as it stops the largest rule."""
+    values = reduced.tolist()
+    if any(math.isnan(value) for value in values):
+        return None
+    for i, value in enumerate(values):
         if value > decomp.LP_TOL:
             return i
     return None
 
 
 def _largest_loop(reduced):
-    """`_largest_improving` as a plain loop: a NaN anywhere stops the
-    search, as numpy's max propagates it."""
+    """The largest rule as a plain loop: a NaN anywhere stops the search,
+    as numpy's max propagates it."""
     values = reduced.tolist()
     if any(math.isnan(value) for value in values):
         return None
@@ -158,16 +160,24 @@ TIE_PRONE = [0.0, -0.0, -0.5, decomp.LP_TOL, 2 * decomp.LP_TOL, 0.5, 0.5 - 1e-12
 )
 def test_entering_rules_match_a_plain_loop(reduced):
     reduced = np.array(reduced)
-    assert decomp._first_improving(reduced) == _first_loop(reduced)
-    assert decomp._largest_improving(reduced) == _largest_loop(reduced)
+    assert decomp._entering(reduced, bland=True) == _first_loop(reduced)
+    assert decomp._entering(reduced, bland=False) == _largest_loop(reduced)
 
 
 def test_entering_rules_match_a_plain_loop_on_random_vectors():
     rng = np.random.default_rng(34)
     for _ in range(2000):
         reduced = rng.choice(TIE_PRONE, size=int(rng.integers(1, 10)))
-        assert decomp._first_improving(reduced) == _first_loop(reduced), reduced
-        assert decomp._largest_improving(reduced) == _largest_loop(reduced), reduced
+        assert decomp._entering(reduced, bland=True) == _first_loop(reduced), reduced
+        assert decomp._entering(reduced, bland=False) == _largest_loop(reduced), reduced
+
+
+def test_a_nan_price_stops_blands_rule_too():
+    # Bland's rule once skipped the NaN and entered column 1; now a NaN
+    # stops both rules, and cf_exact's dual certificate judges the basis
+    reduced = np.array([math.nan, 1.0])
+    assert decomp._entering(reduced, bland=True) is None
+    assert decomp._entering(reduced, bland=False) is None
 
 
 @pytest.mark.parametrize(

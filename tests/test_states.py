@@ -54,7 +54,7 @@ def test_density_matrix_rejects_nan():
 
 def test_stacked_state_check_matches_one_at_a_time():
     good = np.stack([sample_density(3, 3, s).mat for s in range(4)])
-    checked = _check_state_matrix(good, 1.0, 1.0, "state")
+    checked = _check_state_matrix(good, 1.0)
     assert checked.shape == (4, 3, 3) and not checked.flags.writeable
     for i in range(4):
         assert np.array_equal(checked[i], DensityMatrix(good[i]).mat)
@@ -66,7 +66,7 @@ def test_stacked_state_check_matches_one_at_a_time():
         stack = good.copy()
         stack[2] = bad
         with pytest.raises(ValueError, match=match):
-            _check_state_matrix(stack, 1.0, 1.0, "state")
+            _check_state_matrix(stack, 1.0)
 
 
 def test_subnormalized_state_range():

@@ -78,43 +78,32 @@ def report_row(
 
 def _render_json(report: dict) -> str:
     """The text of `json.dumps(report, indent=2) + "\\n"`, byte for byte, without
-    the pure-Python encoder that json switches to when given an indent."""
+    the pure-Python encoder that json switches to when given an indent, for
+    the values reports hold (`_json_text`)."""
     return _json_text(report, "\n") + "\n"
 
 
-def _json_float(value: float) -> str:
-    """A float as json writes it: NaN, Infinity and -Infinity stand for the
-    values JSON has no number for."""
-    if value != value:
-        return "NaN"
-    if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
-# the writer of each plain scalar type; json's own order of tests (str, None,
-# True, False, int, float) matters only for subclasses (`_json_text`)
+# the writer of each plain scalar type; a float only when finite (`_json_text`)
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     type(None): {None: "null"}.__getitem__,
     bool: ("false", "true").__getitem__,
     int: int.__repr__,
-    float: _json_float,
+    float: float.__repr__,
 }
-_INTS, _FLOATS = frozenset({int}), frozenset({float})
+_INTS, _FLOATS, _STRS = frozenset({int}), frozenset({float}), frozenset({str})
 
 
 def _json_text(value, newline: str) -> str:
     """`value` as json.dumps(value, indent=2) writes it, nested at `newline`
-    ("\\n" and the current indent). A subclass of str, int, float, list,
-    tuple or dict writes as the first of these it is an instance of, json's
-    order, and anything else raises json's TypeError. A flat list of plain
-    ints, or of finite plain floats, is joined in one pass."""
+    ("\\n" and the current indent). The values reports hold are written
+    here: a dict with str keys, a list or tuple, a str, int, bool, None or a
+    finite float, all of exact type; a flat list of plain ints, or of finite
+    plain floats, is joined in one pass. json writes any other value, and
+    raises its own TypeError for one it cannot write; it never writes a raw
+    newline inside a string, so its text re-based at `newline` is the text it
+    writes at this depth."""
     kind = type(value)
-    if kind not in _SCALAR_TEXT and kind not in (list, tuple, dict):
-        kind = next((base for base in (str, int, float, list, tuple, dict) if isinstance(value, base)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
     if kind is list or kind is tuple:
         if not value:
             return "[]"
@@ -127,23 +116,15 @@ def _json_text(value, newline: str) -> str:
         else:
             items = [_json_text(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if kind is dict:
+    if kind is dict and set(map(type, value)) <= _STRS:
         if not value:
             return "{}"
         inner = newline + "  "
-        items = [f"{_json_key(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    return _SCALAR_TEXT[kind](value)
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a string, or the quoted text of an int,
-    float, bool or None; any other key raises json's TypeError."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return encode_basestring_ascii(_json_text(key, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    if kind in _SCALAR_TEXT and (kind is not float or math.isfinite(value)):
+        return _SCALAR_TEXT[kind](value)
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _render_csv(report: dict) -> str:
@@ -331,8 +312,10 @@ def _load_json(path: str) -> dict:
 def cmd_box(args) -> int:
     ops = _parse_ops(args.ops, args.functional)
     box = Box.from_dict(_load_json(args.path))
-    # checked before any op runs, so that a malformed functional costs no LP solve
+    # checked, against the box too, before any op runs, so that a malformed
+    # functional or one on another scenario costs no LP solve
     functional = BellFunctional.from_dict(_load_json(args.functional)) if "bell" in ops else None
+    bell = None if functional is None else bell_value(functional, box)
     rows = []
     details = {}
     for op in ops:
@@ -355,7 +338,7 @@ def cmd_box(args) -> int:
             rows.append(report_row("cf", value))
             details["cf_decomposition"] = decomposition.to_dict()
         elif op == "bell":
-            rows.append(report_row("bell_value", bell_value(functional, box)))
+            rows.append(report_row("bell_value", bell))
             rows.append(report_row("bell_algebraic_max", bell_algebraic_max(functional)))
             rows.append(report_row("bell_deterministic_max", bell_det_max(functional)))
     config = {"seed": args.seed, "path": args.path, "ops": ops, "format": args.format}

@@ -89,10 +89,16 @@ def test_report_matches_golden(monkeypatch, tmp_path, golden):
 
 
 @pytest.mark.parametrize("golden", sorted(name for name in GOLDEN_REPORTS if name.endswith(".json")))
-def test_render_json_rewrites_each_json_golden(golden):
+def test_render_json_rewrites_each_json_golden(monkeypatch, golden):
     # the writer must give json.dumps(report, indent=2)'s bytes, which each
-    # JSON golden is: its own parse is written back to the same text
+    # JSON golden is: its own parse is written back to the same text; and it
+    # must write every value of a report itself, never through json's encoder
     text = (GOLDEN / golden).read_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report value left the writer's own path")
+
+    monkeypatch.setattr(json, "dumps", refuse)
     assert _render_json(json.loads(text)) == text
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,7 @@ from nonlocality.states import (
     xz_spin_povm,
 )
 
+UNEVEN3_FUNCTIONAL = Path(__file__).parent / "golden" / "inputs" / "uneven3_functional.json"
 BAD_COUNTS = [math.nan, 2.5, True, 0, 10**400]
 
 # entry point taking one bad count -> the words its error names the count by
@@ -367,10 +369,23 @@ def test_scenario_input_counts_are_json_integers(tmp_path, capsys, key, bad):
     assert captured.out == "" and "are not the integer lengths of the outcome lists" in captured.err
 
 
-def test_box_checks_its_functional_before_any_op(tmp_path, capsys, monkeypatch):
+def _huge_functional(cell: float) -> dict:
+    return {"scenario": chsh_scenario().to_dict(), "s": [[[[cell] * 2] * 2] * 2] * 2}
+
+
+@pytest.mark.parametrize(
+    "functional, message",
+    [
+        (_huge_functional(1e308), "overflow a sum"),
+        # a well-formed functional on the uneven 3-input scenario, not the box's
+        (json.loads(UNEVEN3_FUNCTIONAL.read_text()), "functional and box live on different scenarios"),
+    ],
+    ids=["malformed", "other_scenario"],
+)
+def test_box_checks_its_functional_before_any_op(tmp_path, capsys, monkeypatch, functional, message):
     box_path, functional_path = tmp_path / "box.json", tmp_path / "functional.json"
     box_path.write_text(json.dumps(pr_box().to_dict()))
-    functional_path.write_text(json.dumps(_huge_functional(1e308)))
+    functional_path.write_text(json.dumps(functional))
     argv = ["box", str(box_path), "--ops", "cf,bell", "--functional", str(functional_path)]
     assert main(argv) == 2
     expected = capsys.readouterr()
@@ -381,7 +396,7 @@ def test_box_checks_its_functional_before_any_op(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cf_exact", no_lp)
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured == expected and captured.out == "" and "overflow a sum" in captured.err
+    assert captured == expected and captured.out == "" and message in captured.err
 
 
 def test_single_outcome_povm_is_not_rechecked():
@@ -417,10 +432,6 @@ def test_decompositions_refuse_what_they_cannot_bound():
         bell_bound_from_fod(4.0, 2.0, 1.5)
     with pytest.raises(ValueError, match="cannot exceed the algebraic maximum"):
         bell_bound_from_fod(2.0, 4.0, 0.5)
-
-
-def _huge_functional(cell: float) -> dict:
-    return {"scenario": chsh_scenario().to_dict(), "s": [[[[cell] * 2] * 2] * 2] * 2}
 
 
 def test_functional_cells_must_sum_finitely():

@@ -11,12 +11,13 @@ coefficient. Optimizing the truncation threshold gives the universal constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import quantum_box
+from .boxes import _born_scenario
 from .linalg import trace_norm
 from .records import SLACK_TOL, InequalityRecord, Record
 from .states import (
@@ -121,10 +122,23 @@ def _confusing_outcomes(rho, sigma, povms, distance: float) -> list:
     """`confusing_outcome` for the state matrices rho and sigma at a known
     trace distance, under each POVM of `povms`, whose outcome counts may
     differ: the Born rule for both states and every element of every POVM
-    is one stacked product, and each POVM searches only its own outcomes,
-    against its own floor (2 - distance) / (2 k)."""
+    is one stacked product (`_born_table`)."""
     elements = np.concatenate([povm.elements for povm in povms])
-    probs = np.real((elements @ np.stack([rho, sigma])[:, None]).trace(axis1=-2, axis2=-1))
+    return _first_confusing(_born_table(elements, np.stack([rho, sigma])), povms, distance)
+
+
+def _born_table(elements, states) -> np.ndarray:
+    """Tr(E_k S_j) for every matrix S_j of the (n, d, d) stack `states` and
+    E_k of `elements`, in one stacked product, as an (n, len(elements))
+    real table."""
+    return np.real((elements @ states[:, None]).trace(axis1=-2, axis2=-1))
+
+
+def _first_confusing(probs, povms, distance: float) -> list:
+    """The confusing outcome of two states under each POVM of `povms`, from
+    the (2, k) table of both states' Born probabilities over every element
+    of every POVM in order: each POVM searches only its own outcomes,
+    against its own floor (2 - distance) / (2 k)."""
     overlap = np.minimum(*probs)
     found, start = [], 0
     for povm in povms:
@@ -236,14 +250,21 @@ def fod_floor_pipeline(
     that two cells of the realized box (one per Bob input, sharing Bob's
     outputs with the close pair) sit above c = epsilon / (2 k l mu), which in
     turn dominates the universal theorem floor. `vacuous` is always False:
-    truncation never empties an ensemble. `quantum_box` rejects an empty
-    Alice list and Bob measurements of unequal dimension.
+    truncation never empties an ensemble. The checks `quantum_box` makes
+    (`boxes._born_scenario`) reject an empty Alice list, measurements of one
+    party of unequal dimension, and a state not of dimension dA dB.
 
     Past the two `steer` calls the numeric work is two stacked passes: one
     trace norm over the full and the truncated average differences and
-    every cross difference (`_close_pair`), and one Born-rule product for
-    both states of the close pair under every Alice input
-    (`_confusing_outcomes`).
+    every cross difference (`_close_pair`), and one Born product of every
+    Alice element against every kept member of both ensembles
+    (`_born_table`). That product gives the close pair's outcome
+    probabilities (`_first_confusing`) and the certified cells
+    p(x, y, a, b) = w_b Tr(M^x_a rho_b|y), without building the box: as in
+    `quantum_box`, negative cells are raised to 0 and each (x, y) block is
+    divided by its own sum. The blocks leave out the outcomes `steer`
+    drops, so a cell can differ from `quantum_box`'s by their weight, each
+    below STEER_DROP_TOL, beyond a few ulps of rounding.
     """
     alice = list(alice_povms)
     if mu is None:
@@ -251,8 +272,7 @@ def fod_floor_pipeline(
     elif not 2.0 < mu < math.inf:
         raise ValueError(f"truncation scale must be finite and exceed 2, got {mu!r}")
 
-    box = quantum_box(rho_ab, alice, [bob_povm_1, bob_povm_2])
-    k = max(len(p) for p in alice)
+    k = max(_born_scenario(rho_ab, alice, [bob_povm_1, bob_povm_2]).outcomes_a)
     ens1 = steer(rho_ab, bob_povm_1)
     ens2 = steer(rho_ab, bob_povm_2)
     l1, l2 = len(ens1), len(ens2)
@@ -265,11 +285,9 @@ def fod_floor_pipeline(
     t2, delta2 = truncate_ensemble(ens2, threshold)
     x_bound = 2.0 / (mu - 1.0)
     epsilon = epsilon_from_average_distance(x_bound, len(t1), len(t2))
-    # quantum_box has checked that both Bob measurements steer Alice's side
+    # _born_scenario has checked that both Bob measurements steer Alice's side
     pair, (average_distance,) = _close_pair(t1, t2, (ens1, ens2))
     truncated_average_distance = pair.average_distance
-    rho_pair = t1.states[pair.i]
-    sigma_pair = t2.states[pair.j]
     b1 = t1.labels[pair.i]
     b2 = t2.labels[pair.j]
     c = epsilon / (2.0 * k * l * mu)
@@ -302,10 +320,17 @@ def fod_floor_pipeline(
         InequalityRecord("theorem floor <= realized c", bound.theorem_form, c),
     ]
 
-    # quantum_box has checked that Alice's side is the steered side
-    confusing = _confusing_outcomes(rho_pair, sigma_pair, alice, pair.distance)
+    # _born_scenario has checked that Alice's side is the steered side; the
+    # close pair is one member of each ensemble
+    elements = np.concatenate([povm.elements for povm in alice])
+    probs = _born_table(elements, np.concatenate([ens1.states, ens2.states]))
+    rows = [ens1.labels.index(b1), l1 + ens2.labels.index(b2)]
+    confusing = _first_confusing(probs[rows], alice, pair.distance)
+    cells = np.clip(probs * np.concatenate([ens1.weights, ens2.weights])[:, None], 0.0, None)
+    starts = list(itertools.accumulate((len(p) for p in alice[:-1]), initial=0))
+    sums = np.add.reduceat(np.add.reduceat(cells, starts, axis=1), [0, l1], axis=0)
     box_entries = []
-    for x, co in enumerate(confusing):
+    for x, (co, start) in enumerate(zip(confusing, starts)):
         records.append(
             InequalityRecord(
                 f"input {x}: epsilon/(2k) <= confusing floor",
@@ -313,8 +338,8 @@ def fod_floor_pipeline(
                 co.epsilon,
             )
         )
-        for y, b in ((0, b1), (1, b2)):
-            value = float(box.p[x, y, co.index, b])
+        for y, (b, row) in enumerate(zip((b1, b2), rows)):
+            value = float(cells[row, start + co.index] / sums[y, x])
             box_entries.append((x, y, co.index, b, value))
             records.append(
                 InequalityRecord(f"box entry (x={x}, y={y}) >= c", c, value)

@@ -414,13 +414,11 @@ def maximally_mixed_box(scenario: Scenario) -> Box:
     return Box(scenario, np.where(inside, 1.0 / inside.sum(axis=(2, 3), keepdims=True), 0.0))
 
 
-def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
-    """Born-rule box p(a,b|x,y) = Tr((M^x_a (x) N^y_b) rho), negative cells
-    raised to 0 and each block divided by its own sum (`_derived_box`): the
-    checked state and POVMs make each block sum to about 1."""
-    alice = list(alice_povms)
-    bob = list(bob_povms)
-    # one input per measurement: the scenario rejects a party without one
+def _born_scenario(rho: DensityMatrix, alice: list, bob: list) -> Scenario:
+    """The scenario of measuring the POVM lists `alice` and `bob` on `rho`,
+    one input per measurement, after checking that each party's POVMs share
+    one dimension and that rho lives on the product of the two."""
+    # the scenario rejects a party without an input
     sc = Scenario(tuple(len(p) for p in alice), tuple(len(p) for p in bob))
     da = alice[0].dim
     db = bob[0].dim
@@ -428,6 +426,17 @@ def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
         raise ValueError("measurements of one party must share a dimension")
     if da * db != rho.dim:
         raise ValueError(f"state is {rho.dim}-dim, measurements give {da * db}")
+    return sc
+
+
+def quantum_box(rho: DensityMatrix, alice_povms, bob_povms) -> Box:
+    """Born-rule box p(a,b|x,y) = Tr((M^x_a (x) N^y_b) rho), negative cells
+    raised to 0 and each block divided by its own sum (`_derived_box`): the
+    checked state and POVMs make each block sum to about 1."""
+    alice = list(alice_povms)
+    bob = list(bob_povms)
+    sc = _born_scenario(rho, alice, bob)
+    da, db = alice[0].dim, bob[0].dim
     _, _, ka, kb = sc.shape
     # (x, a) and (y, b) stacks of elements, zero past each outcome count, so
     # that one (nA, nB, ka, kb, d, d) stack holds every M^x_a (x) N^y_b and

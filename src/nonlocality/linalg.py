@@ -80,16 +80,17 @@ def psd_sqrt(a) -> np.ndarray:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product, matrix by matrix over broadcast leading dimensions:
     entry (i p + k, j p + l) is a[..., i, j] * b[..., k, l], the product
-    `np.kron` forms."""
+    `np.kron` forms. The factor of lower rank gains leading axes of length 1
+    by a reshape, and the multiply broadcasts them."""
     a, b = as_complex_stack(a), as_complex_stack(b)
     m, p = a.shape[-1], b.shape[-1]
     # Equal ranks keep numpy on the multiply loop `np.kron` uses, even for a
     # single 1 x 1 product; a rank mismatch can pick one that rounds differently.
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    a = np.broadcast_to(a, lead + (m, m))
-    b = np.broadcast_to(b, lead + (p, p))
+    rank = max(a.ndim, b.ndim)
+    a = a.reshape((1,) * (rank - a.ndim) + a.shape)
+    b = b.reshape((1,) * (rank - b.ndim) + b.shape)
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(lead + (m * p, m * p))
+    return prod.reshape(prod.shape[:-4] + (m * p, m * p))
 
 
 def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from .linalg import (
     as_complex_matrix,
     as_complex_stack,
     hermitian_part,
-    partial_trace,
     require_hermitian,
     tensor,
     trace_norm,
@@ -122,8 +121,11 @@ class DensityMatrix(SubnormalizedState):
 
 def _check_povm_sum(elements: np.ndarray) -> None:
     """Raise unless the (k, d, d) stack sums to the identity within
-    POVM_SUM_TOL in every entry. NaN fails."""
-    defect = float(np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max())
+    POVM_SUM_TOL in every entry. NaN fails. The identity is subtracted in
+    place, 1 from each diagonal entry of the sum."""
+    total = elements.sum(axis=0)
+    total.flat[:: total.shape[-1] + 1] -= 1.0
+    defect = float(np.abs(total).max())
     if not defect <= POVM_SUM_TOL:
         raise ValueError(f"POVM does not sum to identity: max deviation = {defect:.3e}")
 
@@ -295,7 +297,9 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
     Member b has weight Tr((I (x) N_b) rho) and state Tr_B((I (x) N_b) rho)
     normalized. Outcomes with weight below STEER_DROP_TOL are dropped; the
     surviving outcome indices are recorded in `labels`. Every outcome is
-    computed in one stacked product and partial trace.
+    computed in one stacked product and partial trace, taken here on the
+    reshaped product: the state's dimension is checked once, to be a
+    multiple of the POVM's, so `partial_trace`'s own check is not repeated.
 
     The ensemble is derived from the checked state and POVM and is not
     checked again. To first order in the tolerances, the operator
@@ -311,14 +315,15 @@ def steer(rho_ab: DensityMatrix, povm_b: Povm) -> Ensemble:
             f"dimension mismatch: state is {rho_ab.dim}-dim, POVM side is {dim_b}-dim"
         )
     lifted = tensor(np.eye(dim_a, dtype=complex), povm_b.elements)
-    reduced = partial_trace(lifted @ rho_ab.mat, dim_a, dim_b)
+    blocks = (lifted @ rho_ab.mat).reshape(-1, dim_a, dim_b, dim_a, dim_b)
+    reduced = np.einsum("...ijkj->...ik", blocks)
     weights = np.real(reduced.trace(axis1=-2, axis2=-1))
     kept = np.flatnonzero(~(weights < STEER_DROP_TOL))
     if not kept.size:
         raise ValueError("all steering outcomes fell below the drop tolerance")
     w = weights[kept]
     states = hermitian_part(reduced[kept] / w[:, None, None])
-    labels = tuple(int(b) for b in kept)
+    labels = tuple(kept.tolist())
     return _trusted(Ensemble, weights=w / w.sum(), states=states, labels=labels)
 
 

@@ -440,6 +440,11 @@ def test_pipeline_validation():
         fod_floor_pipeline(rho, bob[0], bob[1], [])
     with pytest.raises(ValueError, match="share a dimension"):
         fod_floor_pipeline(rho, bob[0], Povm((np.eye(3, dtype=complex),)), alice)
+    with pytest.raises(ValueError, match="share a dimension"):
+        fod_floor_pipeline(rho, bob[0], bob[1], [alice[0], sample_povm(3, 2, seed=1)])
+    # each Bob measurement alone would steer the 8-dim state
+    with pytest.raises(ValueError, match="state is 8-dim, measurements give 4"):
+        fod_floor_pipeline(sample_density(8, 8, seed=2), bob[0], bob[1], alice)
 
 
 # the grid oracle: first step, and the step its zooming stops at

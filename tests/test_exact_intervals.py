@@ -17,10 +17,16 @@ denominator:
 The interval must be narrower than LP_TOL. The printed cf is a rounded float
 sum of the weights, so it may sit just outside the interval; it must lie
 within 2 ulps of it.
+
+The same oracle holds the two strategy maxima to their exact values on every
+scenario of at most 2^12 strategies: `fod_exact` must equal the max-min over
+all of them, and `bell_det_max`, a rounded float sum, must lie within 2 ulps
+of the exact largest sum.
 """
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,8 +34,8 @@ import numpy as np
 import pytest
 
 from nonlocality import decomp
-from nonlocality.boxes import Box, Scenario
-from nonlocality.decomp import LP_TOL, cf_exact, simplex_solve
+from nonlocality.boxes import BellFunctional, Box, Scenario, bell_det_max
+from nonlocality.decomp import LP_TOL, cf_exact, fod_exact, simplex_solve
 from test_factored_pricing import chained_singlet
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -138,3 +144,58 @@ def test_the_printed_cf_has_an_exact_interval_narrower_than_lp_tol(case):
     assert lower <= upper
     assert upper - lower < LP_TOL
     assert ulps_outside(value, lower, upper) <= 2.0
+
+
+def strategy_count(scenario: Scenario) -> int:
+    return math.prod(scenario.outcomes_a) * math.prod(scenario.outcomes_b)
+
+
+# name -> box or functional dict whose strategy maxima are held exactly: the
+# golden inputs of at most 2^12 strategies, and chained singlets 2x2-6x6
+MAX_STRATEGIES = 1 << 12
+SMALL_TABLES = {
+    **{
+        name: d
+        for name, d in ((path.stem, json.loads(path.read_text())) for path in sorted(GOLDEN_INPUTS.glob("*.json")))
+        if strategy_count(Scenario.from_dict(d["scenario"])) <= MAX_STRATEGIES
+    },
+    **{f"chained{n}": chained_singlet(n, 0.86).to_dict() for n in range(2, 7)},
+}
+SMALL_BOXES = sorted(name for name, d in SMALL_TABLES.items() if "p" in d)
+
+
+@pytest.mark.parametrize("case", SMALL_BOXES)
+def test_fod_exact_is_the_max_min_over_every_strategy(case):
+    box = Box.from_dict(SMALL_TABLES[case])
+    sc = box.scenario
+    alphas = list(itertools.product(*map(range, sc.outcomes_a)))
+    betas = list(itertools.product(*map(range, sc.outcomes_b)))
+    xs, ys = np.arange(sc.inputs_a)[:, None], np.arange(sc.inputs_b)[None, :]
+    cells = box.p[xs, ys, np.array(alphas)[:, None, :, None], np.array(betas)[None, :, None, :]]
+    # a min and a max of floats round nothing, so floats are exact here
+    worst = cells.min(axis=(2, 3))
+    value, strategy = fod_exact(box)
+    assert value == worst.max()
+    # ties keep the first strategy in (alice, bob) order
+    first_alpha, first_beta = np.unravel_index(int(np.argmax(worst)), worst.shape)
+    assert (tuple(strategy.alice), tuple(strategy.bob)) == (alphas[first_alpha], betas[first_beta])
+
+
+def signed_tables(case: str) -> list:
+    """The table of a box or functional case, and a table of random signs on
+    the same cells seeded by the case's name, as functionals."""
+    d = SMALL_TABLES[case]
+    table = Box.from_dict(d) if "p" in d else BellFunctional.from_dict(d)
+    sc = table.scenario
+    rng = np.random.default_rng(list(case.encode()))
+    signed = np.where(sc.inside, rng.uniform(-1.0, 1.0, sc.shape), 0.0)
+    return [BellFunctional(sc, table.p if "p" in d else table.s), BellFunctional(sc, signed)]
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_TABLES))
+def test_bell_det_max_is_within_two_ulps_of_the_exact_maximum(case):
+    for functional in signed_tables(case):
+        sc = functional.scenario
+        best = Fraction(exact_det_max(exact(functional.s), sc), ULP)
+        value = bell_det_max(functional)
+        assert abs(Fraction(value) - best) <= 2 * Fraction(float(np.spacing(value)))

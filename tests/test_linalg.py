@@ -168,15 +168,20 @@ def _random_stack(rng, lead, dim):
 # one 1 x 1 product against a broadcast factor: numpy can pick a multiply
 # loop that rounds the imaginary part differently from np.kron's
 @example(1, 1, [1], 14)
+# `steer`'s lift: one identity-sized a against a stack of b
+@example(3, 2, [3], 5)
+# a rank-2 lead against a single matrix
+@example(2, 3, [2, 3], 6)
 def test_stacked_tensor_matches_kron(dim_a, dim_b, lead, seed):
     rng = np.random.default_rng(seed)
     a, b = _random_stack(rng, lead, dim_a), _random_stack(rng, lead, dim_b)
-    single_b = b[(0,) * len(lead)]
-    stacked, broadcast = tensor(a, b), tensor(a, single_b)
-    assert stacked.shape == broadcast.shape == tuple(lead) + (dim_a * dim_b,) * 2
+    single_a, single_b = a[(0,) * len(lead)], b[(0,) * len(lead)]
+    stacked, broadcast, lifted = tensor(a, b), tensor(a, single_b), tensor(single_a, b)
+    assert stacked.shape == broadcast.shape == lifted.shape == tuple(lead) + (dim_a * dim_b,) * 2
     for idx in np.ndindex(*lead):
         assert stacked[idx].tobytes() == np.kron(a[idx], b[idx]).tobytes()
         assert broadcast[idx].tobytes() == np.kron(a[idx], single_b).tobytes()
+        assert lifted[idx].tobytes() == np.kron(single_a, b[idx]).tobytes()
 
 
 @given(
